@@ -188,8 +188,9 @@ def read_spectrogram(source) -> MelSpectrogram:
     """Read a spectrogram from a path, bytes, or binary file object.
 
     Raises:
-        FormatError: bad magic, truncated header or payload, or (for path
-            and bytes sources) trailing garbage after the payload.
+        FormatError: bad magic, truncated header or payload, non-finite
+            values, or (for path and bytes sources) trailing garbage after
+            the payload.
     """
     exact = True
     if hasattr(source, "read"):
@@ -217,4 +218,6 @@ def read_spectrogram(source) -> MelSpectrogram:
     if exact and stream.read(1):
         raise FormatError("trailing bytes after spectrogram payload")
     values = np.frombuffer(body, dtype="<f4").reshape(n_mels, n_frames).copy()
+    if not np.isfinite(values).all():
+        raise FormatError("spectrogram contains non-finite values")
     return MelSpectrogram(values=values)

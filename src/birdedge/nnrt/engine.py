@@ -7,9 +7,24 @@ exception is the terminal linear layer: its 32-bit accumulator is
 dequantized directly to float logits (nothing consumes it downstream, so
 quantizing it would only discard information) and softmax runs in float.
 
-Accumulators are held in int64 arrays here; for every model this runtime
-targets the running values stay far inside the int32 range the scheme is
-defined for.
+Conv accumulators are float64 arrays that hold exact integers. The input is
+centered on its zero point before any product, so each product is at most
+128 * 255 in magnitude and a layer's accumulator is bounded by
+fan_in * 128 * 255 + 2**31 (the int32 bias). That stays below 2**53
+whenever fan_in <= 2**38, which holds for any weight tensor that fits in
+memory. Float64 sums of such integers are exact in any order, so a BLAS
+matrix product (stride-1 1x1 convs directly, other convs after im2col) and
+kh*kw shifted multiply-adds (depthwise) give the same integers as integer
+arithmetic. Requantization multiplies the accumulator by the float32
+multiplier in float64, as an integer accumulator would be promoted. The
+linear head accumulates in int64.
+
+relu6 and residual_add act on each int8 code alone, so they run as
+256-entry tables indexed by the code. relu6 maps every input code to its
+requantized output. residual_add looks up (q - zp) * f32(s / s_out) in one
+float32 table per operand, sums the two, then rounds, shifts and clamps:
+the same float32 operations as computing each element directly. Tables are
+memoized on their scalar (scale, zero point) values.
 
 float_reference_infer runs the same dataflow in float32 after dequantizing
 all weights and biases, with no activation quantization anywhere. It is the
@@ -18,11 +33,17 @@ accuracy oracle the int8 path is measured against.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
 from .graph import INPUT_BUFFER, LayerSpec, ModelGraph, validate_graph
+
+# Every int8 code, ordered so that table[codes.view(np.uint8)] looks up
+# the entry of each code.
+_CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def _im2col(x: np.ndarray, kernel, stride: int, padding: int):
@@ -38,7 +59,7 @@ def _im2col(x: np.ndarray, kernel, stride: int, padding: int):
 
 
 def _depthwise(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
-    """Per-channel correlation; weight is (C, kh, kw)."""
+    """Per-channel correlation of the float path; weight is (C, kh, kw)."""
     kh, kw = weight.shape[1:]
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
@@ -47,24 +68,76 @@ def _depthwise(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
     return np.einsum("chwkl,ckl->chw", windows, weight)
 
 
+def _depthwise_acc(x: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray:
+    """Per-channel correlation of padded x as kh*kw shifted multiply-adds."""
+    c, hp, wp = x.shape
+    kh, kw = weight.shape[1:]
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    acc = np.zeros((c, ho, wo))
+    for i in range(kh):
+        rows = slice(i, i + stride * (ho - 1) + 1, stride)
+        for j in range(kw):
+            cols = slice(j, j + stride * (wo - 1) + 1, stride)
+            acc += x[:, rows, cols] * weight[:, i, j, None, None]
+    return acc
+
+
 def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
     """acc * f32 multiplier, round, shift, clamp to int8."""
-    scaled = np.rint(acc * np.float32(multiplier)) + zero_point
-    return np.clip(scaled, -128, 127).astype(np.int8)
+    scaled = acc * np.float32(multiplier)
+    np.rint(scaled, out=scaled)
+    scaled += zero_point
+    np.clip(scaled, -128, 127, out=scaled)
+    return scaled.astype(np.int8)
 
 
-def _conv_acc(x_centered: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    """Integer accumulator of a conv layer on zero-point-centered input."""
+def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
+    """x - zero_point in float64, zero-padded by `padding` on H and W."""
+    c, h, w = x.shape
+    out = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    inner = out[:, padding : padding + h, padding : padding + w]
+    inner[...] = x
+    inner -= zero_point
+    return out
+
+
+def _conv_acc(x: np.ndarray, zero_point: int, layer: LayerSpec) -> np.ndarray:
+    """Exact float64 accumulator of a conv layer on int8 input x."""
+    centered = _centered(x, zero_point, layer.padding)
     if layer.kind == "depthwise_conv2d":
-        weight = layer.weight.reshape(layer.out_ch, *layer.kernel).astype(np.int64)
-        acc = _depthwise(x_centered, weight, layer.stride, layer.padding)
+        weight = layer.weight.reshape(layer.out_ch, *layer.kernel).astype(np.float64)
+        acc = _depthwise_acc(centered, weight, layer.stride)
     else:
-        patches, ho, wo = _im2col(x_centered, layer.kernel, layer.stride, layer.padding)
-        weight = layer.weight.reshape(layer.out_ch, -1).astype(np.int64)
-        acc = (weight @ patches).reshape(layer.out_ch, ho, wo)
+        weight = layer.weight.reshape(layer.out_ch, -1).astype(np.float64)
+        if tuple(layer.kernel) == (1, 1) and layer.stride == 1:
+            c, h, w = centered.shape
+            acc = (weight @ centered.reshape(c, h * w)).reshape(layer.out_ch, h, w)
+        else:
+            patches, ho, wo = _im2col(centered, layer.kernel, layer.stride, 0)
+            acc = (weight @ patches).reshape(layer.out_ch, ho, wo)
     if layer.bias is not None:
-        acc = acc + layer.bias.astype(np.int64)[:, None, None]
+        acc += layer.bias.astype(np.float64)[:, None, None]
     return acc
+
+
+@lru_cache(maxsize=1024)
+def _relu6_table(
+    in_scale: float, in_zp: int, out_scale: float, out_zp: int
+) -> np.ndarray:
+    """int8 relu6 output of every input code."""
+    real = (_CODES.astype(np.float32) - in_zp) * np.float32(in_scale)
+    table = _requantize(np.clip(real, 0.0, 6.0), 1.0 / out_scale, out_zp)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=1024)
+def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarray:
+    """float32 (q - zero_point) * f32(scale / out_scale) of every code q."""
+    table = (_CODES.astype(np.float32) - zero_point) * np.float32(scale / out_scale)
+    table.flags.writeable = False
+    return table
 
 
 def _quantize_input(model: ModelGraph, values: np.ndarray) -> np.ndarray:
@@ -88,6 +161,8 @@ def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
         raise ShapeError(
             f"model expects a {expected} spectrogram, got {spec.values.shape}"
         )
+    if not np.isfinite(spec.values).all():
+        raise ShapeError("spectrogram contains non-finite values")
 
 
 def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
@@ -95,47 +170,38 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     validate_graph(model)
     _check_input(model, spec)
     x = _quantize_input(model, spec.values)
-    outputs: list[np.ndarray] = []  # int8 activation of every layer
-    scales: list[float] = []
-    zero_points: list[int] = []
-    in_scale = model.input_scale
-    in_zp = model.input_zero_point
+    in_scale = float(model.input_scale)
+    in_zp = int(model.input_zero_point)
+    graph_input = (x, in_scale, in_zp)
+    outputs: list[tuple[np.ndarray, float, int]] = []  # (int8 codes, scale, zp)
     last_index = len(model.layers) - 1
 
     for i, layer in enumerate(model.layers):
+        out_scale = float(layer.out_scale)
+        out_zp = int(layer.out_zero_point)
         if layer.kind in ("conv2d", "pointwise_conv2d", "depthwise_conv2d"):
-            centered = x.astype(np.int64) - in_zp
-            acc = _conv_acc(centered, layer)
             x = _requantize(
-                acc,
-                in_scale * layer.weight_scale / layer.out_scale,
-                layer.out_zero_point,
+                _conv_acc(x, in_zp, layer),
+                in_scale * layer.weight_scale / out_scale,
+                out_zp,
             )
         elif layer.kind == "relu6":
-            real = (x.astype(np.float32) - in_zp) * np.float32(in_scale)
-            clipped = np.clip(real, 0.0, 6.0)
-            x = _requantize(clipped, 1.0 / layer.out_scale, layer.out_zero_point)
+            x = _relu6_table(in_scale, in_zp, out_scale, out_zp)[x.view(np.uint8)]
         elif layer.kind == "residual_add":
-            if layer.skip_from == INPUT_BUFFER:
-                skip = _quantize_input(model, spec.values)
-                skip_scale, skip_zp = model.input_scale, model.input_zero_point
-            else:
-                skip = outputs[layer.skip_from]
-                skip_scale = scales[layer.skip_from]
-                skip_zp = zero_points[layer.skip_from]
-            total = (x.astype(np.float32) - in_zp) * np.float32(
-                in_scale / layer.out_scale
-            ) + (skip.astype(np.float32) - skip_zp) * np.float32(
-                skip_scale / layer.out_scale
+            skip, skip_scale, skip_zp = (
+                graph_input if layer.skip_from == INPUT_BUFFER
+                else outputs[layer.skip_from]
             )
-            x = np.clip(np.rint(total) + layer.out_zero_point, -128, 127).astype(
-                np.int8
-            )
+            total = _rescale_table(in_scale, in_zp, out_scale)[x.view(np.uint8)]
+            total += _rescale_table(skip_scale, skip_zp, out_scale)[
+                skip.view(np.uint8)
+            ]
+            np.rint(total, out=total)
+            total += out_zp
+            x = np.clip(total, -128, 127, out=total).astype(np.int8)
         elif layer.kind == "global_avg_pool":
             mean = (x.astype(np.float64) - in_zp).mean(axis=(1, 2))[:, None, None]
-            x = _requantize(
-                mean, in_scale / layer.out_scale, layer.out_zero_point
-            )
+            x = _requantize(mean, in_scale / out_scale, out_zp)
         elif layer.kind == "linear":
             vec = x.reshape(-1).astype(np.int64) - in_zp
             acc = layer.weight.reshape(layer.out_ch, layer.in_ch).astype(np.int64) @ vec
@@ -146,14 +212,12 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
                 return _softmax(logits)
             x = _requantize(
                 acc.reshape(layer.out_ch, 1, 1),
-                in_scale * layer.weight_scale / layer.out_scale,
-                layer.out_zero_point,
+                in_scale * layer.weight_scale / out_scale,
+                out_zp,
             )
-        outputs.append(x)
-        scales.append(layer.out_scale)
-        zero_points.append(layer.out_zero_point)
-        in_scale = layer.out_scale
-        in_zp = layer.out_zero_point
+        outputs.append((x, out_scale, out_zp))
+        in_scale = out_scale
+        in_zp = out_zp
 
     raise AssertionError("validated graph must end in a linear layer")
 

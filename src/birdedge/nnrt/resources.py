@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import math
 
-from .graph import INPUT_BUFFER, LayerSpec, ModelGraph, activation_shapes
+from .graph import (
+    INPUT_BUFFER,
+    LayerSpec,
+    ModelGraph,
+    ResourceReport,
+    activation_shapes,
+)
 from .serialize import save_model
 
 
@@ -75,9 +81,7 @@ def estimate_rom(model: ModelGraph) -> int:
     return len(save_model(model))
 
 
-def resource_report(model: ModelGraph):
-    from .graph import ResourceReport
-
+def resource_report(model: ModelGraph) -> ResourceReport:
     return ResourceReport(
         flops=count_flops(model),
         ram_bytes=estimate_ram(model),

@@ -20,6 +20,8 @@ For a 2 s chunk at 48 kHz the frame count is (96000 - 512)//384 + 1 = 249.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
@@ -194,12 +196,14 @@ def mel_band_edges(cfg: MelConfig) -> np.ndarray:
     return _mel_to_hz(mel_pts)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular area-normalized filterbank, shape (n_mels, fft_size//2 + 1).
 
     Band k rises from edge k to edge k+1 (its center) and falls to edge k+2.
     Each triangle is scaled by 2 / (upper - lower) so all bands integrate to
-    the same area. Bins outside [f_min, f_max] get zero weight.
+    the same area. Bins outside [f_min, f_max] get zero weight. The result
+    is cached per config and returned read-only.
     """
     cfg.validate()
     edges = mel_band_edges(cfg)
@@ -211,7 +215,17 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
         falling = (upper - bin_freqs) / (upper - center)
         tri = np.maximum(0.0, np.minimum(rising, falling))
         weights[k] = tri * (2.0 / (upper - lower))
+    weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=16)
+def _hann_window(fft_size: int) -> np.ndarray:
+    """Periodic Hann window of fft_size samples, cached and read-only."""
+    n = np.arange(fft_size)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / fft_size))
+    window.flags.writeable = False
+    return window
 
 
 def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
@@ -232,9 +246,7 @@ def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpect
         )
     frames = np.lib.stride_tricks.sliding_window_view(chunk, cfg.fft_size)[:: cfg.hop]
     frames = frames[:n_frames]
-    n = np.arange(cfg.fft_size)
-    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / cfg.fft_size))
-    spectra = np.fft.rfft(frames * hann, axis=1)
+    spectra = np.fft.rfft(frames * _hann_window(cfg.fft_size), axis=1)
     power = spectra.real**2 + spectra.imag**2
     mel_power = power @ mel_filterbank(cfg).T  # (n_frames, n_mels)
     ref = float(mel_power.max())

@@ -273,3 +273,10 @@ class TestSpectrogramContainer:
         values = np.array([[np.nan, 0.0]], dtype=np.float32)
         with pytest.raises(ValueError):
             write_spectrogram(MelSpectrogram(values), io.BytesIO())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_payload_rejected(self, bad):
+        values = np.array([[0.0, -3.0], [bad, -80.0]], dtype="<f4")
+        blob = b"MELS" + struct.pack("<II", 2, 2) + values.tobytes()
+        with pytest.raises(FormatError):
+            read_spectrogram(blob)

@@ -8,6 +8,7 @@ a fresh directory.
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -228,6 +229,23 @@ class TestInfer:
         manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "infer"
         assert manifest["outputs"] == [str(report)]
+
+    def test_nonfinite_spec_exits_1(self, pipeline, tmp_path, capsys):
+        values = read_spectrogram(
+            pipeline["chunks"] / "calls_48k_chunk000.mels"
+        ).values
+        values[10, 20] = np.nan
+        spec = tmp_path / "nan.mels"
+        spec.write_bytes(
+            b"MELS" + struct.pack("<II", *values.shape) + values.astype("<f4").tobytes()
+        )
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(pipeline["model"]),
+            "--spec", str(spec), "--out", str(report),
+        ]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_missing_model(self, pipeline, tmp_path, capsys):
         assert main([

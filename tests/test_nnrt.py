@@ -5,6 +5,7 @@ and the serialization format; the generated test model is checked against
 frozen structural and resource numbers.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from birdedge.nnrt import (
     save_model,
     validate_graph,
 )
+
+from birdedge.nnrt.engine import _relu6_table, _rescale_table
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec
 
@@ -370,6 +373,15 @@ class TestInference:
         with pytest.raises(ShapeError):
             infer(model, MelSpectrogram(np.zeros((5, 5), dtype=np.float32)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, bad):
+        model = chain_model()
+        values = spec_for(model, seed=5).values
+        values[1, 2] = bad
+        for fn in (infer, float_reference_infer):
+            with pytest.raises(ShapeError):
+                fn(model, MelSpectrogram(values))
+
     def test_deterministic(self):
         model = residual_model()
         spec = spec_for(model, seed=3)
@@ -570,3 +582,178 @@ class TestFixtureModel:
             b = np.argmax(float_reference_infer(fixture_model, spec))
             agree += int(a == b)
         assert agree >= 54
+
+
+# sha256 over the concatenated float64 probability bytes of every input,
+# recorded with int64 accumulators. Any change to the int8 arithmetic,
+# however small, moves these.
+PINNED_FIXTURE_DIGEST = (
+    "a190527660d7e831cfeb16f840ab478b10885b9f3b2ff967d70757fe1fa43888"
+)
+PINNED_BRANCH_DIGESTS = {
+    "strided": "eed32f86ad67edcbd621f8b7c8cb4e00cc71e04c91959d84a7808d930a0e99c1",
+    "input_skip": "1a3816de3cacfeca65b0cbca84fec8c9dfe5a84a44b3c41568f95afabb127311",
+}
+
+
+# the fixture's input affine: -80..0 dB onto codes -128..127
+DB_SCALE = float(np.float32(80 / 255))
+
+
+def _layer(rng, kind, in_ch, out_ch, kernel=(1, 1), stride=1, padding=0, *,
+           weight_scale, out_scale, out_zero_point):
+    """A weighted layer with int8 weights and an int32 bias drawn from rng."""
+    if kind == "depthwise_conv2d":
+        weight = rand_weight(rng, out_ch, *kernel)
+    elif kind == "linear":
+        weight = rand_weight(rng, out_ch, in_ch)
+    else:
+        weight = rand_weight(rng, out_ch, in_ch, *kernel)
+    bias = rng.integers(-3000, 3000, size=out_ch).astype(np.int32)
+    return LayerSpec(
+        kind=kind, in_ch=in_ch, out_ch=out_ch, kernel=kernel, stride=stride,
+        padding=padding, weight=weight, weight_scale=weight_scale, bias=bias,
+        out_scale=out_scale, out_zero_point=out_zero_point,
+    )
+
+
+def strided_model():
+    """Strided unpadded convs, unpadded depthwise, a non-terminal linear."""
+    rng = np.random.default_rng(2024)
+    return ModelGraph(
+        layers=[
+            _layer(rng, "conv2d", 1, 4, (3, 3), 2, 0, weight_scale=0.0003,
+                   out_scale=0.08, out_zero_point=0),
+            relu6(),
+            _layer(rng, "depthwise_conv2d", 4, 4, (3, 3), 1, 0,
+                   weight_scale=0.008, out_scale=0.05, out_zero_point=0),
+            _layer(rng, "pointwise_conv2d", 4, 6, (1, 1), 2, 0,
+                   weight_scale=0.005, out_scale=0.04, out_zero_point=-20),
+            relu6(out_scale=0.03, out_zero_point=-100),
+            pool(out_scale=0.03, out_zero_point=-128),
+            _layer(rng, "linear", 6, 5, weight_scale=0.01,
+                   out_scale=0.05, out_zero_point=0),
+            _layer(rng, "linear", 5, 3, weight_scale=0.0025,
+                   out_scale=1.0, out_zero_point=0),
+        ],
+        class_count=3,
+        input_shape=(1, 12, 13),
+        input_scale=DB_SCALE,
+        input_zero_point=127,
+    )
+
+
+def input_skip_model():
+    """A residual from the graph input, rectangular and padded 1x1 kernels."""
+    rng = np.random.default_rng(77)
+    return ModelGraph(
+        layers=[
+            _layer(rng, "depthwise_conv2d", 1, 1, (3, 3), 1, 1,
+                   weight_scale=0.0008, out_scale=0.1, out_zero_point=0),
+            residual(INPUT_BUFFER, out_scale=0.4, out_zero_point=90),
+            _layer(rng, "conv2d", 1, 3, (2, 3), 1, 2, weight_scale=0.0008,
+                   out_scale=0.06, out_zero_point=0),
+            _layer(rng, "pointwise_conv2d", 3, 3, (1, 1), 1, 1,
+                   weight_scale=0.006, out_scale=0.05, out_zero_point=0),
+            relu6(),
+            _layer(rng, "depthwise_conv2d", 3, 3, (3, 3), 2, 1,
+                   weight_scale=0.008, out_scale=0.05, out_zero_point=0),
+            _layer(rng, "pointwise_conv2d", 3, 3, (1, 1), 1, 0,
+                   weight_scale=0.008, out_scale=0.05, out_zero_point=0),
+            residual(5, out_scale=0.1, out_zero_point=-20),
+            pool(out_scale=0.05, out_zero_point=0),
+            _layer(rng, "linear", 3, 2, weight_scale=0.005,
+                   out_scale=1.0, out_zero_point=0),
+        ],
+        class_count=2,
+        input_shape=(1, 8, 10),
+        input_scale=DB_SCALE,
+        input_zero_point=127,
+    )
+
+
+def edge_specs(shape):
+    """All-floor, all-0 dB, and a 0 / -80 dB checkerboard."""
+    checker = np.indices(shape).sum(axis=0) % 2 * np.float32(-80.0)
+    return [
+        MelSpectrogram(np.full(shape, -80.0, dtype=np.float32)),
+        MelSpectrogram(np.zeros(shape, dtype=np.float32)),
+        MelSpectrogram(checker.astype(np.float32)),
+    ]
+
+
+def probs_digest(model, specs):
+    h = hashlib.sha256()
+    for spec in specs:
+        h.update(infer(model, spec).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    def test_fixture_outputs_bitwise(self, fixture_model):
+        specs = [random_spec(seed) for seed in range(50)]
+        specs += edge_specs(fixture_model.input_shape[1:])
+        assert probs_digest(fixture_model, specs) == PINNED_FIXTURE_DIGEST
+
+    @pytest.mark.parametrize("name,build", [
+        ("strided", strided_model),
+        ("input_skip", input_skip_model),
+    ])
+    def test_branch_outputs_bitwise(self, name, build):
+        model = build()
+        specs = [spec_for(model, seed) for seed in range(20)]
+        specs += edge_specs(model.input_shape[1:])
+        assert probs_digest(model, specs) == PINNED_BRANCH_DIGESTS[name]
+
+
+class TestElementwiseTables:
+    """The 256-entry tables equal the per-element float32 formulas."""
+
+    codes = np.arange(-128, 128).astype(np.int8)
+
+    def affines(self, count=200):
+        rng = np.random.default_rng(11)
+        for _ in range(count):
+            yield (
+                float(np.float32(rng.uniform(0.001, 1.0))),
+                int(rng.integers(-128, 128)),
+                float(np.float32(rng.uniform(0.001, 0.5))),
+                int(rng.integers(-128, 128)),
+            )
+
+    def test_relu6_table(self):
+        for in_scale, in_zp, out_scale, out_zp in self.affines():
+            real = (self.codes.astype(np.float32) - in_zp) * np.float32(in_scale)
+            scaled = np.rint(np.clip(real, 0.0, 6.0) * np.float32(1.0 / out_scale))
+            expect = np.clip(scaled + out_zp, -128, 127).astype(np.int8)
+            table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
+            assert table[self.codes.view(np.uint8)].tobytes() == expect.tobytes()
+
+    def test_rescale_table(self):
+        for scale, zp, out_scale, _ in self.affines():
+            expect = (self.codes.astype(np.float32) - zp) * np.float32(
+                scale / out_scale
+            )
+            table = _rescale_table(scale, zp, out_scale)
+            assert table.dtype == np.float32
+            assert table[self.codes.view(np.uint8)].tobytes() == expect.tobytes()
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            _relu6_table(0.5, 0, 0.1, -128)[0] = 1
+        with pytest.raises(ValueError):
+            _rescale_table(0.5, 0, 0.1)[0] = 1.0
+
+    def test_in_place_edit_of_a_model_takes_effect(self):
+        # tables are keyed by scalar values, never by model identity
+        def edit(model):
+            model.layers[1].out_scale = 0.05
+            model.layers[5].out_zero_point = 7
+            return model
+
+        model = residual_model()
+        spec = spec_for(model, seed=6)
+        before = infer(model, spec)
+        after = infer(edit(model), spec)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == infer(edit(residual_model()), spec).tobytes()

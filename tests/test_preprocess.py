@@ -306,6 +306,12 @@ class TestMelSpectrogram:
             assert freqs[nz].min() > edges[k]
             assert freqs[nz].max() < edges[k + 2]
 
+    def test_filterbank_is_cached_read_only(self):
+        bank = mel_filterbank(MelConfig())
+        assert mel_filterbank(MelConfig()) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
+
     def test_filterbank_matches_analytic_triangles(self):
         # weight[k, j] is the triangle over (lower, center, upper) sampled
         # at bin j, scaled by 2 / (upper - lower)
