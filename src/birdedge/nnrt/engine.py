@@ -1,34 +1,29 @@
-"""Layer execution: the int8 path and its float reference twin.
+"""Layer execution: one graph walk, two numerics, one set of conv kernels.
 
-The int8 path quantizes the input spectrogram with the graph's input
-affine, accumulates integer products per layer, and requantizes to int8
-between layers by multiplying with a float32 scale and clamping. The one
-exception is the terminal linear layer: its 32-bit accumulator is
-dequantized directly to float logits (nothing consumes it downstream, so
-quantizing it would only discard information) and softmax runs in float.
+_walk owns the dataflow: the buffer of layer outputs, the residual skip
+lookup, the scale and zero point of each layer's input and skip, and the
+terminal-linear rule (the last layer yields logits, not an activation).
+A numerics is two plain functions, one for a layer's output and one for
+the logits. Weighted layers of both run on the same float64 correlation
+kernels over a zero-padded buffer: kh*kw shifted multiply-adds for
+depthwise, one BLAS product for stride-1 1x1 convs and linear layers,
+im2col plus a BLAS product for the rest.
 
-Conv accumulators are float64 arrays that hold exact integers. The input is
-centered on its zero point before any product, so each product is at most
-128 * 255 in magnitude and a layer's accumulator is bounded by
-fan_in * 128 * 255 + 2**31 (the int32 bias). That stays below 2**53
-whenever fan_in <= 2**38, which holds for any weight tensor that fits in
-memory. Float64 sums of such integers are exact in any order, so a BLAS
-matrix product (stride-1 1x1 convs directly, other convs after im2col) and
-kh*kw shifted multiply-adds (depthwise) give the same integers as integer
-arithmetic. Requantization multiplies the accumulator by the float32
-multiplier in float64, as an integer accumulator would be promoted. The
-linear head accumulates in int64.
+int8: the input is quantized with the graph's input affine, each layer
+requantizes to int8 (float32 multiplier, round, clamp), and the terminal
+accumulator is dequantized straight to logits. Inputs are centered on
+their zero point, so accumulators are exact integers in float64, in any
+summation order: |acc| <= fan_in * 128 * 255 + 2**31 < 2**53 for
+fan_in <= 2**38. relu6 and residual_add are 256-entry tables indexed by
+the int8 code, memoized on scalar (scale, zero point) values; a residual
+table holds (q - zp) * f32(s / s_out), as the per-element formula does.
 
-relu6 and residual_add act on each int8 code alone, so they run as
-256-entry tables indexed by the code. relu6 maps every input code to its
-requantized output. residual_add looks up (q - zp) * f32(s / s_out) in one
-float32 table per operand, sums the two, then rounds, shifts and clamps:
-the same float32 operations as computing each element directly. Tables are
-memoized on their scalar (scale, zero point) values.
-
-float_reference_infer runs the same dataflow in float32 after dequantizing
-all weights and biases, with no activation quantization anywhere. It is the
-accuracy oracle the int8 path is measured against.
+float (float_reference_infer, and fixture calibration via _float_forward):
+weights and biases are dequantized, activations stay float32. Convs add
+their bias in float32 after the cast, the pool averages in float64, and
+linear layers add their bias in float64. It is the accuracy oracle of the
+int8 path. Moving it onto the shared kernels from its own einsum and
+im2col convolutions left every float32 result unchanged.
 """
 
 from __future__ import annotations
@@ -39,33 +34,21 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
-from .graph import INPUT_BUFFER, LayerSpec, ModelGraph, validate_graph
+from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
 
 # Every int8 code, ordered so that table[codes.view(np.uint8)] looks up
 # the entry of each code.
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
-def _im2col(x: np.ndarray, kernel, stride: int, padding: int):
-    """Unfold (C, H, W) into (C*kh*kw, Ho*Wo) patches with zero padding."""
+def _im2col(x: np.ndarray, kernel, stride: int):
+    """Unfold padded (C, H, W) into (C*kh*kw, Ho*Wo) patches."""
     kh, kw = kernel
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]
     c, ho, wo = windows.shape[:3]
     patches = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
     return patches, ho, wo
-
-
-def _depthwise(x: np.ndarray, weight: np.ndarray, stride: int, padding: int):
-    """Per-channel correlation of the float path; weight is (C, kh, kw)."""
-    kh, kw = weight.shape[1:]
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    return np.einsum("chwkl,ckl->chw", windows, weight)
 
 
 def _depthwise_acc(x: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray:
@@ -83,15 +66,6 @@ def _depthwise_acc(x: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray
     return acc
 
 
-def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
-    """acc * f32 multiplier, round, shift, clamp to int8."""
-    scaled = acc * np.float32(multiplier)
-    np.rint(scaled, out=scaled)
-    scaled += zero_point
-    np.clip(scaled, -128, 127, out=scaled)
-    return scaled.astype(np.int8)
-
-
 def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
     """x - zero_point in float64, zero-padded by `padding` on H and W."""
     c, h, w = x.shape
@@ -102,23 +76,47 @@ def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
     return out
 
 
-def _conv_acc(x: np.ndarray, zero_point: int, layer: LayerSpec) -> np.ndarray:
-    """Exact float64 accumulator of a conv layer on int8 input x."""
-    centered = _centered(x, zero_point, layer.padding)
+def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
+    """float64 correlation of x - zero_point; a linear layer is always 1x1."""
+    linear = layer.kind == "linear"
+    kernel = (1, 1) if linear else tuple(layer.kernel)
+    stride = 1 if linear else layer.stride
+    x = _centered(x, zero_point, 0 if linear else layer.padding)
     if layer.kind == "depthwise_conv2d":
-        weight = layer.weight.reshape(layer.out_ch, *layer.kernel).astype(np.float64)
-        acc = _depthwise_acc(centered, weight, layer.stride)
-    else:
-        weight = layer.weight.reshape(layer.out_ch, -1).astype(np.float64)
-        if tuple(layer.kernel) == (1, 1) and layer.stride == 1:
-            c, h, w = centered.shape
-            acc = (weight @ centered.reshape(c, h * w)).reshape(layer.out_ch, h, w)
-        else:
-            patches, ho, wo = _im2col(centered, layer.kernel, layer.stride, 0)
-            acc = (weight @ patches).reshape(layer.out_ch, ho, wo)
-    if layer.bias is not None:
-        acc += layer.bias.astype(np.float64)[:, None, None]
-    return acc
+        return _depthwise_acc(x, weight.reshape(layer.out_ch, *kernel), stride)
+    weight = weight.reshape(layer.out_ch, -1)
+    if kernel == (1, 1) and stride == 1:
+        c, h, w = x.shape
+        return (weight @ x.reshape(c, h * w)).reshape(layer.out_ch, h, w)
+    patches, ho, wo = _im2col(x, kernel, stride)
+    return (weight @ patches).reshape(layer.out_ch, ho, wo)
+
+
+def _walk(model: ModelGraph, x: np.ndarray, layer_out, logits_out):
+    """Run the graph on input x; returns (logits, per-layer outputs).
+
+    layer_out(layer, x, scale, zero_point, skip) computes every layer but
+    the last, skip being the (output, scale, zero point) a residual adds;
+    logits_out(layer, x, scale, zero_point) computes the last.
+    """
+    # buffers[k - INPUT_BUFFER] holds the output of layer k; the graph
+    # input comes first, as layer INPUT_BUFFER (-1).
+    buffers = [(x, float(model.input_scale), int(model.input_zero_point))]
+    for layer in model.layers[:-1]:
+        residual = layer.kind == "residual_add"
+        skip = buffers[layer.skip_from - INPUT_BUFFER] if residual else None
+        x = layer_out(layer, *buffers[-1], skip)
+        buffers.append((x, float(layer.out_scale), int(layer.out_zero_point)))
+    return logits_out(model.layers[-1], *buffers[-1]), buffers[1:]
+
+
+def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
+    """acc * f32 multiplier, round, shift, clamp to int8."""
+    scaled = acc * np.float32(multiplier)
+    np.rint(scaled, out=scaled)
+    scaled += zero_point
+    np.clip(scaled, -128, 127, out=scaled)
+    return scaled.astype(np.int8)
 
 
 @lru_cache(maxsize=1024)
@@ -138,6 +136,66 @@ def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarra
     table = (_CODES.astype(np.float32) - zero_point) * np.float32(scale / out_scale)
     table.flags.writeable = False
     return table
+
+
+def _int8_acc(layer: LayerSpec, x: np.ndarray, zero_point: int) -> np.ndarray:
+    """Exact float64 accumulator of a weighted layer on int8 input x."""
+    acc = _correlate(x, zero_point, layer.weight.astype(np.float64), layer)
+    if layer.bias is not None:
+        acc += layer.bias.astype(np.float64)[:, None, None]
+    return acc
+
+
+def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
+    out_scale, out_zp = float(layer.out_scale), int(layer.out_zero_point)
+    if layer.kind in WEIGHTED_KINDS:
+        multiplier = scale * layer.weight_scale / out_scale
+        return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)
+    if layer.kind == "relu6":
+        return _relu6_table(scale, zero_point, out_scale, out_zp)[x.view(np.uint8)]
+    if layer.kind == "residual_add":
+        skip_x, skip_scale, skip_zp = skip
+        total = _rescale_table(scale, zero_point, out_scale)[x.view(np.uint8)]
+        total += _rescale_table(skip_scale, skip_zp, out_scale)[skip_x.view(np.uint8)]
+        np.rint(total, out=total)
+        total += out_zp
+        return np.clip(total, -128, 127, out=total).astype(np.int8)
+    # global_avg_pool
+    mean = (x.astype(np.float64) - zero_point).mean(axis=(1, 2))[:, None, None]
+    return _requantize(mean, scale / out_scale, out_zp)
+
+
+def _int8_logits(layer: LayerSpec, x, scale: float, zero_point: int) -> np.ndarray:
+    return _int8_acc(layer, x, zero_point).reshape(-1) * (scale * layer.weight_scale)
+
+
+def _float_weight(layer: LayerSpec) -> np.ndarray:
+    w = layer.weight.astype(np.float32) * np.float32(layer.weight_scale)
+    return w.astype(np.float64)
+
+
+def _float_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
+    if layer.kind == "linear":
+        return _float_logits(layer, x, scale, zero_point).astype(np.float32)
+    if layer.kind in WEIGHTED_KINDS:
+        x = _correlate(x, 0, _float_weight(layer), layer).astype(np.float32)
+        if layer.bias is not None:
+            bias_scale = np.float32(scale * layer.weight_scale)
+            x = x + (layer.bias.astype(np.float32) * bias_scale)[:, None, None]
+        return x
+    if layer.kind == "relu6":
+        return np.clip(x, 0.0, 6.0)
+    if layer.kind == "residual_add":
+        return x + skip[0]
+    # global_avg_pool
+    return x.mean(axis=(1, 2), dtype=np.float64).astype(np.float32)[:, None, None]
+
+
+def _float_logits(layer: LayerSpec, x, scale: float, zero_point: int) -> np.ndarray:
+    acc = _correlate(x, 0, _float_weight(layer), layer)
+    if layer.bias is not None:
+        acc += (layer.bias * (scale * layer.weight_scale))[:, None, None]
+    return acc
 
 
 def _quantize_input(model: ModelGraph, values: np.ndarray) -> np.ndarray:
@@ -166,126 +224,26 @@ def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
 
 
 def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
-    """Run the int8 path; returns class probabilities summing to 1."""
+    """Run the int8 path; returns class probabilities summing to 1.
+
+    The input is quantized with the model's input affine, saturating: dB
+    values beyond the range it covers (-80..0 dB for the fixture models)
+    are clamped to the nearest int8 code, so +500 dB classifies exactly
+    like 0 dB and -1e6 dB exactly like -80 dB.
+    """
     validate_graph(model)
     _check_input(model, spec)
     x = _quantize_input(model, spec.values)
-    in_scale = float(model.input_scale)
-    in_zp = int(model.input_zero_point)
-    graph_input = (x, in_scale, in_zp)
-    outputs: list[tuple[np.ndarray, float, int]] = []  # (int8 codes, scale, zp)
-    last_index = len(model.layers) - 1
-
-    for i, layer in enumerate(model.layers):
-        out_scale = float(layer.out_scale)
-        out_zp = int(layer.out_zero_point)
-        if layer.kind in ("conv2d", "pointwise_conv2d", "depthwise_conv2d"):
-            x = _requantize(
-                _conv_acc(x, in_zp, layer),
-                in_scale * layer.weight_scale / out_scale,
-                out_zp,
-            )
-        elif layer.kind == "relu6":
-            x = _relu6_table(in_scale, in_zp, out_scale, out_zp)[x.view(np.uint8)]
-        elif layer.kind == "residual_add":
-            skip, skip_scale, skip_zp = (
-                graph_input if layer.skip_from == INPUT_BUFFER
-                else outputs[layer.skip_from]
-            )
-            total = _rescale_table(in_scale, in_zp, out_scale)[x.view(np.uint8)]
-            total += _rescale_table(skip_scale, skip_zp, out_scale)[
-                skip.view(np.uint8)
-            ]
-            np.rint(total, out=total)
-            total += out_zp
-            x = np.clip(total, -128, 127, out=total).astype(np.int8)
-        elif layer.kind == "global_avg_pool":
-            mean = (x.astype(np.float64) - in_zp).mean(axis=(1, 2))[:, None, None]
-            x = _requantize(mean, in_scale / out_scale, out_zp)
-        elif layer.kind == "linear":
-            vec = x.reshape(-1).astype(np.int64) - in_zp
-            acc = layer.weight.reshape(layer.out_ch, layer.in_ch).astype(np.int64) @ vec
-            if layer.bias is not None:
-                acc = acc + layer.bias.astype(np.int64)
-            if i == last_index:
-                logits = acc.astype(np.float64) * (in_scale * layer.weight_scale)
-                return _softmax(logits)
-            x = _requantize(
-                acc.reshape(layer.out_ch, 1, 1),
-                in_scale * layer.weight_scale / out_scale,
-                out_zp,
-            )
-        outputs.append((x, out_scale, out_zp))
-        in_scale = out_scale
-        in_zp = out_zp
-
-    raise AssertionError("validated graph must end in a linear layer")
+    logits, _ = _walk(model, x, _int8_layer, _int8_logits)
+    return _softmax(logits)
 
 
 def _float_forward(model: ModelGraph, values: np.ndarray):
-    """Float dataflow shared by the reference path and calibration.
-
-    Returns (logits, per_layer_outputs). Biases are interpreted in units of
-    nominal_input_scale * weight_scale, mirroring the int8 path.
-    """
+    """Float path of the reference and calibration: (logits, layer outputs)."""
     x = np.asarray(values, dtype=np.float32).reshape(model.input_shape)
-    outputs: list[np.ndarray] = []
-    nominal_scale = model.input_scale
-    logits: np.ndarray | None = None
-
-    for i, layer in enumerate(model.layers):
-        if layer.kind in ("conv2d", "pointwise_conv2d", "depthwise_conv2d"):
-            w = layer.weight.astype(np.float32) * np.float32(layer.weight_scale)
-            if layer.kind == "depthwise_conv2d":
-                x = _depthwise(
-                    x.astype(np.float64),
-                    w.reshape(layer.out_ch, *layer.kernel).astype(np.float64),
-                    layer.stride,
-                    layer.padding,
-                ).astype(np.float32)
-            else:
-                patches, ho, wo = _im2col(
-                    x.astype(np.float64), layer.kernel, layer.stride, layer.padding
-                )
-                x = (
-                    (w.reshape(layer.out_ch, -1).astype(np.float64) @ patches)
-                    .reshape(layer.out_ch, ho, wo)
-                    .astype(np.float32)
-                )
-            if layer.bias is not None:
-                bias_real = layer.bias.astype(np.float32) * np.float32(
-                    nominal_scale * layer.weight_scale
-                )
-                x = x + bias_real[:, None, None]
-        elif layer.kind == "relu6":
-            x = np.clip(x, 0.0, 6.0)
-        elif layer.kind == "residual_add":
-            skip = (
-                np.asarray(values, dtype=np.float32).reshape(model.input_shape)
-                if layer.skip_from == INPUT_BUFFER
-                else outputs[layer.skip_from]
-            )
-            x = x + skip
-        elif layer.kind == "global_avg_pool":
-            x = x.mean(axis=(1, 2), dtype=np.float64).astype(np.float32)[
-                :, None, None
-            ]
-        elif layer.kind == "linear":
-            w = layer.weight.reshape(layer.out_ch, layer.in_ch).astype(
-                np.float32
-            ) * np.float32(layer.weight_scale)
-            acc = w.astype(np.float64) @ x.reshape(-1).astype(np.float64)
-            if layer.bias is not None:
-                acc = acc + layer.bias.astype(np.float64) * (
-                    nominal_scale * layer.weight_scale
-                )
-            x = acc.astype(np.float32).reshape(layer.out_ch, 1, 1)
-            if i == len(model.layers) - 1:
-                logits = acc
-        outputs.append(x)
-        nominal_scale = layer.out_scale
-    assert logits is not None
-    return logits, outputs
+    logits, outputs = _walk(model, x, _float_layer, _float_logits)
+    per_layer = [out for out, _, _ in outputs] + [logits.astype(np.float32)]
+    return logits.reshape(-1), per_layer
 
 
 def float_reference_infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,16 +158,22 @@ def validate_graph(model: ModelGraph) -> None:
         raise GraphError(
             f"input must have exactly 1 channel, got {model.input_shape[0]}"
         )
-    if model.input_scale <= 0:
-        raise GraphError(f"input scale must be positive, got {model.input_scale}")
+    # a NaN scale fails every comparison, so `not 0 < s < inf` rejects it
+    if not 0 < model.input_scale < math.inf:
+        raise GraphError(
+            f"input scale must be positive and finite, got {model.input_scale}"
+        )
     if model.class_count < 1:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
     for i, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise GraphError(f"layer {i}: unknown kind {layer.kind!r}")
-        if layer.out_scale <= 0:
-            raise GraphError(f"layer {i}: output scale must be positive")
+        if not 0 < layer.out_scale < math.inf:
+            raise GraphError(
+                f"layer {i}: output scale must be positive and finite, "
+                f"got {layer.out_scale}"
+            )
         if layer.kind in WEIGHTED_KINDS:
             if layer.weight is None:
                 raise GraphError(f"layer {i}: {layer.kind} has no weights")
@@ -179,8 +186,11 @@ def validate_graph(model: ModelGraph) -> None:
                     f"layer {i}: expected {layer.weight_count()} weights, "
                     f"got {layer.weight.size}"
                 )
-            if layer.weight_scale <= 0:
-                raise GraphError(f"layer {i}: weight scale must be positive")
+            if not 0 < layer.weight_scale < math.inf:
+                raise GraphError(
+                    f"layer {i}: weight scale must be positive and finite, "
+                    f"got {layer.weight_scale}"
+                )
             if layer.weight_zero_point != 0:
                 raise GraphError(
                     f"layer {i}: symmetric weights require zero point 0, "

@@ -27,7 +27,7 @@ from scipy.ndimage import maximum_filter1d
 
 from .audio_io import AudioClip, resample
 from .exceptions import DegenerateInputError
-from .melspec import FLOOR_DB, MelConfig, MelSpectrogram
+from .melspec import MelConfig, MelSpectrogram, power_to_db
 
 # Pipeline defaults, overridable from the CLI.
 MIN_CLIP_SECONDS = 2.0
@@ -252,9 +252,7 @@ def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpect
     ref = float(mel_power.max())
     if ref <= 0.0:
         raise DegenerateInputError("chunk has no spectral energy")
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(mel_power / ref)
-    db = np.maximum(db, FLOOR_DB)
+    db = power_to_db(mel_power, ref)
     return MelSpectrogram(values=db.T.astype(np.float32), config=cfg)
 
 

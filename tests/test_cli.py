@@ -247,6 +247,23 @@ class TestInfer:
         assert "non-finite" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_nan_scale_model_exits_1(self, pipeline, tmp_path, capsys):
+        blob = bytearray(pipeline["model"].read_bytes())
+        # the stem conv's output scale: after the 36-byte header, its kind
+        # byte, six u32 dims, weight scale and weight zero point
+        offset = 36 + struct.calcsize("<BIIIIIIfi")
+        blob[offset:offset + 4] = struct.pack("<f", float("nan"))
+        model = tmp_path / "nan.enm"
+        model.write_bytes(bytes(blob))
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(model),
+            "--spec", str(pipeline["chunks"] / "calls_48k_chunk000.mels"),
+            "--out", str(report),
+        ]) == 1
+        assert "output scale" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_model(self, pipeline, tmp_path, capsys):
         assert main([
             "infer", "--model", str(tmp_path / "nope.enm"),

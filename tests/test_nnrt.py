@@ -7,6 +7,7 @@ frozen structural and resource numbers.
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from birdedge.nnrt import (
     validate_graph,
 )
 
-from birdedge.nnrt.engine import _relu6_table, _rescale_table
+from birdedge.nnrt.engine import _correlate, _relu6_table, _rescale_table
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec
 
@@ -187,6 +188,15 @@ class TestSerialization:
         with pytest.raises((FormatError, GraphError)):
             load_model(bytes(blob))
 
+    def test_nan_scale_rejected_on_load(self):
+        blob = bytearray(save_model(chain_model()))
+        # first layer (conv2d): kind byte, six u32 dims, weight scale and
+        # zero point, then its output scale
+        offset = 36 + struct.calcsize("<BIIIIIIfi")
+        blob[offset:offset + 4] = struct.pack("<f", math.nan)
+        with pytest.raises(GraphError, match="layer 0: output scale"):
+            load_model(bytes(blob))
+
     def test_single_byte_mutations_are_handled(self):
         blob = save_model(chain_model())
         rng = np.random.default_rng(0)
@@ -288,6 +298,18 @@ class TestValidation:
         m.layers[1].out_scale = -1.0
         self.err(m)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field,layer,where", [
+        ("input_scale", None, "input scale"),
+        ("out_scale", 1, "layer 1: output scale"),
+        ("weight_scale", 0, "layer 0: weight scale"),
+    ])
+    def test_nonfinite_scale(self, field, layer, where, value):
+        m = chain_model()
+        setattr(m if layer is None else m.layers[layer], field, value)
+        with pytest.raises(GraphError, match=where):
+            validate_graph(m)
+
     def test_bias_wrong_length(self):
         m = chain_model()
         m.layers[0].bias = np.zeros(5, dtype=np.int32)
@@ -381,6 +403,18 @@ class TestInference:
         for fn in (infer, float_reference_infer):
             with pytest.raises(ShapeError):
                 fn(model, MelSpectrogram(values))
+
+    def test_out_of_range_db_saturates(self, fixture_model):
+        # the input affine covers -80..0 dB; values beyond it clamp
+        def probs(fill_value, where):
+            values = random_spec(5).values.copy()
+            values[where] = fill_value
+            return infer(fixture_model, MelSpectrogram(values)).tobytes()
+
+        loud = (slice(0, 20), slice(None))
+        assert probs(500.0, loud) == probs(0.0, loud)
+        quiet = (slice(None), slice(100, 180))
+        assert probs(-1e6, quiet) == probs(-80.0, quiet)
 
     def test_deterministic(self):
         model = residual_model()
@@ -594,6 +628,19 @@ PINNED_BRANCH_DIGESTS = {
     "strided": "eed32f86ad67edcbd621f8b7c8cb4e00cc71e04c91959d84a7808d930a0e99c1",
     "input_skip": "1a3816de3cacfeca65b0cbca84fec8c9dfe5a84a44b3c41568f95afabb127311",
 }
+# The same inputs through float_reference_infer, recorded while the float
+# path had its own interpreter (einsum depthwise, im2col for every conv).
+PINNED_FLOAT_DIGESTS = {
+    "fixture": "5407c74bab268cfbf4bdbaf6b49d3fd663d6fee268268521e3ad6c565e00c81f",
+    "strided": "e12107b32bd97517c974d830fb411e786ce021c4f634fcd67a921a5f1451c20d",
+    "input_skip": "9cbf574d02f4903c2b663de4205a0a15acb933f84d61051840a91be8d92b8d94",
+}
+# sha256 over save_model bytes of the fixtures for classes {1, 5, 64} x
+# seeds {0, 3}, in that order: calibration runs the float path, so this
+# moves with any change to its arithmetic.
+PINNED_FIXTURE_BYTES_DIGEST = (
+    "a6824fb4eca9fd4070973ad1a0cbd4f4f72bfc8a7ac83fc3b8814480d638443a"
+)
 
 
 # the fixture's input affine: -80..0 dB onto codes -128..127
@@ -682,10 +729,10 @@ def edge_specs(shape):
     ]
 
 
-def probs_digest(model, specs):
+def probs_digest(model, specs, run=infer):
     h = hashlib.sha256()
     for spec in specs:
-        h.update(infer(model, spec).tobytes())
+        h.update(run(model, spec).tobytes())
     return h.hexdigest()
 
 
@@ -704,6 +751,30 @@ class TestPinnedOutputs:
         specs = [spec_for(model, seed) for seed in range(20)]
         specs += edge_specs(model.input_shape[1:])
         assert probs_digest(model, specs) == PINNED_BRANCH_DIGESTS[name]
+
+    def test_fixture_float_outputs_bitwise(self, fixture_model):
+        specs = [random_spec(seed) for seed in range(50)]
+        specs += edge_specs(fixture_model.input_shape[1:])
+        digest = probs_digest(fixture_model, specs, float_reference_infer)
+        assert digest == PINNED_FLOAT_DIGESTS["fixture"]
+
+    @pytest.mark.parametrize("name,build", [
+        ("strided", strided_model),
+        ("input_skip", input_skip_model),
+    ])
+    def test_branch_float_outputs_bitwise(self, name, build):
+        model = build()
+        specs = [spec_for(model, seed) for seed in range(20)]
+        specs += edge_specs(model.input_shape[1:])
+        digest = probs_digest(model, specs, float_reference_infer)
+        assert digest == PINNED_FLOAT_DIGESTS[name]
+
+    def test_fixture_model_bytes(self):
+        h = hashlib.sha256()
+        for classes in (1, 5, 64):
+            for seed in (0, 3):
+                h.update(save_model(generate_fixture_model(classes, seed)))
+        assert h.hexdigest() == PINNED_FIXTURE_BYTES_DIGEST
 
 
 class TestElementwiseTables:
@@ -757,3 +828,74 @@ class TestElementwiseTables:
         after = infer(edit(model), spec)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == infer(edit(residual_model()), spec).tobytes()
+
+
+def naive_correlate(x, weight, kind, kernel, stride, padding):
+    """Nested-loop zero-padded correlation; weight is (O, kh, kw) depthwise
+    and (O, C, kh, kw) otherwise."""
+    c, h, w = x.shape
+    kh, kw = kernel
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    padded[:, padding:padding + h, padding:padding + w] = x
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((weight.shape[0], ho, wo))
+    for o in range(weight.shape[0]):
+        for r in range(ho):
+            for q in range(wo):
+                total = 0.0
+                for ch in ([o] if kind == "depthwise_conv2d" else range(c)):
+                    for i in range(kh):
+                        for j in range(kw):
+                            tap = (
+                                weight[o, i, j] if kind == "depthwise_conv2d"
+                                else weight[o, ch, i, j]
+                            )
+                            total += padded[ch, r * stride + i, q * stride + j] * tap
+                out[o, r, q] = total
+    return out
+
+
+class TestSharedKernel:
+    """The conv kernels both numerics share, against a nested-loop oracle.
+
+    Inputs and weights are integer valued, so every sum is exact and the
+    comparison is equality.
+    """
+
+    def test_matches_nested_loops(self):
+        rng = np.random.default_rng(31)
+        kinds = ("conv2d", "depthwise_conv2d", "pointwise_conv2d")
+        for trial in range(90):
+            kind = kinds[trial % 3]
+            in_ch = int(rng.integers(1, 4))
+            out_ch = in_ch if kind == "depthwise_conv2d" else int(rng.integers(1, 5))
+            kernel = (
+                (1, 1) if kind == "pointwise_conv2d"
+                else (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            )
+            stride = int(rng.integers(1, 3))
+            padding = int(rng.integers(0, 3))
+            h = int(rng.integers(kernel[0], 9))
+            w = int(rng.integers(kernel[1], 9))
+            layer = conv(in_ch, out_ch, kernel, stride, padding, seed=trial, kind=kind)
+            zero_point = int(rng.integers(-128, 128))
+            x = rng.integers(-128, 128, size=(in_ch, h, w)).astype(np.int8)
+            weight = layer.weight.astype(np.float64)
+            got = _correlate(x, zero_point, weight, layer)
+            want = naive_correlate(
+                x.astype(np.float64) - zero_point, weight, kind, kernel,
+                stride, padding,
+            )
+            np.testing.assert_array_equal(
+                got, want, err_msg=f"{kind} {kernel} {stride} {padding}"
+            )
+
+    def test_linear_ignores_recorded_geometry(self):
+        layer = linear(5, 3, seed=2)
+        layer.kernel, layer.stride, layer.padding = (3, 2), 2, 4
+        x = np.arange(-2, 3, dtype=np.int8).reshape(5, 1, 1)
+        weight = layer.weight.astype(np.float64)
+        got = _correlate(x, 1, weight, layer)
+        want = weight @ (x.reshape(5).astype(np.float64) - 1)
+        np.testing.assert_array_equal(got.reshape(-1), want)
