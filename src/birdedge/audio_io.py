@@ -71,7 +71,7 @@ def decode_wav(data: bytes) -> AudioClip:
         raise FormatError("missing WAVE form type")
 
     fmt_chunk: bytes | None = None
-    data_chunk: bytes | None = None
+    data_chunk: memoryview | None = None
     offset = 12
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
@@ -85,7 +85,7 @@ def decode_wav(data: bytes) -> AudioClip:
         if chunk_id == b"fmt " and fmt_chunk is None:
             fmt_chunk = data[body_start:body_end]
         elif chunk_id == b"data" and data_chunk is None:
-            data_chunk = data[body_start:body_end]
+            data_chunk = memoryview(data)[body_start:body_end]  # no copy
         # chunks are word aligned; odd sizes carry a pad byte
         offset = body_end + (chunk_size & 1)
     if fmt_chunk is None:
@@ -121,21 +121,23 @@ def decode_wav(data: bytes) -> AudioClip:
             f"{frame_size}-byte frames"
         )
 
-    if audio_format == _WAVE_FORMAT_PCM:
-        raw = np.frombuffer(data_chunk, dtype="<i2").astype(np.float32)
-        samples = raw / 32768.0
-    else:
-        samples = np.frombuffer(data_chunk, dtype="<f4").astype(np.float32)
-
+    pcm = audio_format == _WAVE_FORMAT_PCM
+    raw = np.frombuffer(data_chunk, dtype="<i2" if pcm else "<f4")
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
-
-    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
-        # float files may legally carry out-of-range or non-finite values
-        samples = np.nan_to_num(samples, nan=0.0, posinf=1.0, neginf=-1.0)
-        samples = np.clip(samples, -1.0, 1.0)
-
-    return AudioClip(samples=samples.astype(np.float32), sample_rate=int(sample_rate))
+        # numpy's float32 mean, (0 + L + R) / 2: the 0 makes -0 + -0 be +0
+        samples = np.add(raw[0::2], raw[1::2], dtype=np.float32)
+        samples += np.float32(0)
+        samples /= np.float32(2)
+    else:
+        samples = raw.astype(np.float32)
+    if pcm:
+        samples /= np.float32(32768)
+    else:
+        # float files may legally carry out-of-range or non-finite values;
+        # clip takes +-inf to +-1 and keeps NaN, which then becomes 0
+        np.clip(samples, -1.0, 1.0, out=samples)
+        samples[np.isnan(samples)] = 0.0
+    return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:

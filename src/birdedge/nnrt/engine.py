@@ -77,18 +77,16 @@ def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
 
 
 def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
-    """float64 correlation of x - zero_point; a linear layer is always 1x1."""
-    linear = layer.kind == "linear"
-    kernel = (1, 1) if linear else tuple(layer.kernel)
-    stride = 1 if linear else layer.stride
-    x = _centered(x, zero_point, 0 if linear else layer.padding)
+    """float64 correlation of x - zero_point with the layer's geometry."""
+    x = _centered(x, zero_point, layer.padding)
     if layer.kind == "depthwise_conv2d":
-        return _depthwise_acc(x, weight.reshape(layer.out_ch, *kernel), stride)
+        taps = weight.reshape(layer.out_ch, *layer.kernel)
+        return _depthwise_acc(x, taps, layer.stride)
     weight = weight.reshape(layer.out_ch, -1)
-    if kernel == (1, 1) and stride == 1:
+    if tuple(layer.kernel) == (1, 1) and layer.stride == 1:
         c, h, w = x.shape
         return (weight @ x.reshape(c, h * w)).reshape(layer.out_ch, h, w)
-    patches, ho, wo = _im2col(x, kernel, stride)
+    patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
     return (weight @ patches).reshape(layer.out_ch, ho, wo)
 
 

@@ -111,6 +111,11 @@ def output_shape(
     if kind == "global_avg_pool":
         return (c, 1, 1)
     if kind == "linear":
+        if (*layer.kernel, layer.stride, layer.padding) != (1, 1, 1, 0):
+            raise GraphError(
+                f"linear needs kernel 1x1, stride 1 and padding 0, got kernel "
+                f"{layer.kernel}, stride {layer.stride}, padding {layer.padding}"
+            )
         if (h, w) != (1, 1):
             raise GraphError(f"linear layer needs a pooled (C,1,1) input, got {in_shape}")
         if layer.in_ch != c:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .audio_io import AudioClip, resample
 from .exceptions import DegenerateInputError
@@ -47,13 +46,6 @@ def length_filter(clip: AudioClip, min_seconds: float = MIN_CLIP_SECONDS) -> boo
     return clip.duration >= min_seconds
 
 
-def _sliding_max(abs_samples: np.ndarray, window: int) -> np.ndarray:
-    """Centered sliding maximum over `window` samples, edges shrink."""
-    # cval=0 cannot win against |s| >= 0, so edge windows reduce to the
-    # in-signal part of the window
-    return maximum_filter1d(abs_samples, size=window, mode="constant", cval=0.0)
-
-
 def remove_silence(
     clip: AudioClip,
     threshold: float = SILENCE_THRESHOLD,
@@ -72,14 +64,20 @@ def remove_silence(
     if len(abs_samples) == 0:
         return AudioClip(samples=clip.samples.copy(), sample_rate=clip.sample_rate)
     peak = float(abs_samples.max())
-    if peak == 0.0:
+    if not peak > 0.0:  # all zero, or NaN, which no sample reaches
         return AudioClip(
             samples=np.empty(0, dtype=np.float32), sample_rate=clip.sample_rate
         )
     half = int(round(clip.sample_rate * window_seconds / 2.0))
-    envelope = _sliding_max(abs_samples, 2 * half + 1)
-    keep = envelope >= threshold * peak
-    return AudioClip(samples=clip.samples[keep], sample_rate=clip.sample_rate)
+    # The envelope of sample i reaches the threshold iff a loud sample lies
+    # within +-half of i. Loud samples at most 2*half + 1 apart share a run,
+    # so the runs, widened by half on each side, neither overlap nor touch.
+    loud = np.flatnonzero(abs_samples >= threshold * peak)
+    gaps = np.flatnonzero(np.diff(loud) > 2 * half + 1)
+    starts = np.maximum(loud[np.r_[0, gaps + 1]] - half, 0)
+    stops = loud[np.r_[gaps, len(loud) - 1]] + half + 1
+    samples = np.concatenate([clip.samples[a:b] for a, b in zip(starts, stops)])
+    return AudioClip(samples=samples, sample_rate=clip.sample_rate)
 
 
 def _window_maxima(chunk: np.ndarray, window: int) -> np.ndarray:

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from birdedge.melspec import MelSpectrogram
-from birdedge.nnrt import generate_fixture_model
+from birdedge.nnrt import generate_fixture_model, load_model
 
 from wavgen import make_fixture_recordings
 
@@ -30,3 +32,20 @@ def random_spec(seed: int, shape=(64, 249)) -> MelSpectrogram:
     values = rng.uniform(-80.0, 0.0, size=shape).astype(np.float32)
     values.flat[int(rng.integers(values.size))] = 0.0
     return MelSpectrogram(values)
+
+
+def with_linear_geometry(blob: bytes, kernel=(1, 1), stride=1, padding=0) -> bytes:
+    """An .enm blob whose final (linear) record carries the given geometry.
+
+    The last record is kind u8, in_ch, out_ch, k_h, k_w, stride, padding
+    (u32 each), the scales and zero points, has_bias, then the weights and
+    the optional bias; the four geometry fields are overwritten in place.
+    """
+    last = load_model(blob).layers[-1]
+    tail = struct.calcsize("<BIIIIIIfifiB") + last.weight.size
+    if last.bias is not None:
+        tail += 4 * last.out_ch
+    start = len(blob) - tail + struct.calcsize("<BII")
+    patched = bytearray(blob)
+    patched[start:start + 16] = struct.pack("<IIII", *kernel, stride, padding)
+    return bytes(patched)

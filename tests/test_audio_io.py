@@ -1,8 +1,9 @@
 """WAV decoding, resampling, and spectrogram container tests.
 
-Decode expectations come from an independent encoder (scipy.io.wavfile)
-or from containers assembled by hand with struct, never from this
-package's own writer.
+Decode expectations come from an independent encoder (scipy.io.wavfile),
+from containers assembled by hand with struct, or from the mean /
+nan_to_num / clip payload formula the decoder used before it decoded in
+place, never from this package's own writer.
 """
 
 import io
@@ -13,10 +14,12 @@ import pytest
 import scipy.io.wavfile as wavfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from birdedge.audio_io import AudioClip, decode_wav, read_spectrogram, resample, write_spectrogram
-from birdedge.exceptions import FormatError, UnsupportedError
+from birdedge.exceptions import BirdEdgeError, FormatError, UnsupportedError
 from birdedge.melspec import MelSpectrogram
+from birdedge.preprocess import MAX_CHUNKS, preprocess_recording
 
 
 def wav_container(fmt_code, channels, rate, bits, payload, *, data_size=None):
@@ -176,6 +179,136 @@ class TestDecode:
             decode_wav(blob)
         except (FormatError, UnsupportedError):
             pass
+
+
+def mean_decode(payload, pcm, channels):
+    """Payload formula of decode_wav before it folded and sanitised in place."""
+    if pcm:
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
+    else:
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    if not pcm:
+        samples = np.nan_to_num(samples, nan=0.0, posinf=1.0, neginf=-1.0)
+        samples = np.clip(samples, -1.0, 1.0)
+    return samples.astype(np.float32)
+
+
+class TestDecodeAgainstMean:
+    """Bit-exact agreement, signed zeros included, with mean_decode."""
+
+    def check(self, values, channels):
+        pcm = values.dtype == np.int16
+        payload = values.astype("<i2" if pcm else "<f4").tobytes()
+        blob = wav_container(1 if pcm else 3, channels, 8000, 16 if pcm else 32, payload)
+        got = decode_wav(blob).samples
+        want = mean_decode(payload, pcm, channels)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            arrays(np.float32, st.integers(0, 64).map(lambda n: 2 * n),
+                   elements=st.floats(width=32)),
+            arrays(np.int16, st.integers(0, 64).map(lambda n: 2 * n)),
+        ),
+        channels=st.sampled_from([1, 2]),
+    )
+    def test_matches_mean(self, values, channels):
+        self.check(values, channels)
+
+    def test_float_stereo_nonfinite_and_out_of_range(self):
+        inf, nan = np.inf, np.nan
+        frames = [
+            (inf, 0.5), (-inf, 0.5), (nan, 0.5), (0.25, nan), (inf, -inf),
+            (nan, inf), (3.0, -1.0), (-5.0, 0.2), (3e38, 3e38), (-3e38, -3e38),
+            (1.5, 0.0), (-0.0, -0.0), (0.25, 0.5), (1e-45, 0.0),
+        ]
+        got = self.check(np.array(frames, dtype=np.float32).reshape(-1), 2)
+        # the channels are summed first and sanitised after: inf + 0.5 is
+        # still inf, so 1, where sanitising each channel would give 0.75
+        want = [1, -1, 0, 0, 0, 0, 1, -1, 1, -1, 0.75, 0, 0.375, 0]
+        np.testing.assert_array_equal(got, want)
+        assert not np.signbit(got[11])  # the mean of -0 and -0 is +0
+
+    def test_float_mono_beyond_one(self):
+        values = np.array([1.0, 1.0000001, -1.0000001, 7.5, -1e30, 0.999], np.float32)
+        got = self.check(values, 1)
+        np.testing.assert_array_equal(got, [1.0, 1.0, -1.0, 1.0, -1.0, values[5]])
+
+    def test_pcm16_stereo_extremes(self):
+        frames = [(32767, 32767), (-32768, -32768), (32767, -32768),
+                  (-32768, 32767), (-32768, 0), (1, 0), (-1, 1)]
+        got = self.check(np.array(frames, dtype=np.int16).reshape(-1), 2)
+        np.testing.assert_array_equal(
+            got, [32767 / 32768, -1.0, -1 / 65536, -1 / 65536, -0.5, 1 / 65536, 0.0]
+        )
+
+
+def signal_of(style, frames, channels, rng):
+    """A (frames, channels) float64 test signal of the given style."""
+    shape = (frames, channels)
+    if style == "silence":
+        return np.zeros(shape)
+    if style == "constant":
+        return np.full(shape, rng.uniform(-1, 1))
+    signal = rng.uniform(-1, 1, shape) * rng.uniform(0, 1, shape) ** 4
+    if style == "bursts":
+        for start in rng.integers(0, frames, size=min(frames, 8)):
+            signal[start:start + max(1, frames // 50)] *= 20
+    if style == "loud":
+        signal *= 4
+    return signal
+
+
+class TestDecodeThenPreprocess:
+    """Totality: a WAV decode_wav accepts either preprocesses to the
+    documented result or raises a BirdEdgeError, never anything else."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rate=st.one_of(
+            st.sampled_from([1, 7, 19, 21, 8000, 16000, 44100, 48000, 192000]),
+            st.integers(1, 192000),
+        ),
+        channels=st.sampled_from([1, 2]),
+        pcm=st.booleans(),
+        seconds=st.floats(0.0, 6.0),
+        style=st.sampled_from(["silence", "constant", "noise", "bursts", "loud"]),
+        nonfinite=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decoded_wav_preprocesses_or_raises(
+        self, rate, channels, pcm, seconds, style, nonfinite, seed
+    ):
+        rng = np.random.default_rng(seed)
+        signal = signal_of(style, int(seconds * rate), channels, rng)
+        if pcm:
+            values = np.clip(np.rint(signal * 32767), -32768, 32767).astype("<i2")
+        else:
+            values = signal.astype("<f4")
+            values[rng.uniform(0, 1, values.shape) < nonfinite] = np.nan
+            values[rng.uniform(0, 1, values.shape) < nonfinite / 4] = np.inf
+            values[rng.uniform(0, 1, values.shape) < nonfinite / 4] = -np.inf
+        blob = wav_container(
+            1 if pcm else 3, channels, rate, 16 if pcm else 32, values.tobytes()
+        )
+        clip = decode_wav(blob)
+        try:
+            specs, noise = preprocess_recording(clip)
+        except BirdEdgeError:
+            return
+        assert len(specs) <= MAX_CHUNKS
+        for spec in specs:
+            assert spec.values.shape == (64, 249)
+            assert spec.values.dtype == np.float32
+            assert np.isfinite(spec.values).all()
+            assert spec.values.max() == 0.0 and spec.values.min() >= -80.0
+        for chunk in noise:
+            assert chunk.shape == (96000,) and np.isfinite(chunk).all()
 
 
 class TestResample:

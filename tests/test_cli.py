@@ -8,16 +8,21 @@ a fresh directory.
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import birdedge
 from birdedge import __version__
 from birdedge.audio_io import read_spectrogram
 from birdedge.cli import main
 
-from conftest import FIXTURE_CLASSES, FIXTURE_SEED
+from conftest import FIXTURE_CLASSES, FIXTURE_SEED, with_linear_geometry
 
 PREPROCESS_GOLDEN = {
     "calls_48k_chunk000.mels": "a3296ee94b37b53f",
@@ -85,6 +90,22 @@ class TestParsing:
 
     def test_no_arguments(self):
         assert main([]) == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; importing scipy.ndimage alone
+        # would add about 0.4 s to every cold start
+        src = str(Path(birdedge.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, birdedge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestPreprocess:
@@ -262,6 +283,20 @@ class TestInfer:
             "--out", str(report),
         ]) == 1
         assert "output scale" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_linear_geometry_model_exits_1(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "geometry.enm"
+        model.write_bytes(
+            with_linear_geometry(pipeline["model"].read_bytes(), (3, 3), 2, 1)
+        )
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(model),
+            "--spec", str(pipeline["chunks"] / "calls_48k_chunk000.mels"),
+            "--out", str(report),
+        ]) == 1
+        assert "linear needs kernel 1x1" in capsys.readouterr().err
         assert not report.exists()
 
     def test_missing_model(self, pipeline, tmp_path, capsys):

@@ -34,7 +34,7 @@ from birdedge.nnrt import (
 
 from birdedge.nnrt.engine import _correlate, _relu6_table, _rescale_table
 
-from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec
+from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
 
 def int8(values):
@@ -197,6 +197,18 @@ class TestSerialization:
         with pytest.raises(GraphError, match="layer 0: output scale"):
             load_model(bytes(blob))
 
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 2), 1, 0), ((1, 1), 2, 0), ((1, 1), 1, 4),
+    ])
+    def test_linear_geometry_rejected_on_load(self, kernel, stride, padding):
+        blob = with_linear_geometry(save_model(chain_model()), kernel, stride, padding)
+        with pytest.raises(GraphError, match="layer 3: linear needs kernel 1x1"):
+            load_model(blob)
+
+    def test_linear_geometry_patch_is_neutral(self):
+        blob = save_model(chain_model())
+        assert with_linear_geometry(blob) == blob
+
     def test_single_byte_mutations_are_handled(self):
         blob = save_model(chain_model())
         rng = np.random.default_rng(0)
@@ -314,6 +326,18 @@ class TestValidation:
         m = chain_model()
         m.layers[0].bias = np.zeros(5, dtype=np.int32)
         self.err(m)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 2), 1, 0), ((1, 3), 1, 0), ((1, 1), 2, 0), ((1, 1), 1, 1),
+        ((3, 2), 2, 4),
+    ])
+    def test_linear_geometry_rejected(self, kernel, stride, padding):
+        m = chain_model()
+        m.layers[3].kernel, m.layers[3].stride, m.layers[3].padding = (
+            kernel, stride, padding
+        )
+        with pytest.raises(GraphError, match="layer 3: linear needs kernel 1x1"):
+            validate_graph(m)
 
 
 class TestInference:
@@ -890,12 +914,3 @@ class TestSharedKernel:
             np.testing.assert_array_equal(
                 got, want, err_msg=f"{kind} {kernel} {stride} {padding}"
             )
-
-    def test_linear_ignores_recorded_geometry(self):
-        layer = linear(5, 3, seed=2)
-        layer.kernel, layer.stride, layer.padding = (3, 2), 2, 4
-        x = np.arange(-2, 3, dtype=np.int8).reshape(5, 1, 1)
-        weight = layer.weight.astype(np.float64)
-        got = _correlate(x, 1, weight, layer)
-        want = weight @ (x.reshape(5).astype(np.float64) - 1)
-        np.testing.assert_array_equal(got.reshape(-1), want)

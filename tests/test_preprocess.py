@@ -1,8 +1,9 @@
 """Preprocessing pipeline tests.
 
-Silence removal is checked against a naive per-sample sliding-max oracle,
-and the mel frequency mapping against a from-scratch reimplementation of
-the piecewise linear/log scale using only the math module.
+Silence removal is checked against a naive per-sample sliding-max oracle
+and against the scipy maximum_filter1d formula it replaced, and the mel
+frequency mapping against a from-scratch reimplementation of the piecewise
+linear/log scale using only the math module.
 """
 
 import math
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter1d
 
 from birdedge.audio_io import AudioClip
 from birdedge.exceptions import ConfigError, DegenerateInputError
@@ -139,6 +142,97 @@ class TestRemoveSilence:
     def test_rate_preserved(self):
         out = remove_silence(clip_of(np.full(100, 0.2), rate=8000))
         assert out.sample_rate == 8000
+
+
+def filter_remove_silence(clip, threshold=SILENCE_THRESHOLD):
+    """The sliding-max formula remove_silence had before it cut by runs."""
+    abs_samples = np.abs(clip.samples, dtype=np.float32)
+    if len(abs_samples) == 0:
+        return clip.samples.copy()
+    peak = float(abs_samples.max())
+    if peak == 0.0:
+        return np.empty(0, dtype=np.float32)
+    half = int(round(clip.sample_rate * 0.05 / 2.0))
+    envelope = maximum_filter1d(
+        abs_samples, size=2 * half + 1, mode="constant", cval=0.0
+    )
+    return clip.samples[envelope >= threshold * peak]
+
+
+class TestRemoveSilenceAgainstFilter:
+    """Bit-exact agreement, dtype included, with the maximum_filter1d formula."""
+
+    def check(self, samples, rate, threshold=SILENCE_THRESHOLD):
+        clip = AudioClip(samples, rate)
+        got = remove_silence(clip, threshold=threshold).samples
+        want = filter_remove_silence(clip, threshold)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        samples=arrays(
+            st.sampled_from([np.float32, np.float64]),
+            st.integers(0, 400),
+            elements=st.one_of(
+                st.just(0.0),
+                st.floats(-1 / 32, 1 / 32, width=32),
+                st.floats(-1.0, 1.0, width=32),
+            ),
+        ),
+        rate=st.integers(1, 1200),
+        threshold=st.floats(0.01, 0.99),
+    )
+    def test_matches_filter(self, samples, rate, threshold):
+        self.check(samples, rate, threshold)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 2400, 2401])
+    def test_clip_shorter_than_window(self, n):
+        # at 48 kHz the window is 2401 samples
+        samples = np.full(n, 0.01, dtype=np.float32)
+        samples[n // 2] = 0.5
+        assert len(self.check(samples, RATE)) == n
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_loud_sample_at_either_end(self, where):
+        samples = np.full(1000, 0.01, dtype=np.float32)
+        samples[where] = 0.9
+        got = self.check(samples, 1000)  # half = 25
+        assert len(got) == 26
+
+    @pytest.mark.parametrize("extra", [-2, -1, 0, 1, 2, 3])
+    def test_run_split_boundary(self, extra):
+        # two loud samples 2*half + 1 + extra apart: at distance 2*half + 1
+        # their widened runs touch, one further a single sample separates them
+        rate, half = 1000, 25
+        distance = 2 * half + 1 + extra
+        samples = np.zeros(400, dtype=np.float32)
+        samples[100] = samples[100 + distance] = 1.0
+        got = self.check(samples, rate)
+        assert len(got) == min(2 * (2 * half + 1), distance + 2 * half + 1)
+
+    def test_sample_exactly_at_threshold_survives(self):
+        # float32(0.7) < 0.7, so a float64 comparison would drop it
+        level = np.float32(0.7)
+        assert float(level) < 0.7
+        samples = np.zeros(300, dtype=np.float32)
+        samples[0] = 1.0
+        samples[200] = level
+        samples[100] = np.nextafter(level, np.float32(0))
+        got = self.check(samples, 1000, threshold=0.7)
+        assert len(got) == 26 + 51  # [0, 25] and [175, 225]
+
+    def test_float64_clip_keeps_dtype(self):
+        rng = np.random.default_rng(3)
+        samples = rng.uniform(-1, 1, 5000) * rng.uniform(0, 1, 5000) ** 6
+        got = self.check(samples, 200)
+        assert got.dtype == np.float64
+        assert 0 < len(got) < len(samples)
+
+    def test_nan_clip_comes_back_empty(self):
+        samples = np.array([0.1, np.nan, 0.5] * 10, dtype=np.float32)
+        assert len(self.check(samples, 100)) == 0
 
 
 class TestHasPeak:
