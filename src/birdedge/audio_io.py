@@ -124,8 +124,11 @@ def decode_wav(data: bytes) -> AudioClip:
     pcm = audio_format == _WAVE_FORMAT_PCM
     raw = np.frombuffer(data_chunk, dtype="<i2" if pcm else "<f4")
     if channels == 2:
-        # numpy's float32 mean, (0 + L + R) / 2: the 0 makes -0 + -0 be +0
-        samples = np.add(raw[0::2], raw[1::2], dtype=np.float32)
+        # numpy's float32 mean, (0 + L + R) / 2: the 0 makes -0 + -0 be +0.
+        # A float sum may overflow to inf or meet inf + -inf; the clip and
+        # NaN fix below handle both, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.add(raw[0::2], raw[1::2], dtype=np.float32)
         samples += np.float32(0)
         samples /= np.float32(2)
     else:

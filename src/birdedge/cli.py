@@ -210,15 +210,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    records = trials.read_trials_csv(args.trials)
-    best = trials.select_best(records)
+    table = trials.score_table(trials.read_trials_csv(args.trials))
     lines = ["id,acc_score,mem_score,rank,selected"]
-    for t in records:
-        lines.append(
-            f"{t.id},{_fmt(trials.acc_score(records, t.id))},"
-            f"{_fmt(trials.mem_score(records, t.id))},"
-            f"{_fmt(trials.rank(records, t.id))},{int(t.id == best)}"
-        )
+    for trial_id, (acc, mem, score, selected) in table.items():
+        lines.append(f"{trial_id},{_fmt(acc)},{_fmt(mem)},{_fmt(score)},{int(selected)}")
     _emit("\n".join(lines) + "\n", args.out, "rank", args)
     return 0
 

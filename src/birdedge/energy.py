@@ -16,7 +16,8 @@ monthly mean solar radiation in W/m^2.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .exceptions import ConfigError
@@ -38,7 +39,7 @@ DEFAULT_ETA_BAT = 0.90
 
 @dataclass(frozen=True)
 class DeploymentProfile:
-    """Measured platform numbers plus deployment assumptions, SI units."""
+    """Measured platform numbers plus deployment assumptions, SI units, all finite."""
 
     e_infer_j: float
     t_infer_s: float
@@ -52,6 +53,10 @@ class DeploymentProfile:
     eta_bat: float = DEFAULT_ETA_BAT
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         for name in ("e_infer_j", "t_infer_s", "e_dsp_j", "t_dsp_s", "p_sleep_w"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -132,6 +137,10 @@ def monthly_report(
         month: panel_area(charge, s_rad, profile.eta_solar, profile.eta_bat)
         for month, s_rad in irradiance.items()
     }
+    # finite inputs can still overflow the chain; inf or NaN propagates to
+    # every panel area, so checking the areas covers every column
+    if not all(math.isfinite(area) for area in areas.values()):
+        raise ConfigError("sizing overflows: profile or irradiance values too extreme")
     worst_area = max(areas.values())
     return [
         MonthlyRequirement(
@@ -212,7 +221,10 @@ def load_profile(path) -> DeploymentProfile:
 
 
 def parse_irradiance(text: str) -> dict[int, float]:
-    """Parse the 12 row month,s_rad CSV; months may be names or 1..12."""
+    """Parse the 12 row month,s_rad CSV; months may be names or 1..12.
+
+    Every irradiance must be finite and positive.
+    """
     table: dict[int, float] = {}
     reader = csv.reader(text.splitlines())
     header = next(reader, None)
@@ -239,8 +251,8 @@ def parse_irradiance(text: str) -> dict[int, float]:
             value = float(row[1])
         except ValueError:
             raise ConfigError(f"bad irradiance value {row[1]!r}") from None
-        if value <= 0:
-            raise ConfigError(f"irradiance must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"irradiance must be finite and positive, got {value}")
         table[month] = value
     if len(table) != 12:
         raise ConfigError(f"irradiance table has {len(table)} months, need 12")

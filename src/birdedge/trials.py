@@ -16,17 +16,20 @@ ram, rom, and flops rates.
 from __future__ import annotations
 
 import csv
+import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 from .exceptions import DegenerateInputError, EmptyError
 
 CSV_HEADER = ("id", "acc", "ram", "rom", "flops")
+_COSTS = ("ram", "rom", "flops")
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One compression trial: accuracy in [0, 1], positive resource costs."""
+    """One compression trial: accuracy in [0, 1], finite positive costs."""
 
     id: str
     acc: float
@@ -37,9 +40,10 @@ class TrialRecord:
     def __post_init__(self):
         if not 0.0 <= self.acc <= 1.0:
             raise ValueError(f"trial {self.id}: acc {self.acc} outside [0, 1]")
-        for name in ("ram", "rom", "flops"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"trial {self.id}: {name} must be positive")
+        for name in _COSTS:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"trial {self.id}: {name} {value} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -56,39 +60,53 @@ def _require(trials) -> list[TrialRecord]:
     trials = list(trials)
     if not trials:
         raise EmptyError("trial set is empty")
+    counts = Counter(t.id for t in trials)
+    duplicates = sorted(trial_id for trial_id, n in counts.items() if n > 1)
+    if duplicates:
+        raise ValueError(f"duplicate trial ids: {', '.join(duplicates)}")
     return trials
 
 
-def _by_id(trials: list[TrialRecord], trial_id: str) -> TrialRecord:
+def _mem_scores(trials: list[TrialRecord]) -> dict[str, float]:
+    worst = [max(getattr(t, name) for t in trials) for name in _COSTS]
+    scores = {}
     for t in trials:
-        if t.id == trial_id:
-            return t
-    raise KeyError(f"no trial with id {trial_id!r}")
+        total = 0.0
+        for name, cost in zip(_COSTS, worst):
+            total += 1.0 - getattr(t, name) / cost
+        scores[t.id] = total / 3.0
+    return scores
 
 
-def acc_score(trials, trial_id: str) -> float:
-    """Accuracy of one trial relative to the best accuracy in the set."""
+def score_table(trials) -> dict[str, tuple[float, float, float, bool]]:
+    """Every trial's (acc_score, mem_score, rank, selected), keyed by id.
+
+    The set's extremes are found once; selected marks the select_best winner.
+    """
     trials = _require(trials)
     best = max(t.acc for t in trials)
     if best == 0.0:
         raise DegenerateInputError("all trial accuracies are zero")
-    return _by_id(trials, trial_id).acc / best
+    mem = _mem_scores(trials)
+    ranks = {t.id: t.acc / best + mem[t.id] for t in trials}
+    winner = min(trials, key=lambda t: (-ranks[t.id], t.flops, t.id)).id
+    return {t.id: (t.acc / best, mem[t.id], ranks[t.id], t.id == winner) for t in trials}
+
+
+def acc_score(trials, trial_id: str) -> float:
+    """Accuracy of one trial relative to the best accuracy in the set."""
+    return score_table(trials)[trial_id][0]
 
 
 def mem_score(trials, trial_id: str) -> float:
     """Mean relative saving across ram, rom, and flops, each in [0, 1]."""
-    trials = _require(trials)
-    trial = _by_id(trials, trial_id)
-    total = 0.0
-    for name in ("ram", "rom", "flops"):
-        worst = max(getattr(t, name) for t in trials)
-        total += 1.0 - getattr(trial, name) / worst
-    return total / 3.0
+    # not a score_table lookup: it stays defined when every accuracy is zero
+    return _mem_scores(_require(trials))[trial_id]
 
 
 def rank(trials, trial_id: str) -> float:
     """Combined score: acc_score + mem_score."""
-    return acc_score(trials, trial_id) + mem_score(trials, trial_id)
+    return score_table(trials)[trial_id][2]
 
 
 def select_best(trials) -> str:
@@ -96,8 +114,7 @@ def select_best(trials) -> str:
 
     Ties break toward lower flops, then lexicographically lower id.
     """
-    trials = _require(trials)
-    return min(trials, key=lambda t: (-rank(trials, t.id), t.flops, t.id)).id
+    return next(trial_id for trial_id, row in score_table(trials).items() if row[3])
 
 
 def _dominates(a: TrialRecord, b: TrialRecord, include_accuracy: bool) -> bool:

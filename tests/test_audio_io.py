@@ -188,7 +188,8 @@ def mean_decode(payload, pcm, channels):
     else:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # 3e38 + 3e38, inf + -inf
+            samples = samples.reshape(-1, 2).mean(axis=1)
     if not pcm:
         samples = np.nan_to_num(samples, nan=0.0, posinf=1.0, neginf=-1.0)
         samples = np.clip(samples, -1.0, 1.0)

@@ -352,6 +352,22 @@ class TestTrialTools:
         assert lines[1] == "t,0.75,0.9,0.6,0.75,1"
         assert lines[2] == "pareto_mean,,,,0.75,"
 
+    @pytest.mark.parametrize("command", ["rank", "pareto"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,0.5,10,10,10", "duplicate trial ids: a"),
+            ("c,0.5,nan,10,10", "ram nan must be finite"),
+            ("c,0.5,10,10,inf", "flops inf must be finite"),
+        ],
+    )
+    def test_bad_trial_set_exits_1(self, tmp_path, capsys, command, row, message):
+        trials = self.write(tmp_path, "t.csv", TRIALS_CSV + row + "\n")
+        assert main([command, "--trials", str(trials)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_bad_trials_file(self, tmp_path, capsys):
         trials = self.write(tmp_path, "bad.csv", "nope\n")
         assert main(["rank", "--trials", str(trials)]) == 1
@@ -398,6 +414,29 @@ class TestEnergy:
         bad.write_text("e_infer_mj = 83\n")
         assert main(["energy", "--profile", str(bad)]) == 1
         assert "missing required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, june",
+        [
+            (("e_infer_mj = 83", "e_infer_mj = nan"), "100"),
+            (("p_sleep_mw = 116", "p_sleep_mw = 116\nautonomy_hours = inf"), "100"),
+            (("", ""), "nan"),
+        ],
+    )
+    def test_nonfinite_inputs_exit_1(self, tmp_path, capsys, edit, june):
+        profile = self.profile(tmp_path)
+        profile.write_text(profile.read_text().replace(*edit))
+        table = tmp_path / "sun.csv"
+        table.write_text(
+            "month,s_rad_w_m2\n"
+            + "".join(f"{i},{june if i == 6 else 100}\n" for i in range(1, 13))
+        )
+        assert main([
+            "energy", "--profile", str(profile), "--irradiance", str(table),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
 
 
 class TestBench:

@@ -158,6 +158,11 @@ class TestOperators:
             dict(charge_hours=-2.0),
             dict(eta_solar=0.0),
             dict(eta_bat=1.2),
+            dict(e_infer_j=float("nan")),
+            dict(t_infer_s=float("inf")),
+            dict(p_sleep_w=float("nan")),
+            dict(autonomy_hours=float("inf")),
+            dict(charge_hours=float("nan")),
         ],
     )
     def test_profile_validation(self, kwargs):
@@ -173,6 +178,19 @@ class TestOperators:
 class TestMonthlyReport:
     def irradiance(self):
         return parse_irradiance(bundled("irradiance_de.csv"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(e_infer_j=1e308, t_infer_s=1e-300),   # active power overflows
+            dict(autonomy_hours=1e308, p_sleep_w=10.0),  # battery overflows
+            dict(duty=0.0, t_infer_s=1e-320, t_dsp_s=0.0),  # 0 * inf is NaN
+        ],
+    )
+    def test_overflow_rejected(self, kwargs):
+        profile = DeploymentProfile(**{**MCU.__dict__, **kwargs})
+        with pytest.raises(ConfigError, match="overflows"):
+            monthly_report(profile, self.irradiance())
 
     def test_december_is_worst(self):
         report = monthly_report(MCU, self.irradiance())
@@ -260,6 +278,7 @@ class TestParsers:
             "e_infer_mj = ten\n",                       # bad number
             "e_infer_mj = 10\ne_infer_mj = 11\n",       # duplicate
             "e_infer_mj 10\n",                          # no equals sign
+            "e_infer_mj=nan\nt_infer_ms=1\ne_dsp_mj=1\nt_dsp_ms=1\np_sleep_mw=1\n",
         ],
     )
     def test_profile_errors(self, text):
@@ -294,6 +313,12 @@ class TestParsers:
             "month,s_rad_w_m2\n" + "".join(
                 f"{i},x\n" for i in range(1, 13)
             ),                                                     # bad number
+            "month,s_rad_w_m2\n" + "".join(
+                f"{i},{'nan' if i == 6 else 50}\n" for i in range(1, 13)
+            ),                                                     # NaN
+            "month,s_rad_w_m2\n" + "".join(
+                f"{i},{'inf' if i == 6 else 50}\n" for i in range(1, 13)
+            ),                                                     # infinite
         ],
     )
     def test_irradiance_errors(self, text):

@@ -104,6 +104,36 @@ class TestScores:
         # resource-only analyses still work
         assert pareto_front(ts, include_accuracy=False) == {"a"}
 
+    def test_mem_score_without_accuracy(self):
+        # mem_score needs no accuracy, so it stays defined where rank is not
+        ts = [trial("a", 0.0, 1.0, 1.0, 1.0), trial("b", 0.0, 2.0, 4.0, 2.0)]
+        assert mem_score(ts, "a") == (0.5 + 0.75 + 0.5) / 3.0
+        assert mem_score(ts, "b") == 0.0
+        with pytest.raises(DegenerateInputError):
+            rank(ts, "b")
+
+    def test_duplicate_ids_rejected(self):
+        ts = PAIR + [trial("b", 0.5, 10.0, 10.0, 10.0), trial("a", 0.1, 1.0, 1.0, 1.0)]
+        baseline = BaselineRecord(acc=1.0, ram=400.0, rom=400.0, flops=4000.0)
+        for fn in (
+            lambda: acc_score(ts, "a"),
+            lambda: mem_score(ts, "a"),
+            lambda: rank(ts, "b"),
+            lambda: select_best(ts),
+            lambda: pareto_front(ts),
+            lambda: avg_overall_compression(baseline, ts),
+        ):
+            with pytest.raises(ValueError, match="duplicate trial ids: a, b"):
+                fn()
+
+    @pytest.mark.parametrize("name", ["ram", "rom", "flops"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_costs_rejected(self, name, value):
+        costs = dict(ram=1.0, rom=1.0, flops=1.0)
+        costs[name] = value
+        with pytest.raises(ValueError, match=f"{name} .* must be finite"):
+            TrialRecord(id="bad", acc=0.5, **costs)
+
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             acc_score(PAIR, "nope")
