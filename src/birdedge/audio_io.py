@@ -33,6 +33,9 @@ SPECTROGRAM_MAGIC = b"MELS"
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
 
+# Output samples resample interpolates per np.interp call.
+_RESAMPLE_BLOCK = 1 << 16
+
 
 @dataclass
 class AudioClip:
@@ -148,7 +151,14 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
     Output length is round(n * target / source), so duration is preserved
     within one sample period. Equal rates return the clip unchanged. A
-    constant signal stays exactly constant.
+    constant signal stays exactly constant. Positions past the last sample
+    take the last sample's value.
+
+    The float32 output is filled in blocks of _RESAMPLE_BLOCK samples, each
+    interpolated over only the source samples it spans, so the float64
+    temporaries take O(block) extra memory (times source/target when
+    downsampling) rather than several copies of the whole clip. Every
+    value is the one a single whole-clip np.interp gives, bit for bit.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -161,10 +171,20 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     n_out = int(round(n_in * target_rate / clip.sample_rate))
     if n_out < 1:
         n_out = 1
-    # output sample j sits at source position j * source/target
-    positions = np.arange(n_out, dtype=np.float64) * (clip.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(n_in, dtype=np.float64), clip.samples)
-    return AudioClip(samples=out.astype(np.float32), sample_rate=int(target_rate))
+    step = clip.sample_rate / target_rate
+    out = np.empty(n_out, dtype=np.float32)
+    for start in range(0, n_out, _RESAMPLE_BLOCK):
+        stop = min(start + _RESAMPLE_BLOCK, n_out)
+        # output sample j sits at source position j * source/target
+        positions = np.arange(start, stop, dtype=np.float64) * step
+        # the grid points around these positions, with the same integer
+        # values np.interp would see on the whole clip
+        lo = min(int(positions[0]), n_in - 1)
+        hi = min(int(positions[-1]) + 2, n_in)
+        out[start:stop] = np.interp(
+            positions, np.arange(lo, hi, dtype=np.float64), clip.samples[lo:hi]
+        )
+    return AudioClip(samples=out, sample_rate=int(target_rate))
 
 
 def write_spectrogram(spec: MelSpectrogram, sink) -> None:

@@ -234,19 +234,20 @@ def cmd_pareto(args) -> int:
 def cmd_compress(args) -> int:
     baseline = trials.read_baseline_csv(args.baseline)
     records = trials.read_trials_csv(args.trials)
-    include_accuracy = not args.resources_only
-    front = trials.pareto_front(records, include_accuracy=include_accuracy)
+    front = trials.pareto_front(records, include_accuracy=not args.resources_only)
     lines = ["id,cr_ram,cr_rom,cr_flops,cr_overall,pareto"]
+    front_overall = []  # avg_overall_compression's terms, in its order
     for t in records:
+        overall = trials.overall_compression(baseline, t)
+        if t.id in front:
+            front_overall.append(overall)
         lines.append(
             f"{t.id},{_fmt(trials.compression_rate(baseline.ram, t.ram))},"
             f"{_fmt(trials.compression_rate(baseline.rom, t.rom))},"
             f"{_fmt(trials.compression_rate(baseline.flops, t.flops))},"
-            f"{_fmt(trials.overall_compression(baseline, t))},{int(t.id in front)}"
+            f"{_fmt(overall)},{int(t.id in front)}"
         )
-    avg = trials.avg_overall_compression(
-        baseline, records, include_accuracy=include_accuracy
-    )
+    avg = sum(front_overall) / len(front_overall)
     lines.append(f"pareto_mean,,,,{_fmt(avg)},")
     _emit("\n".join(lines) + "\n", args.out, "compress", args)
     return 0

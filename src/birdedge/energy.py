@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .exceptions import ConfigError
@@ -54,20 +54,28 @@ class DeploymentProfile:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, got {value}")
-        for name in ("e_infer_j", "t_infer_s", "e_dsp_j", "t_dsp_s", "p_sleep_w"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ConfigError(f"duty must be in [0, 1], got {self.duty}")
-        for name in ("autonomy_hours", "charge_hours"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("eta_solar", "eta_bat"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must be in (0, 1]")
+            _check(field.name, getattr(self, field.name), field.name)
+
+
+_MEASURED = ("e_infer_j", "t_infer_s", "e_dsp_j", "t_dsp_s", "p_sleep_w")
+
+
+def _check(name: str, value: float, field: str, per_si: float = 1.0) -> None:
+    """Raise ConfigError, naming `name`, unless value is allowed for field.
+
+    value counts units of 1/per_si of the field's SI unit (per_si=1e3 for
+    mJ, 100 for percent), and the message states the range in those units.
+    """
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if field in _MEASURED and value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    if field == "duty" and not 0.0 <= value <= per_si:
+        raise ConfigError(f"{name} must be in [0, {per_si:g}], got {value}")
+    if field.endswith("_hours") and value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value}")
+    if field.startswith("eta_") and not 0.0 < value <= per_si:
+        raise ConfigError(f"{name} must be in (0, {per_si:g}], got {value}")
 
 
 def active_power(profile: DeploymentProfile) -> float:
@@ -156,15 +164,21 @@ def monthly_report(
     ]
 
 
-# Profile files use field units. Internal storage is SI.
-_REQUIRED_KEYS = ("e_infer_mj", "t_infer_ms", "e_dsp_mj", "t_dsp_ms", "p_sleep_mw")
-_OPTIONAL_KEYS = (
-    "duty_percent",
-    "autonomy_hours",
-    "charge_hours",
-    "eta_solar_percent",
-    "eta_bat_percent",
-)
+# Profile files use field units. Internal storage is SI. Each profile key
+# maps to its DeploymentProfile field and its units per SI unit.
+_PROFILE_KEYS = {
+    "e_infer_mj": ("e_infer_j", 1e3),
+    "t_infer_ms": ("t_infer_s", 1e3),
+    "e_dsp_mj": ("e_dsp_j", 1e3),
+    "t_dsp_ms": ("t_dsp_s", 1e3),
+    "p_sleep_mw": ("p_sleep_w", 1e3),
+    "duty_percent": ("duty", 100.0),
+    "autonomy_hours": ("autonomy_hours", 1.0),
+    "charge_hours": ("charge_hours", 1.0),
+    "eta_solar_percent": ("eta_solar", 100.0),
+    "eta_bat_percent": ("eta_bat", 100.0),
+}
+_REQUIRED_KEYS = tuple(_PROFILE_KEYS)[:5]
 
 
 def parse_profile(text: str) -> DeploymentProfile:
@@ -172,7 +186,8 @@ def parse_profile(text: str) -> DeploymentProfile:
 
     Measured keys (e_infer_mj, t_infer_ms, e_dsp_mj, t_dsp_ms, p_sleep_mw)
     are required; deployment keys fall back to the standard assumptions.
-    Unknown keys and malformed lines raise ConfigError.
+    Unknown keys, malformed lines and out-of-range values raise ConfigError;
+    a range error names the key and states the range in its units.
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,7 +198,7 @@ def parse_profile(text: str) -> DeploymentProfile:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+        if key not in _PROFILE_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -196,24 +211,12 @@ def parse_profile(text: str) -> DeploymentProfile:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    profile = DeploymentProfile(
-        e_infer_j=values["e_infer_mj"] / 1e3,
-        t_infer_s=values["t_infer_ms"] / 1e3,
-        e_dsp_j=values["e_dsp_mj"] / 1e3,
-        t_dsp_s=values["t_dsp_ms"] / 1e3,
-        p_sleep_w=values["p_sleep_mw"] / 1e3,
-    )
-    if "duty_percent" in values:
-        profile = replace(profile, duty=values["duty_percent"] / 100.0)
-    if "autonomy_hours" in values:
-        profile = replace(profile, autonomy_hours=values["autonomy_hours"])
-    if "charge_hours" in values:
-        profile = replace(profile, charge_hours=values["charge_hours"])
-    if "eta_solar_percent" in values:
-        profile = replace(profile, eta_solar=values["eta_solar_percent"] / 100.0)
-    if "eta_bat_percent" in values:
-        profile = replace(profile, eta_bat=values["eta_bat_percent"] / 100.0)
-    return profile
+    si = {}
+    for key, value in values.items():
+        field, per_si = _PROFILE_KEYS[key]
+        _check(key, value, field, per_si)
+        si[field] = value / per_si
+    return DeploymentProfile(**si)
 
 
 def load_profile(path) -> DeploymentProfile:

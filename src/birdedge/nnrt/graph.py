@@ -168,6 +168,10 @@ def validate_graph(model: ModelGraph) -> None:
         raise GraphError(
             f"input scale must be positive and finite, got {model.input_scale}"
         )
+    if not -128 <= model.input_zero_point <= 127:
+        raise GraphError(
+            f"input zero point must be in [-128, 127], got {model.input_zero_point}"
+        )
     if model.class_count < 1:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
@@ -178,6 +182,12 @@ def validate_graph(model: ModelGraph) -> None:
             raise GraphError(
                 f"layer {i}: output scale must be positive and finite, "
                 f"got {layer.out_scale}"
+            )
+        # the last layer's output affine is never applied: it yields logits
+        if i < len(model.layers) - 1 and not -128 <= layer.out_zero_point <= 127:
+            raise GraphError(
+                f"layer {i}: output zero point must be in [-128, 127], "
+                f"got {layer.out_zero_point}"
             )
         if layer.kind in WEIGHTED_KINDS:
             if layer.weight is None:

@@ -350,6 +350,64 @@ class TestResample:
         assert abs(len(out.samples) / target - n / source) <= 1.0 / target + 1e-12
 
 
+def whole_clip_resample(samples, source, target):
+    """Reference resample: one np.interp over every output position of the
+    whole clip, cast to float32 at the end."""
+    n_out = max(1, int(round(len(samples) * target / source)))
+    positions = np.arange(n_out, dtype=np.float64) * (source / target)
+    grid = np.arange(len(samples), dtype=np.float64)
+    return np.interp(positions, grid, samples).astype(np.float32)
+
+
+BLOCK_EDGES = [1, 2**16 - 1, 2**16, 2**16 + 1]
+
+
+@st.composite
+def resample_cases(draw):
+    """(samples, source, target) with rates from 1 Hz to 192 kHz either way
+    and a source length aimed at a block edge or at a random output length."""
+    source = draw(st.integers(1, 192_000))
+    target = draw(st.integers(1, 192_000).filter(lambda rate: rate != source))
+    aim = draw(st.sampled_from(BLOCK_EDGES) | st.integers(1, 3 * 2**16))
+    n_in = round(aim * source / target) + draw(st.integers(-1, 1))
+    n_in = min(max(n_in, 1), 2**18)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(-1, 1, n_in).astype(dtype), source, target
+
+
+class TestResampleMatchesWholeClip:
+    @settings(max_examples=60, deadline=None)
+    @given(case=resample_cases())
+    def test_byte_identical(self, case):
+        samples, source, target = case
+        out = resample(AudioClip(samples, source), target)
+        assert out.samples.dtype == np.float32
+        assert out.samples.tobytes() == whole_clip_resample(samples, source, target).tobytes()
+
+    @pytest.mark.parametrize("n_out", BLOCK_EDGES)
+    @pytest.mark.parametrize("source, target", [(44100, 48000), (48000, 44100)])
+    def test_block_edge_lengths(self, n_out, source, target):
+        # the shortest source that resamples to exactly n_out samples
+        n_in = next(
+            n for n in range(1, 2**17) if max(1, round(n * target / source)) == n_out
+        )
+        samples = np.random.default_rng(n_out).uniform(-1, 1, n_in).astype(np.float32)
+        out = resample(AudioClip(samples, source), target).samples
+        assert len(out) == n_out
+        assert out.tobytes() == whole_clip_resample(samples, source, target).tobytes()
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3])
+    def test_positions_past_the_end_clamp(self, n_in):
+        # 1 Hz -> 192 kHz puts most of the last second past sample n_in - 1,
+        # over several blocks
+        samples = np.linspace(-0.5, 0.75, n_in, dtype=np.float32)
+        out = resample(AudioClip(samples, 1), 192_000).samples
+        assert len(out) == 192_000 * n_in
+        assert out.tobytes() == whole_clip_resample(samples, 1, 192_000).tobytes()
+        assert np.all(out[-96_000:] == samples[-1])
+
+
 class TestSpectrogramContainer:
     def test_roundtrip_via_stream(self):
         values = np.random.default_rng(0).uniform(-80, 0, (64, 249)).astype(np.float32)

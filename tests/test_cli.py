@@ -9,6 +9,7 @@ a fresh directory.
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -285,6 +286,27 @@ class TestInfer:
         assert "output scale" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("offset, where", [
+        (32, "input zero point"),  # the header's last field
+        # the stem conv's output zero point, right after its output scale
+        (36 + struct.calcsize("<BIIIIIIfif"), "layer 0: output zero point"),
+    ])
+    def test_zero_point_outside_int8_exits_1(
+        self, pipeline, tmp_path, capsys, offset, where
+    ):
+        blob = bytearray(pipeline["model"].read_bytes())
+        blob[offset:offset + 4] = struct.pack("<i", 255)
+        model = tmp_path / "zp.enm"
+        model.write_bytes(bytes(blob))
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(model),
+            "--spec", str(pipeline["chunks"] / "calls_48k_chunk000.mels"),
+            "--out", str(report),
+        ]) == 1
+        assert where in capsys.readouterr().err
+        assert not report.exists()
+
     def test_linear_geometry_model_exits_1(self, pipeline, tmp_path, capsys):
         model = tmp_path / "geometry.enm"
         model.write_bytes(
@@ -351,6 +373,40 @@ class TestTrialTools:
         assert lines[0] == "id,cr_ram,cr_rom,cr_flops,cr_overall,pareto"
         assert lines[1] == "t,0.75,0.9,0.6,0.75,1"
         assert lines[2] == "pareto_mean,,,,0.75,"
+
+    @pytest.mark.parametrize("flags", [[], ["--resources-only"]])
+    def test_compress_computes_front_once(self, tmp_path, capsys, monkeypatch, flags):
+        rows = [
+            (f"t{i}", 0.5 + 0.04 * (i % 7), 40 + 13 * i % 90, 300 - 17 * i % 250,
+             200 + 31 * i % 700)
+            for i in range(40)
+        ]
+        text = "id,acc,ram,rom,flops\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows
+        )
+        baseline_path = self.write(tmp_path, "b.csv", BASELINE_CSV)
+        trials_path = self.write(tmp_path, "t.csv", text)
+        expect = birdedge.trials.avg_overall_compression(
+            birdedge.trials.read_baseline_csv(baseline_path),
+            birdedge.trials.read_trials_csv(trials_path),
+            include_accuracy=not flags,
+        )
+        calls = []
+        pareto_front = birdedge.trials.pareto_front
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pareto_front(*args, **kwargs)
+
+        monkeypatch.setattr(birdedge.trials, "pareto_front", counting)
+        assert main([
+            "compress", "--baseline", str(baseline_path),
+            "--trials", str(trials_path), *flags,
+        ]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 42
+        assert lines[-1] == f"pareto_mean,,,,{expect:.10g},"
 
     @pytest.mark.parametrize("command", ["rank", "pareto"])
     @pytest.mark.parametrize(
@@ -436,6 +492,30 @@ class TestEnergy:
         ]) == 1
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("e_infer_mj = nan", "e_infer_j"),
+            ("e_infer_mj = -1", "e_infer_j"),
+            ("t_infer_ms = inf", "t_infer_s"),
+            ("e_dsp_mj = -0.5", "e_dsp_j"),
+            ("t_dsp_ms = -170", "t_dsp_s"),
+            ("p_sleep_mw = -inf", "p_sleep_w"),
+            ("duty_percent = 150", "duty"),
+            ("eta_bat_percent = 0", "eta_bat"),
+        ],
+    )
+    def test_profile_error_names_profile_key(self, tmp_path, capsys, line, field):
+        profile = self.profile(tmp_path)
+        key = line.split(" = ")[0]
+        kept = [row for row in profile.read_text().splitlines() if not row.startswith(key)]
+        profile.write_text("\n".join(kept + [line]) + "\n")
+        assert main(["energy", "--profile", str(profile)]) == 1
+        captured = capsys.readouterr()
+        assert f"{key} must be" in captured.err
+        assert not re.search(rf"\b{field}\b", captured.err)
         assert captured.out == ""
 
 

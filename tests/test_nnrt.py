@@ -197,6 +197,19 @@ class TestSerialization:
         with pytest.raises(GraphError, match="layer 0: output scale"):
             load_model(bytes(blob))
 
+    @pytest.mark.parametrize("zero_point", [128, -129, 1 << 20])
+    @pytest.mark.parametrize("offset, where", [
+        (32, "input zero point"),  # the header's last field
+        # first layer (conv2d): kind byte, six u32 dims, weight scale and
+        # zero point, output scale, then its output zero point
+        (36 + struct.calcsize("<BIIIIIIfif"), "layer 0: output zero point"),
+    ])
+    def test_zero_point_outside_int8_rejected_on_load(self, offset, where, zero_point):
+        blob = bytearray(save_model(chain_model()))
+        blob[offset:offset + 4] = struct.pack("<i", zero_point)
+        with pytest.raises(GraphError, match=where):
+            load_model(bytes(blob))
+
     @pytest.mark.parametrize("kernel,stride,padding", [
         ((3, 2), 1, 0), ((1, 1), 2, 0), ((1, 1), 1, 4),
     ])
@@ -321,6 +334,29 @@ class TestValidation:
         setattr(m if layer is None else m.layers[layer], field, value)
         with pytest.raises(GraphError, match=where):
             validate_graph(m)
+
+    @pytest.mark.parametrize("zero_point", [-129, 128])
+    @pytest.mark.parametrize("layer, where", [
+        (None, "input zero point"),
+        (0, "layer 0: output zero point"),
+        (1, "layer 1: output zero point"),
+        (2, "layer 2: output zero point"),
+    ])
+    def test_zero_point_outside_int8(self, layer, where, zero_point):
+        m = chain_model()
+        if layer is None:
+            m.input_zero_point = zero_point
+        else:
+            m.layers[layer].out_zero_point = zero_point
+        with pytest.raises(GraphError, match=where):
+            validate_graph(m)
+
+    @pytest.mark.parametrize("zero_point", [-1079, 531])
+    def test_terminal_linear_zero_point_unchecked(self, zero_point):
+        # the last layer's output affine is never applied: it yields logits
+        m = chain_model()
+        m.layers[-1].out_zero_point = zero_point
+        validate_graph(m)
 
     def test_bias_wrong_length(self):
         m = chain_model()

@@ -7,6 +7,7 @@ linear/log scale using only the math module.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,6 +481,25 @@ class TestPipeline:
         for n in noise:
             assert n.shape == (RATE * 2,)
         assert len(specs) >= 1
+
+    def test_peak_memory_bounded_by_clip_size(self):
+        # 64 s of calls at 44.1 kHz, so the clip is resampled to 48 kHz;
+        # whole-clip float64 resample temporaries would take about 11x the
+        # decoded bytes
+        rate = 44100
+        rng = np.random.default_rng(17)
+        samples = 0.25 * rng.uniform(-1, 1, rate * 64)
+        for at in range(rate // 4, len(samples) - 400, int(0.45 * rate)):
+            samples[at:at + 400] = 1.0
+        clip = clip_of(samples, rate=rate)
+        tracemalloc.start()
+        try:
+            specs, _ = preprocess_recording(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(specs) == MAX_CHUNKS
+        assert peak <= 3 * clip.samples.nbytes
 
     def test_deterministic(self):
         samples = np.concatenate([loud_peaked_chunk(21), loud_peaked_chunk(22)])
