@@ -4,8 +4,9 @@ Models are linear layer lists in the style of mobile inverted-residual
 nets: regular, depthwise, and pointwise convolutions, relu6, residual
 adds, one global average pool, and a final linear classifier. Weights are
 symmetric per-tensor int8, activations affine per-tensor int8, products
-accumulate as exact integers in float64, and requantization multiplies by
-a float32 scale before clamping back to int8.
+accumulate as exact integers (in float32 when a layer's shape bounds its
+partial sums below 2**24, else in float64), and requantization multiplies
+the float64 accumulator by a float32 scale before clamping back to int8.
 """
 
 from .engine import float_reference_infer, infer

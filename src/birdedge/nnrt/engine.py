@@ -4,26 +4,29 @@ _walk owns the dataflow: the buffer of layer outputs, the residual skip
 lookup, the scale and zero point of each layer's input and skip, and the
 terminal-linear rule (the last layer yields logits, not an activation).
 A numerics is two plain functions, one for a layer's output and one for
-the logits. Weighted layers of both run on the same float64 correlation
-kernels over a zero-padded buffer: kh*kw shifted multiply-adds for
-depthwise, one BLAS product for stride-1 1x1 convs and linear layers,
-im2col plus a BLAS product for the rest.
+the logits. Weighted layers of both run on the same correlation kernel
+over a zero-padded buffer: one strided im2col view, then one BLAS product
+per layer, stacked per channel for depthwise. A stride-1 1x1 conv or a
+linear layer unfolds without a copy.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
 accumulator is dequantized straight to logits. Inputs are centered on
-their zero point, so accumulators are exact integers in float64, in any
-summation order: |acc| <= fan_in * 128 * 255 + 2**31 < 2**53 for
-fan_in <= 2**38. relu6 and residual_add are 256-entry tables indexed by
-the int8 code, memoized on scalar (scale, zero point) values; a residual
-table holds (q - zp) * f32(s / s_out), as the per-element formula does.
+their zero point: |q - zp_in| <= 128 + |zp_in| and |w| <= 128 bound every
+partial sum by B = fan_in * 128 * (128 + |zp_in|). A layer accumulates in
+float32 when B < 2**24 and in float64 (exact to 2**53) otherwise, so sums
+are exact integers in any order; bias and requantize run in float64, and
+the dtype never shows in the output. relu6 and residual_add are 256-entry
+tables indexed by the int8 code, memoized on scalar (scale, zero point)
+values; a residual table holds (q - zp) * f32(s / s_out), as the
+per-element formula does.
 
 float (float_reference_infer, and fixture calibration via _float_forward):
-weights and biases are dequantized, activations stay float32. Convs add
+weights and biases are dequantized, weighted layers correlate in float64,
+and activations stay float32. Convs add
 their bias in float32 after the cast, the pool averages in float64, and
 linear layers add their bias in float64. It is the accuracy oracle of the
-int8 path. Moving it onto the shared kernels from its own einsum and
-im2col convolutions left every float32 result unchanged.
+int8 path.
 """
 
 from __future__ import annotations
@@ -42,34 +45,24 @@ _CODES = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def _im2col(x: np.ndarray, kernel, stride: int):
-    """Unfold padded (C, H, W) into (C*kh*kw, Ho*Wo) patches."""
-    kh, kw = kernel
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    c, ho, wo = windows.shape[:3]
-    patches = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
-    return patches, ho, wo
-
-
-def _depthwise_acc(x: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray:
-    """Per-channel correlation of padded x as kh*kw shifted multiply-adds."""
+    """Unfold contiguous padded (C, H, W) into (C*kh*kw, Ho*Wo) patches
+    through a bounds-checked window view on x's buffer (a tenth of the
+    cost of as_strided)."""
     c, hp, wp = x.shape
-    kh, kw = weight.shape[1:]
+    kh, kw = kernel
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    acc = np.zeros((c, ho, wo))
-    for i in range(kh):
-        rows = slice(i, i + stride * (ho - 1) + 1, stride)
-        for j in range(kw):
-            cols = slice(j, j + stride * (wo - 1) + 1, stride)
-            acc += x[:, rows, cols] * weight[:, i, j, None, None]
-    return acc
+    sc, sh, sw = x.strides
+    windows = np.ndarray(
+        (c, kh, kw, ho, wo), x.dtype, x, 0, (sc, sh, sw, sh * stride, sw * stride)
+    )
+    return windows.reshape(c * kh * kw, ho * wo), ho, wo
 
 
-def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
-    """x - zero_point in float64, zero-padded by `padding` on H and W."""
+def _centered(x: np.ndarray, zero_point: int, padding: int, dtype) -> np.ndarray:
+    """x - zero_point in dtype, zero-padded by `padding` on H and W."""
     c, h, w = x.shape
-    out = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    out = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=dtype)
     inner = out[:, padding : padding + h, padding : padding + w]
     inner[...] = x
     inner -= zero_point
@@ -77,17 +70,17 @@ def _centered(x: np.ndarray, zero_point: int, padding: int) -> np.ndarray:
 
 
 def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
-    """float64 correlation of x - zero_point with the layer's geometry."""
-    x = _centered(x, zero_point, layer.padding)
-    if layer.kind == "depthwise_conv2d":
-        taps = weight.reshape(layer.out_ch, *layer.kernel)
-        return _depthwise_acc(x, taps, layer.stride)
-    weight = weight.reshape(layer.out_ch, -1)
-    if tuple(layer.kernel) == (1, 1) and layer.stride == 1:
-        c, h, w = x.shape
-        return (weight @ x.reshape(c, h * w)).reshape(layer.out_ch, h, w)
+    """Correlation of x - zero_point with the layer's geometry, in the
+    weight's dtype: one BLAS product over the im2col patches, stacked per
+    channel for depthwise."""
+    x = _centered(x, zero_point, layer.padding, weight.dtype)
     patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
-    return (weight @ patches).reshape(layer.out_ch, ho, wo)
+    if layer.kind == "depthwise_conv2d":
+        patches = patches.reshape(layer.out_ch, -1, ho * wo)
+        acc = weight.reshape(layer.out_ch, 1, -1) @ patches
+    else:
+        acc = weight.reshape(layer.out_ch, -1) @ patches
+    return acc.reshape(layer.out_ch, ho, wo)
 
 
 def _walk(model: ModelGraph, x: np.ndarray, layer_out, logits_out):
@@ -109,12 +102,12 @@ def _walk(model: ModelGraph, x: np.ndarray, layer_out, logits_out):
 
 
 def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
-    """acc * f32 multiplier, round, shift, clamp to int8."""
-    scaled = acc * np.float32(multiplier)
-    np.rint(scaled, out=scaled)
-    scaled += zero_point
-    np.clip(scaled, -128, 127, out=scaled)
-    return scaled.astype(np.int8)
+    """acc * f32 multiplier, round, shift, clamp to int8; overwrites acc."""
+    acc *= np.float32(multiplier)
+    np.rint(acc, out=acc)
+    acc += zero_point
+    np.clip(acc, -128, 127, out=acc)
+    return acc.astype(np.int8)
 
 
 @lru_cache(maxsize=1024)
@@ -137,8 +130,11 @@ def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarra
 
 
 def _int8_acc(layer: LayerSpec, x: np.ndarray, zero_point: int) -> np.ndarray:
-    """Exact float64 accumulator of a weighted layer on int8 input x."""
-    acc = _correlate(x, zero_point, layer.weight.astype(np.float64), layer)
+    """Exact float64 accumulator of a weighted layer on int8 input x,
+    correlated in float32 when the module's bound B is below 2**24."""
+    bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
+    weight = layer.weight.astype(np.float32 if bound < 2**24 else np.float64)
+    acc = _correlate(x, zero_point, weight, layer).astype(np.float64, copy=False)
     if layer.bias is not None:
         acc += layer.bias.astype(np.float64)[:, None, None]
     return acc
@@ -150,11 +146,14 @@ def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
         multiplier = scale * layer.weight_scale / out_scale
         return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)
     if layer.kind == "relu6":
-        return _relu6_table(scale, zero_point, out_scale, out_zp)[x.view(np.uint8)]
+        table = _relu6_table(scale, zero_point, out_scale, out_zp)
+        return np.take(table, x.view(np.uint8))
     if layer.kind == "residual_add":
         skip_x, skip_scale, skip_zp = skip
-        total = _rescale_table(scale, zero_point, out_scale)[x.view(np.uint8)]
-        total += _rescale_table(skip_scale, skip_zp, out_scale)[skip_x.view(np.uint8)]
+        total = np.take(_rescale_table(scale, zero_point, out_scale), x.view(np.uint8))
+        total += np.take(
+            _rescale_table(skip_scale, skip_zp, out_scale), skip_x.view(np.uint8)
+        )
         np.rint(total, out=total)
         total += out_zp
         return np.clip(total, -128, 127, out=total).astype(np.int8)

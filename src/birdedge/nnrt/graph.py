@@ -23,6 +23,11 @@ WEIGHTED_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "linear")
 # Skip source index meaning "the quantized graph input".
 INPUT_BUFFER = -1
 
+# Most elements inference may allocate in one buffer: the graph input, a
+# conv's zero-padded input, its im2col patch matrix, or its output. 2**24
+# float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
+MAX_BUFFER_ELEMENTS = 1 << 24
+
 
 @dataclass
 class LayerSpec:
@@ -105,6 +110,16 @@ def output_shape(
                 f"{kind} kernel {kh}x{kw} stride {layer.stride} does not fit "
                 f"input {h}x{w}"
             )
+        for what, size in (
+            ("padded input", c * (h + 2 * layer.padding) * (w + 2 * layer.padding)),
+            ("im2col patch matrix", c * kh * kw * ho * wo),
+            ("output", layer.out_ch * ho * wo),
+        ):
+            if size > MAX_BUFFER_ELEMENTS:
+                raise GraphError(
+                    f"{kind} {what} of {size} elements exceeds the buffer cap "
+                    f"of {MAX_BUFFER_ELEMENTS}"
+                )
         return (layer.out_ch, ho, wo)
     if kind in ("relu6", "residual_add"):
         return (c, h, w)
@@ -162,6 +177,11 @@ def validate_graph(model: ModelGraph) -> None:
     if model.input_shape[0] != 1:
         raise GraphError(
             f"input must have exactly 1 channel, got {model.input_shape[0]}"
+        )
+    if math.prod(model.input_shape) > MAX_BUFFER_ELEMENTS:
+        raise GraphError(
+            f"input shape {model.input_shape} exceeds the buffer cap of "
+            f"{MAX_BUFFER_ELEMENTS} elements"
         )
     # a NaN scale fails every comparison, so `not 0 < s < inf` rejects it
     if not 0 < model.input_scale < math.inf:
@@ -228,3 +248,27 @@ def validate_graph(model: ModelGraph) -> None:
         raise GraphError(
             f"final layer emits {last.out_ch} logits for {model.class_count} classes"
         )
+
+
+def check_int32_accumulators(model: ModelGraph) -> None:
+    """Reject a weighted layer whose accumulator could overflow int32.
+
+    The worst case of output channel o is sum |w_o| * (128 + |zp_in|) +
+    |bias_o|, zp_in being the zero point of the layer's input. This is
+    the bound a microcontroller's int32 accumulator must hold. It reads
+    every weight, so it runs once when a model is loaded, after
+    validate_graph.
+    """
+    zero_point = model.input_zero_point
+    for i, layer in enumerate(model.layers):
+        if layer.kind in WEIGHTED_KINDS:
+            weight = layer.weight.reshape(layer.out_ch, -1).astype(np.int64)
+            worst = np.abs(weight).sum(axis=1) * (128 + abs(zero_point))
+            if layer.bias is not None:
+                worst += np.abs(layer.bias.astype(np.int64))
+            if worst.max() > np.iinfo(np.int32).max:
+                raise GraphError(
+                    f"layer {i}: {layer.kind} worst-case accumulator "
+                    f"{worst.max()} overflows int32"
+                )
+        zero_point = layer.out_zero_point

@@ -33,7 +33,14 @@ import struct
 import numpy as np
 
 from ..exceptions import FormatError, UnsupportedError
-from .graph import LAYER_KINDS, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
+from .graph import (
+    LAYER_KINDS,
+    WEIGHTED_KINDS,
+    LayerSpec,
+    ModelGraph,
+    check_int32_accumulators,
+    validate_graph,
+)
 
 MODEL_MAGIC = b"ENM1"
 MODEL_VERSION = 1
@@ -141,7 +148,9 @@ def load_model(data: bytes) -> ModelGraph:
         FormatError: bad magic, truncation, unknown layer codes, trailing
             bytes, or absurd dimensions.
         UnsupportedError: a container version this build does not read.
-        GraphError: the file parses but the graph is structurally invalid.
+        GraphError: the file parses but the graph is structurally invalid,
+            exceeds the buffer cap, or has a layer whose worst-case
+            accumulator overflows int32.
     """
     reader = _Reader(data)
     if reader.raw(4) != MODEL_MAGIC:
@@ -219,4 +228,5 @@ def load_model(data: bytes) -> ModelGraph:
         input_zero_point=input_zp,
     )
     validate_graph(model)
+    check_int32_accumulators(model)
     return model

@@ -321,6 +321,30 @@ class TestInfer:
         assert "linear needs kernel 1x1" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("offset, value, where", [
+        # the final linear's bias is the file's last field
+        (-4, struct.pack("<i", 2**31 - 1), "layer 96: linear worst-case accumulator"),
+        # the stem conv's padding, after its kind byte and five u32 fields
+        (36 + struct.calcsize("<BIIIII"), struct.pack("<I", 4000),
+         "layer 0: conv2d padded input"),
+    ], ids=["int32-bias", "padding-4000"])
+    def test_unbounded_model_exits_1(
+        self, pipeline, tmp_path, capsys, offset, value, where
+    ):
+        blob = bytearray(pipeline["model"].read_bytes())
+        start = offset % len(blob)  # a negative offset counts from the end
+        blob[start:start + 4] = value
+        model = tmp_path / "unbounded.enm"
+        model.write_bytes(bytes(blob))
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(model),
+            "--spec", str(pipeline["chunks"] / "calls_48k_chunk000.mels"),
+            "--out", str(report),
+        ]) == 1
+        assert where in capsys.readouterr().err
+        assert not report.exists()
+
     def test_missing_model(self, pipeline, tmp_path, capsys):
         assert main([
             "infer", "--model", str(tmp_path / "nope.enm"),

@@ -32,7 +32,15 @@ from birdedge.nnrt import (
     validate_graph,
 )
 
-from birdedge.nnrt.engine import _correlate, _relu6_table, _rescale_table
+from birdedge.nnrt.engine import (
+    _correlate,
+    _int8_layer,
+    _int8_logits,
+    _quantize_input,
+    _relu6_table,
+    _rescale_table,
+    _walk,
+)
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
@@ -218,6 +226,32 @@ class TestSerialization:
         with pytest.raises(GraphError, match="layer 3: linear needs kernel 1x1"):
             load_model(blob)
 
+    def test_int32_accumulator_overflow_rejected_on_load(self):
+        model = strided_model()
+        assert model.layers[-1].bias is not None
+        # the final linear's bias is the file's last field; its last entry
+        # is the last output channel's
+        blob = bytearray(save_model(model))
+        blob[-4:] = struct.pack("<i", 2**31 - 1)
+        with pytest.raises(GraphError, match="layer 7: linear worst-case accumulator"):
+            load_model(bytes(blob))
+
+    def test_int32_accumulator_bound_is_not_checked_per_infer(self):
+        model = strided_model()
+        model.layers[-1].bias[-1] = 2**31 - 1
+        validate_graph(model)
+        assert math.isclose(infer(model, spec_for(model)).sum(), 1.0)
+
+    def test_huge_padding_rejected_on_load(self):
+        blob = bytearray(save_model(chain_model()))
+        # first layer (conv2d): kind byte, then in_ch, out_ch, k_h, k_w and
+        # stride (u32 each), then its padding
+        offset = 36 + struct.calcsize("<BIIIII")
+        assert struct.unpack_from("<I", blob, offset) == (1,)
+        blob[offset:offset + 4] = struct.pack("<I", 4000)
+        with pytest.raises(GraphError, match="layer 0: conv2d padded input"):
+            load_model(bytes(blob))
+
     def test_linear_geometry_patch_is_neutral(self):
         blob = save_model(chain_model())
         assert with_linear_geometry(blob) == blob
@@ -357,6 +391,32 @@ class TestValidation:
         m = chain_model()
         m.layers[-1].out_zero_point = zero_point
         validate_graph(m)
+
+    @pytest.mark.parametrize("layer,hw,what", [
+        (conv(1, 2, padding=2049), (4, 4), "padded input"),
+        (conv(1, 2, kernel=(64, 64), padding=0), (600, 600), "im2col patch"),
+        (conv(1, 64, kernel=(1, 1), padding=0), (600, 600), "output"),
+    ], ids=["padded-input", "patches", "output"])
+    def test_buffer_cap(self, layer, hw, what):
+        model = ModelGraph(
+            layers=[layer, pool(), linear(layer.out_ch, 2)],
+            class_count=2, input_shape=(1, *hw),
+        )
+        with pytest.raises(GraphError, match=f"layer 0: conv2d {what}"):
+            validate_graph(model)
+
+    def test_input_buffer_cap(self):
+        model = chain_model(hw=(4097, 4097))
+        with pytest.raises(GraphError, match="exceeds the buffer cap"):
+            validate_graph(model)
+
+    def test_buffer_cap_is_inclusive(self):
+        # input, padded input, patches and output all hold exactly 2**24
+        model = ModelGraph(
+            layers=[conv(1, 1, kernel=(1, 1), padding=0), pool(), linear(1, 2)],
+            class_count=2, input_shape=(1, 4096, 4096),
+        )
+        validate_graph(model)
 
     def test_bias_wrong_length(self):
         m = chain_model()
@@ -688,6 +748,18 @@ PINNED_BRANCH_DIGESTS = {
     "strided": "eed32f86ad67edcbd621f8b7c8cb4e00cc71e04c91959d84a7808d930a0e99c1",
     "input_skip": "1a3816de3cacfeca65b0cbca84fec8c9dfe5a84a44b3c41568f95afabb127311",
 }
+# infer on two more fixtures, (classes, seed), over random_spec seeds 0-19
+# plus edge_specs, recorded with float64 accumulators. Fixture (1, 6)
+# holds the largest float32 accumulator bound of any fixture. With one
+# class its probabilities are always [1.0], so its int8 layer outputs and
+# logits are pinned as well.
+PINNED_MORE_FIXTURE_DIGESTS = {
+    (1, 6): "fbae2a731e6395e7093c5f78dfd085e9e839dd8022fb2ab08b81c8fef962dfbe",
+    (64, 3): "e9eb4dcb00c4b060e817f6ecbaf464bf87506513ea9ee098cae79e0fb4f9dd25",
+}
+PINNED_ONE_CLASS_LAYERS_DIGEST = (
+    "947af692a4148bab82b01a6db630e5b4195bec7eee57144142ca8650988b2700"
+)
 # The same inputs through float_reference_infer, recorded while the float
 # path had its own interpreter (einsum depthwise, im2col for every conv).
 PINNED_FLOAT_DIGESTS = {
@@ -796,6 +868,18 @@ def probs_digest(model, specs, run=infer):
     return h.hexdigest()
 
 
+def int8_layers_digest(model, specs):
+    """sha256 over every int8 layer output and the logits of each input."""
+    h = hashlib.sha256()
+    for spec in specs:
+        x = _quantize_input(model, spec.values)
+        logits, outputs = _walk(model, x, _int8_layer, _int8_logits)
+        for out, _, _ in outputs:
+            h.update(out.tobytes())
+        h.update(logits.tobytes())
+    return h.hexdigest()
+
+
 class TestPinnedOutputs:
     def test_fixture_outputs_bitwise(self, fixture_model):
         specs = [random_spec(seed) for seed in range(50)]
@@ -811,6 +895,19 @@ class TestPinnedOutputs:
         specs = [spec_for(model, seed) for seed in range(20)]
         specs += edge_specs(model.input_shape[1:])
         assert probs_digest(model, specs) == PINNED_BRANCH_DIGESTS[name]
+
+    @pytest.mark.parametrize("classes,seed", list(PINNED_MORE_FIXTURE_DIGESTS))
+    def test_more_fixture_outputs_bitwise(self, classes, seed):
+        model = generate_fixture_model(classes, seed)
+        specs = [random_spec(s) for s in range(20)]
+        specs += edge_specs(model.input_shape[1:])
+        assert probs_digest(model, specs) == PINNED_MORE_FIXTURE_DIGESTS[classes, seed]
+
+    def test_one_class_fixture_layers_bitwise(self):
+        model = generate_fixture_model(1, 6)
+        specs = [random_spec(s) for s in range(20)]
+        specs += edge_specs(model.input_shape[1:])
+        assert int8_layers_digest(model, specs) == PINNED_ONE_CLASS_LAYERS_DIGEST
 
     def test_fixture_float_outputs_bitwise(self, fixture_model):
         specs = [random_spec(seed) for seed in range(50)]
@@ -919,8 +1016,8 @@ def naive_correlate(x, weight, kind, kernel, stride, padding):
 class TestSharedKernel:
     """The conv kernels both numerics share, against a nested-loop oracle.
 
-    Inputs and weights are integer valued, so every sum is exact and the
-    comparison is equality.
+    Inputs and weights are integer valued, so every sum is exact, in
+    float32 as in float64, and the comparison is equality.
     """
 
     def test_matches_nested_loops(self):
@@ -941,12 +1038,115 @@ class TestSharedKernel:
             layer = conv(in_ch, out_ch, kernel, stride, padding, seed=trial, kind=kind)
             zero_point = int(rng.integers(-128, 128))
             x = rng.integers(-128, 128, size=(in_ch, h, w)).astype(np.int8)
-            weight = layer.weight.astype(np.float64)
-            got = _correlate(x, zero_point, weight, layer)
             want = naive_correlate(
-                x.astype(np.float64) - zero_point, weight, kind, kernel,
-                stride, padding,
+                x.astype(np.float64) - zero_point, layer.weight.astype(np.float64),
+                kind, kernel, stride, padding,
             )
-            np.testing.assert_array_equal(
-                got, want, err_msg=f"{kind} {kernel} {stride} {padding}"
-            )
+            # fan_in <= 48 keeps every float32 partial sum under 2**24
+            for dtype in (np.float64, np.float32):
+                got = _correlate(x, zero_point, layer.weight.astype(dtype), layer)
+                assert got.dtype == dtype
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{dtype} {kind} {kernel} {stride} {padding}"
+                )
+
+
+def int8_reference(model, values):
+    """Slow int8 inference of a graph of weighted layers: nested loops over
+    int64 accumulators, a per-element float32 requantize, and float64
+    logits from the terminal accumulator."""
+    q = np.rint(np.asarray(values, dtype=np.float64) / model.input_scale)
+    q = np.clip(q + model.input_zero_point, -128, 127).astype(np.int64)
+    q = q.reshape(model.input_shape)
+    scale, zero_point = model.input_scale, model.input_zero_point
+    for index, layer in enumerate(model.layers):
+        c, h, w = q.shape
+        (kh, kw), pad, stride = layer.kernel, layer.padding, layer.stride
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int64)
+        padded[:, pad:pad + h, pad:pad + w] = q - zero_point
+        ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+        weight = layer.weight.astype(np.int64).reshape(layer.out_ch, -1, kh, kw)
+        acc = np.zeros((layer.out_ch, ho, wo), dtype=np.int64)
+        for o in range(layer.out_ch):
+            channels = [o] if layer.kind == "depthwise_conv2d" else range(c)
+            for r in range(ho):
+                for t in range(wo):
+                    total = 0 if layer.bias is None else int(layer.bias[o])
+                    for k, ch in enumerate(channels):
+                        for i in range(kh):
+                            for j in range(kw):
+                                total += int(weight[o, k, i, j]) * int(
+                                    padded[ch, r * stride + i, t * stride + j]
+                                )
+                    acc[o, r, t] = total
+        if index == len(model.layers) - 1:
+            logits = acc.reshape(-1).astype(np.float64) * (scale * layer.weight_scale)
+            z = logits - logits.max()
+            return np.exp(z) / np.exp(z).sum()
+        multiplier = float(np.float32(scale * layer.weight_scale / layer.out_scale))
+        q = np.array([
+            min(127, max(-128, round(float(a) * multiplier) + layer.out_zero_point))
+            for a in acc.flat
+        ], dtype=np.int64).reshape(acc.shape)
+        scale, zero_point = layer.out_scale, layer.out_zero_point
+    raise AssertionError("the last layer returns")
+
+
+def wide_fan_in_model(fan_in):
+    """A pointwise expansion to fan_in channels on a 1x1 input, then a
+    terminal linear of that fan-in.
+
+    On a -80 dB input (code -128, zero point 127) the expansion saturates
+    every channel to code 127 on zero point -128. The linear weights are
+    127 but one 126, so its first accumulator, 255 * (127 * fan_in - 1),
+    is odd and past 2**24: no float32 sum can hold it.
+    """
+    expand = LayerSpec(
+        kind="pointwise_conv2d", in_ch=1, out_ch=fan_in,
+        weight=np.full((fan_in, 1, 1, 1), -127, dtype=np.int8), weight_scale=1.0,
+        out_scale=0.01, out_zero_point=-128,
+    )
+    weight = np.full((2, fan_in), 127, dtype=np.int8)
+    weight[0, 0] = 126
+    head = LayerSpec(
+        kind="linear", in_ch=fan_in, out_ch=2, weight=weight, weight_scale=1e-6,
+        bias=np.array([3, -5], np.int32), out_scale=1.0,
+    )
+    return ModelGraph(
+        layers=[expand, head], class_count=2, input_shape=(1, 1, 1),
+        input_scale=DB_SCALE, input_zero_point=127,
+    )
+
+
+class TestAccumulatorDtype:
+    """Layers past the float32 bound accumulate in float64."""
+
+    @pytest.mark.parametrize("fan_in", [1000, 2048])
+    def test_wide_fan_in_matches_int64_reference(self, fan_in):
+        # fan_in * 128 * 256 is past 2**24 for both; 1000 is under twice it
+        model = wide_fan_in_model(fan_in)
+        spec = MelSpectrogram(np.full((1, 1), -80.0, dtype=np.float32))
+        want = int8_reference(model, spec.values)
+        assert infer(model, spec).tobytes() == want.tobytes()
+
+    def test_reference_matches_infer_under_the_bound(self):
+        rng = np.random.default_rng(41)
+        model = ModelGraph(
+            layers=[
+                _layer(rng, "conv2d", 1, 3, (3, 2), 2, 1, weight_scale=0.0003,
+                       out_scale=0.08, out_zero_point=-20),        # (3, 3, 3)
+                _layer(rng, "depthwise_conv2d", 3, 3, (3, 3), 1, 0,
+                       weight_scale=0.002, out_scale=0.15,
+                       out_zero_point=10),                          # (3, 1, 1)
+                _layer(rng, "pointwise_conv2d", 3, 4, weight_scale=0.005,
+                       out_scale=0.03, out_zero_point=-60),        # (4, 1, 1)
+                _layer(rng, "linear", 4, 3, weight_scale=0.002, out_scale=1.0,
+                       out_zero_point=0),
+            ],
+            class_count=3, input_shape=(1, 6, 5), input_scale=DB_SCALE,
+            input_zero_point=127,
+        )
+        for seed in range(10):
+            spec = spec_for(model, seed)
+            want = int8_reference(model, spec.values)
+            assert infer(model, spec).tobytes() == want.tobytes()
