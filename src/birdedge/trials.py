@@ -25,6 +25,8 @@ from .exceptions import DegenerateInputError, EmptyError
 
 CSV_HEADER = ("id", "acc", "ram", "rom", "flops")
 _COSTS = ("ram", "rom", "flops")
+# ids are printed unquoted as the first field of CSV rows
+_UNSAFE_ID_CHARS = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,10 @@ class TrialRecord:
     flops: float
 
     def __post_init__(self):
+        if not self.id or not _UNSAFE_ID_CHARS.isdisjoint(self.id):
+            raise ValueError(
+                f"trial id {self.id!r} must be non-empty and hold no comma, quote, CR or LF"
+            )
         if not 0.0 <= self.acc <= 1.0:
             raise ValueError(f"trial {self.id}: acc {self.acc} outside [0, 1]")
         for name in _COSTS:
@@ -133,17 +139,20 @@ def pareto_front(trials, include_accuracy: bool = True) -> set[str]:
     Objectives are maximise accuracy and minimise ram, rom, and flops;
     include_accuracy=False restricts them to the three resource costs.
     Exact duplicates do not dominate each other, so both stay on the front.
+
+    The trials are sorted once by (ram, rom, flops, -acc). A trial that
+    dominates another sorts strictly before it, with or without accuracy,
+    so each candidate is tested only against the front members accepted
+    before it: an earlier trial that dominates it is either a front member
+    or dominated by one, and dominance is transitive. The cost is
+    O(n log n) for the sort plus at most n * |front| dominance tests, not
+    n * (n - 1).
     """
-    trials = _require(trials)
-    front = set()
-    for candidate in trials:
-        if not any(
-            _dominates(other, candidate, include_accuracy)
-            for other in trials
-            if other is not candidate
-        ):
-            front.add(candidate.id)
-    return front
+    front: list[TrialRecord] = []
+    for candidate in sorted(_require(trials), key=lambda t: (t.ram, t.rom, t.flops, -t.acc)):
+        if not any(_dominates(member, candidate, include_accuracy) for member in front):
+            front.append(candidate)
+    return {t.id for t in front}
 
 
 def compression_rate(baseline_value: float, edge_value: float) -> float:

@@ -34,6 +34,25 @@ def random_spec(seed: int, shape=(64, 249)) -> MelSpectrogram:
     return MelSpectrogram(values)
 
 
+def sweep_trials_csv(rows: int = 300, seed: int = 2024) -> str:
+    """A seeded trials CSV whose costs rise together with accuracy.
+
+    Every cost grows with one hidden model size, and accuracy with its
+    square root plus noise, so the Pareto front is a proper subset: 55 of
+    the 300 default trials with accuracy, 2 without.
+    """
+    rng = np.random.default_rng(seed)
+    size = rng.uniform(0.0, 1.0, rows)
+    acc = np.clip(0.55 + 0.4 * size**0.5 + rng.normal(0.0, 0.03, rows), 0.0, 1.0)
+    ram = 20e3 + 480e3 * size * rng.uniform(0.7, 1.3, rows)
+    rom = 50e3 + 950e3 * size * rng.uniform(0.7, 1.3, rows)
+    flops = 1e6 + 49e6 * size * rng.uniform(0.7, 1.3, rows)
+    lines = ["id,acc,ram,rom,flops"]
+    for i in range(rows):
+        lines.append(f"t{i:04d},{acc[i]:.6g},{ram[i]:.6g},{rom[i]:.6g},{flops[i]:.6g}")
+    return "\n".join(lines) + "\n"
+
+
 def with_linear_geometry(blob: bytes, kernel=(1, 1), stride=1, padding=0) -> bytes:
     """An .enm blob whose final (linear) record carries the given geometry.
 

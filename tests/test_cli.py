@@ -23,7 +23,7 @@ from birdedge import __version__
 from birdedge.audio_io import read_spectrogram
 from birdedge.cli import main
 
-from conftest import FIXTURE_CLASSES, FIXTURE_SEED, with_linear_geometry
+from conftest import FIXTURE_CLASSES, FIXTURE_SEED, sweep_trials_csv, with_linear_geometry
 
 PREPROCESS_GOLDEN = {
     "calls_48k_chunk000.mels": "a3296ee94b37b53f",
@@ -51,6 +51,13 @@ TRIALS_CSV = (
     "b,0.8,50,100,500\n"
 )
 BASELINE_CSV = "id,acc,ram,rom,flops\nfull,0.93,400,1000,1000\n"
+# stdout of each command on sweep_trials_csv() (300 rows), SWEEP_BASELINE_CSV
+SWEEP_GOLDEN = {
+    "compress": "076f2686c1107ea9",
+    "pareto": "a20f75442f007d68",
+    "pareto --resources-only": "6c4f95d176bd7daa",
+}
+SWEEP_BASELINE_CSV = "id,acc,ram,rom,flops\nbaseline,0.97,900000,2000000,90000000\n"
 
 
 def digest(path):
@@ -432,11 +439,24 @@ class TestTrialTools:
         assert len(lines) == 42
         assert lines[-1] == f"pareto_mean,,,,{expect:.10g},"
 
+    @pytest.mark.parametrize("command", sorted(SWEEP_GOLDEN))
+    def test_sweep_golden(self, tmp_path, capsys, command):
+        trials = self.write(tmp_path, "t.csv", sweep_trials_csv())
+        baseline = self.write(tmp_path, "b.csv", SWEEP_BASELINE_CSV)
+        name, *flags = command.split()
+        if name == "compress":
+            flags += ["--baseline", str(baseline)]
+        assert main([name, "--trials", str(trials), *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == SWEEP_GOLDEN[command]
+
     @pytest.mark.parametrize("command", ["rank", "pareto"])
     @pytest.mark.parametrize(
         "row, message",
         [
             ("a,0.5,10,10,10", "duplicate trial ids: a"),
+            ('"a,b",0.5,1,2,3', "trial id 'a,b'"),
+            (",0.5,1,2,3", "trial id ''"),
             ("c,0.5,nan,10,10", "ram nan must be finite"),
             ("c,0.5,10,10,inf", "flops inf must be finite"),
         ],

@@ -4,9 +4,14 @@ The Pareto front and the rank winner are verified against brute-force
 reimplementations written here from the definitions.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import birdedge.trials
 from birdedge.exceptions import DegenerateInputError, EmptyError
 from birdedge.trials import (
     CSV_HEADER,
@@ -24,6 +29,8 @@ from birdedge.trials import (
     select_best,
     write_trials_csv,
 )
+
+from conftest import sweep_trials_csv
 
 
 def trial(tid, acc, ram, rom, flops):
@@ -51,6 +58,27 @@ def oracle_front(trials, include_accuracy=True):
         for c in trials
         if not any(dominates(o, c) for o in trials if o is not c)
     }
+
+
+ACC_GRID = (0.0, 0.5, 1.0)
+COST_GRID = (1.0, 2.0, 3.0)
+
+
+@st.composite
+def grid_trial_sets(draw):
+    """Trial sets on a grid of 2-3 values per field, plus exact duplicates.
+
+    So few distinct values make ties on every prefix of (ram, rom, flops,
+    -acc) common, and ACC_GRID holds acc = 0.0.
+    """
+    grids = [
+        draw(st.lists(st.sampled_from(grid), min_size=2, max_size=3, unique=True))
+        for grid in (ACC_GRID, COST_GRID, COST_GRID, COST_GRID)
+    ]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, grids)), min_size=1, max_size=24))
+    ts = [trial(f"t{i:02d}", *row) for i, row in enumerate(rows)]
+    copies = draw(st.lists(st.sampled_from(ts), max_size=4))
+    return ts + [trial(f"d{j}", t.acc, t.ram, t.rom, t.flops) for j, t in enumerate(copies)]
 
 
 def oracle_best(trials):
@@ -133,6 +161,12 @@ class TestScores:
         costs[name] = value
         with pytest.raises(ValueError, match=f"{name} .* must be finite"):
             TrialRecord(id="bad", acc=0.5, **costs)
+
+    @pytest.mark.parametrize("bad_id", ["", "a,b", 'say "hi"', "a\rb", "a\nb"])
+    def test_unsafe_ids_rejected(self, bad_id):
+        # each would break the id,... rows that rank, pareto and compress print
+        with pytest.raises(ValueError, match=re.escape(f"trial id {bad_id!r}")):
+            trial(bad_id, 0.5, 1.0, 1.0, 1.0)
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -222,6 +256,32 @@ class TestParetoFront:
                 assert pareto_front(ts, include_accuracy=flag) == oracle_front(
                     ts, include_accuracy=flag
                 ), round_no
+
+    @settings(max_examples=150, deadline=None)
+    @given(ts=grid_trial_sets())
+    def test_matches_oracle_on_grids(self, ts):
+        for flag in (True, False):
+            assert pareto_front(ts, include_accuracy=flag) == oracle_front(
+                ts, include_accuracy=flag
+            )
+
+    def test_dominance_tests_bounded_by_front(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.csv"
+        path.write_text(sweep_trials_csv())
+        ts = read_trials_csv(path)
+        calls = []
+        dominates = birdedge.trials._dominates
+
+        def counting(a, b, include_accuracy):
+            calls.append(None)
+            return dominates(a, b, include_accuracy)
+
+        monkeypatch.setattr(birdedge.trials, "_dominates", counting)
+        front = pareto_front(ts)
+        assert front == oracle_front(ts)
+        assert 1 < len(front) < len(ts)
+        # each trial is tested against the front members found before it
+        assert len(calls) <= len(ts) * len(front)
 
     def test_select_best_matches_oracle(self):
         rng = np.random.default_rng(4321)
