@@ -234,6 +234,8 @@ def cmd_pareto(args) -> int:
 def cmd_compress(args) -> int:
     baseline = trials.read_baseline_csv(args.baseline)
     records = trials.read_trials_csv(args.trials)
+    if any(t.id == "pareto_mean" for t in records):
+        raise ValueError("trial id 'pareto_mean' is reserved for the summary row")
     front = trials.pareto_front(records, include_accuracy=not args.resources_only)
     lines = ["id,cr_ram,cr_rom,cr_flops,cr_overall,pareto"]
     front_overall = []  # avg_overall_compression's terms, in its order

@@ -61,28 +61,20 @@ def _weighted_layer(
     stride: int,
     padding: int,
 ) -> LayerSpec:
-    kh, kw = kernel
-    if kind == "depthwise_conv2d":
-        fan_in = kh * kw
-        shape = (out_ch, kh, kw)
-    elif kind == "linear":
-        fan_in = in_ch
-        shape = (out_ch, in_ch)
-    else:
-        fan_in = in_ch * kh * kw
-        shape = (out_ch, in_ch, kh, kw)
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    q, scale = _quantize_weights(w)
-    return LayerSpec(
+    layer = LayerSpec(
         kind=kind,
         in_ch=in_ch,
         out_ch=out_ch,
         kernel=kernel,
         stride=stride,
         padding=padding,
-        weight=q.reshape(-1),
-        weight_scale=scale,
     )
+    count = layer.weight_count()
+    fan_in = count // out_ch
+    layer.weight, layer.weight_scale = _quantize_weights(
+        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=count)
+    )
+    return layer
 
 
 def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:

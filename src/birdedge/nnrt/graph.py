@@ -23,6 +23,12 @@ WEIGHTED_KINDS = ("conv2d", "depthwise_conv2d", "pointwise_conv2d", "linear")
 # Skip source index meaning "the quantized graph input".
 INPUT_BUFFER = -1
 
+# Every scale lies in [MIN_SCALE, MAX_SCALE]. Then each float32 multiplier
+# of the int8 path lies in [2**-96, 2**96] and each table entry is at most
+# 2**72 in magnitude, so no requantization step overflows to inf or NaN.
+MIN_SCALE = 2.0**-32
+MAX_SCALE = 2.0**32
+
 # Most elements inference may allocate in one buffer: the graph input, a
 # conv's zero-padded input, its im2col patch matrix, or its output. 2**24
 # float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
@@ -55,6 +61,9 @@ class LayerSpec:
     skip_from: int | None = None            # residual_add only
 
     def weight_count(self) -> int:
+        """Number of int8 weights: out_ch rows of one fan-in each, 0 for
+        kinds without weights. The .enm record, the FLOP count and the
+        fixture's weight draw all take the weight geometry from here."""
         if self.kind in ("conv2d", "pointwise_conv2d"):
             return self.out_ch * self.in_ch * self.kernel[0] * self.kernel[1]
         if self.kind == "depthwise_conv2d":
@@ -183,10 +192,10 @@ def validate_graph(model: ModelGraph) -> None:
             f"input shape {model.input_shape} exceeds the buffer cap of "
             f"{MAX_BUFFER_ELEMENTS} elements"
         )
-    # a NaN scale fails every comparison, so `not 0 < s < inf` rejects it
-    if not 0 < model.input_scale < math.inf:
+    # a NaN scale fails every comparison, so the range tests reject it
+    if not MIN_SCALE <= model.input_scale <= MAX_SCALE:
         raise GraphError(
-            f"input scale must be positive and finite, got {model.input_scale}"
+            f"input scale must be in [2**-32, 2**32], got {model.input_scale}"
         )
     if not -128 <= model.input_zero_point <= 127:
         raise GraphError(
@@ -198,9 +207,9 @@ def validate_graph(model: ModelGraph) -> None:
     for i, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise GraphError(f"layer {i}: unknown kind {layer.kind!r}")
-        if not 0 < layer.out_scale < math.inf:
+        if not MIN_SCALE <= layer.out_scale <= MAX_SCALE:
             raise GraphError(
-                f"layer {i}: output scale must be positive and finite, "
+                f"layer {i}: output scale must be in [2**-32, 2**32], "
                 f"got {layer.out_scale}"
             )
         # the last layer's output affine is never applied: it yields logits
@@ -221,9 +230,9 @@ def validate_graph(model: ModelGraph) -> None:
                     f"layer {i}: expected {layer.weight_count()} weights, "
                     f"got {layer.weight.size}"
                 )
-            if not 0 < layer.weight_scale < math.inf:
+            if not MIN_SCALE <= layer.weight_scale <= MAX_SCALE:
                 raise GraphError(
-                    f"layer {i}: weight scale must be positive and finite, "
+                    f"layer {i}: weight scale must be in [2**-32, 2**32], "
                     f"got {layer.weight_scale}"
                 )
             if layer.weight_zero_point != 0:

@@ -14,6 +14,7 @@ import math
 
 from .graph import (
     INPUT_BUFFER,
+    WEIGHTED_KINDS,
     LayerSpec,
     ModelGraph,
     ResourceReport,
@@ -24,11 +25,9 @@ from .serialize import save_model
 
 def _flops_of(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
     c_out, ho, wo = out_shape
-    kh, kw = layer.kernel
-    if layer.kind in ("conv2d", "pointwise_conv2d", "linear"):
-        return 2 * kh * kw * layer.in_ch * c_out * ho * wo
-    if layer.kind == "depthwise_conv2d":
-        return 2 * kh * kw * c_out * ho * wo
+    if layer.kind in WEIGHTED_KINDS:
+        # one multiply-accumulate per weight per output position
+        return 2 * layer.weight_count() * ho * wo
     # elementwise and pooling kinds: one op per output element
     return c_out * ho * wo
 

@@ -11,6 +11,10 @@ Layout:
     input_zero_point i32
     layer records    see below
 
+A layer record is the kind byte (the kind's index in LAYER_KINDS) and
+then the fields below; the table _RECORDS is this layout, and both
+save_model and load_model read it.
+
 Weighted record (conv2d, depthwise_conv2d, pointwise_conv2d, linear):
     kind u8, in_ch u32, out_ch u32, k_h u32, k_w u32, stride u32,
     padding u32, weight_scale f32, weight_zp i32, out_scale f32,
@@ -45,8 +49,27 @@ from .graph import (
 MODEL_MAGIC = b"ENM1"
 MODEL_VERSION = 1
 
+# the header after the version: layer_count, class_count, input C, H, W,
+# input_scale, input_zero_point
+_HEADER = "<IIIIIfi"
+
+# Per layer kind, the struct format of its record after the kind byte and
+# the fields that format holds, in file order. k_h and k_w are the two
+# entries of LayerSpec.kernel. A weighted record is followed by
+# weight_count() int8 weights and, if has_bias, out_ch int32 biases.
+_WEIGHTED_RECORD = (
+    "<IIIIIIfifiB",
+    ("in_ch", "out_ch", "k_h", "k_w", "stride", "padding", "weight_scale",
+     "weight_zero_point", "out_scale", "out_zero_point", "has_bias"),
+)
+_AFFINE_RECORD = ("<fi", ("out_scale", "out_zero_point"))
+_RECORDS = {
+    **dict.fromkeys(WEIGHTED_KINDS, _WEIGHTED_RECORD),
+    "residual_add": ("<ifi", ("skip_from", "out_scale", "out_zero_point")),
+    "relu6": _AFFINE_RECORD,
+    "global_avg_pool": _AFFINE_RECORD,
+}
 _KIND_CODE = {name: code for code, name in enumerate(LAYER_KINDS)}
-_CODE_KIND = {code: name for name, code in _KIND_CODE.items()}
 
 # Guard rails against absurd headers when parsing untrusted bytes.
 _MAX_DIM = 1 << 20
@@ -58,9 +81,9 @@ def save_model(model: ModelGraph) -> bytes:
     validate_graph(model)
     parts = [
         MODEL_MAGIC,
+        struct.pack("<I", MODEL_VERSION),
         struct.pack(
-            "<IIIIIIfi",
-            MODEL_VERSION,
+            _HEADER,
             len(model.layers),
             model.class_count,
             *model.input_shape,
@@ -69,45 +92,16 @@ def save_model(model: ModelGraph) -> bytes:
         ),
     ]
     for layer in model.layers:
-        code = _KIND_CODE[layer.kind]
+        fmt, fields = _RECORDS[layer.kind]
+        has_bias = layer.bias is not None
+        kh, kw = layer.kernel
+        values = dict(vars(layer), k_h=kh, k_w=kw, has_bias=int(has_bias))
+        parts.append(bytes([_KIND_CODE[layer.kind]]))
+        parts.append(struct.pack(fmt, *[values[name] for name in fields]))
         if layer.kind in WEIGHTED_KINDS:
-            has_bias = layer.bias is not None
-            parts.append(
-                struct.pack(
-                    "<BIIIIIIfifiB",
-                    code,
-                    layer.in_ch,
-                    layer.out_ch,
-                    layer.kernel[0],
-                    layer.kernel[1],
-                    layer.stride,
-                    layer.padding,
-                    layer.weight_scale,
-                    layer.weight_zero_point,
-                    layer.out_scale,
-                    layer.out_zero_point,
-                    int(has_bias),
-                )
-            )
             parts.append(np.ascontiguousarray(layer.weight, dtype=np.int8).tobytes())
             if has_bias:
-                parts.append(
-                    np.ascontiguousarray(layer.bias, dtype="<i4").tobytes()
-                )
-        elif layer.kind == "residual_add":
-            parts.append(
-                struct.pack(
-                    "<Bifi",
-                    code,
-                    layer.skip_from,
-                    layer.out_scale,
-                    layer.out_zero_point,
-                )
-            )
-        else:  # relu6, global_avg_pool
-            parts.append(
-                struct.pack("<Bfi", code, layer.out_scale, layer.out_zero_point)
-            )
+                parts.append(np.ascontiguousarray(layer.bias, dtype="<i4").tobytes())
     return b"".join(parts)
 
 
@@ -119,14 +113,7 @@ class _Reader:
         self.pos = 0
 
     def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise FormatError(
-                f"model file truncated at byte {self.pos}, needed {size} more"
-            )
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
     def raw(self, size: int) -> bytes:
         if self.pos + size > len(self.data):
@@ -137,8 +124,32 @@ class _Reader:
         self.pos += size
         return chunk
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+
+def _read_layer(reader: _Reader) -> LayerSpec:
+    """Parse one layer record: its kind byte, fields, weights and bias."""
+    (code,) = reader.unpack("<B")
+    if code >= len(LAYER_KINDS):
+        raise FormatError(f"unknown layer kind code {code}")
+    kind = LAYER_KINDS[code]
+    fmt, fields = _RECORDS[kind]
+    values = dict(zip(fields, reader.unpack(fmt)))
+    if kind not in WEIGHTED_KINDS:
+        return LayerSpec(kind=kind, **values)
+    kernel = (values.pop("k_h"), values.pop("k_w"))
+    has_bias = values.pop("has_bias")
+    for dim in (values["in_ch"], values["out_ch"], *kernel):
+        if dim == 0 or dim > _MAX_DIM:
+            raise FormatError(f"implausible layer dimension {dim}")
+    layer = LayerSpec(kind=kind, kernel=kernel, **values)
+    count = layer.weight_count()
+    if count > _MAX_WEIGHTS:
+        raise FormatError(f"implausible weight count {count}")
+    layer.weight = np.frombuffer(reader.raw(count), dtype=np.int8).copy()
+    if has_bias:
+        layer.bias = np.frombuffer(
+            reader.raw(4 * layer.out_ch), dtype="<i4"
+        ).astype(np.int32)
+    return layer
 
 
 def load_model(data: bytes) -> ModelGraph:
@@ -158,65 +169,15 @@ def load_model(data: bytes) -> ModelGraph:
     (version,) = reader.unpack("<I")
     if version != MODEL_VERSION:
         raise UnsupportedError(f"model version {version} not supported")
-    layer_count, class_count, c, h, w = reader.unpack("<IIIII")
-    input_scale, input_zp = reader.unpack("<fi")
+    layer_count, class_count, c, h, w, input_scale, input_zp = reader.unpack(_HEADER)
     if layer_count > 1 << 16:
         raise FormatError(f"implausible layer count {layer_count}")
     for dim in (c, h, w):
         if dim == 0 or dim > _MAX_DIM:
             raise FormatError(f"implausible input dimension {dim}")
 
-    layers: list[LayerSpec] = []
-    for _ in range(layer_count):
-        (code,) = reader.unpack("<B")
-        kind = _CODE_KIND.get(code)
-        if kind is None:
-            raise FormatError(f"unknown layer kind code {code}")
-        if kind in WEIGHTED_KINDS:
-            in_ch, out_ch, kh, kw, stride, padding = reader.unpack("<IIIIII")
-            weight_scale, weight_zp, out_scale, out_zp, has_bias = reader.unpack(
-                "<fifiB"
-            )
-            for dim in (in_ch, out_ch, kh, kw):
-                if dim == 0 or dim > _MAX_DIM:
-                    raise FormatError(f"implausible layer dimension {dim}")
-            layer = LayerSpec(
-                kind=kind,
-                in_ch=in_ch,
-                out_ch=out_ch,
-                kernel=(kh, kw),
-                stride=stride,
-                padding=padding,
-                weight_scale=weight_scale,
-                weight_zero_point=weight_zp,
-                out_scale=out_scale,
-                out_zero_point=out_zp,
-            )
-            count = layer.weight_count()
-            if count > _MAX_WEIGHTS:
-                raise FormatError(f"implausible weight count {count}")
-            layer.weight = np.frombuffer(reader.raw(count), dtype=np.int8).copy()
-            if has_bias:
-                layer.bias = np.frombuffer(
-                    reader.raw(4 * out_ch), dtype="<i4"
-                ).astype(np.int32)
-            layers.append(layer)
-        elif kind == "residual_add":
-            skip_from, out_scale, out_zp = reader.unpack("<ifi")
-            layers.append(
-                LayerSpec(
-                    kind=kind,
-                    skip_from=skip_from,
-                    out_scale=out_scale,
-                    out_zero_point=out_zp,
-                )
-            )
-        else:
-            out_scale, out_zp = reader.unpack("<fi")
-            layers.append(
-                LayerSpec(kind=kind, out_scale=out_scale, out_zero_point=out_zp)
-            )
-    if not reader.done():
+    layers = [_read_layer(reader) for _ in range(layer_count)]
+    if reader.pos != len(data):
         raise FormatError(
             f"{len(data) - reader.pos} trailing bytes after the last layer"
         )

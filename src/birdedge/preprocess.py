@@ -28,7 +28,8 @@ from .audio_io import AudioClip, resample
 from .exceptions import DegenerateInputError
 from .melspec import MelConfig, MelSpectrogram, power_to_db
 
-# Pipeline defaults, overridable from the CLI.
+# Pipeline constants; the CLI overrides SILENCE_THRESHOLD, PEAK_RATIO and
+# MAX_CHUNKS.
 MIN_CLIP_SECONDS = 2.0
 SILENCE_THRESHOLD = 0.2
 ENVELOPE_WINDOW_SECONDS = 0.05
@@ -38,25 +39,22 @@ PEAK_NEIGHBORHOOD_SECONDS = 0.5
 MAX_CHUNKS = 30
 
 
-def length_filter(clip: AudioClip, min_seconds: float = MIN_CLIP_SECONDS) -> bool:
+def length_filter(clip: AudioClip) -> bool:
     """Return True if the clip is long enough to process.
 
-    The boundary is inclusive: a clip of exactly min_seconds passes.
+    The boundary is inclusive: a clip of exactly MIN_CLIP_SECONDS passes.
     """
-    return clip.duration >= min_seconds
+    return clip.duration >= MIN_CLIP_SECONDS
 
 
-def remove_silence(
-    clip: AudioClip,
-    threshold: float = SILENCE_THRESHOLD,
-    window_seconds: float = ENVELOPE_WINDOW_SECONDS,
-) -> AudioClip:
+def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> AudioClip:
     """Cut silent regions out of a clip and concatenate the rest.
 
-    A sample survives iff its centered ~window_seconds sliding-max envelope
-    reaches threshold * max |s| of the whole clip. The comparison is >=, so
-    regions exactly at the threshold survive. An all-zero clip comes back
-    empty. Sample order is preserved; nothing else is modified.
+    A sample survives iff its centered ~ENVELOPE_WINDOW_SECONDS (50 ms)
+    sliding-max envelope reaches threshold * max |s| of the whole clip.
+    The comparison is >=, so regions exactly at the threshold survive. An
+    all-zero clip comes back empty. Sample order is preserved; nothing else
+    is modified.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -68,7 +66,7 @@ def remove_silence(
         return AudioClip(
             samples=np.empty(0, dtype=np.float32), sample_rate=clip.sample_rate
         )
-    half = int(round(clip.sample_rate * window_seconds / 2.0))
+    half = int(round(clip.sample_rate * ENVELOPE_WINDOW_SECONDS / 2.0))
     # The envelope of sample i reaches the threshold iff a loud sample lies
     # within +-half of i. Loud samples at most 2*half + 1 apart share a run,
     # so the runs, widened by half on each side, neither overlap nor touch.
@@ -90,22 +88,21 @@ def has_peak(
     chunk: np.ndarray,
     sample_rate: int = 48000,
     ratio: float = PEAK_RATIO,
-    window_seconds: float = ENVELOPE_WINDOW_SECONDS,
-    neighborhood_seconds: float = PEAK_NEIGHBORHOOD_SECONDS,
 ) -> bool:
     """Decide whether a chunk contains a local amplitude peak.
 
-    The chunk is tiled into consecutive ~50 ms windows and each window's
-    max |s| is compared against the median of the window maxima in the
-    surrounding +-500 ms (the window itself excluded). The chunk has a peak
-    iff some window max is nonzero and at least `ratio` times that median.
+    The chunk is tiled into consecutive ~ENVELOPE_WINDOW_SECONDS (50 ms)
+    windows and each window's max |s| is compared against the median of
+    the window maxima in the surrounding +-PEAK_NEIGHBORHOOD_SECONDS
+    (500 ms), the window itself excluded. The chunk has a peak iff some
+    window max is nonzero and at least `ratio` times that median.
     The test is scale invariant: has_peak(c) == has_peak(a*c) for a > 0.
     """
     chunk = np.asarray(chunk)
     if len(chunk) == 0:
         return False
-    window = max(1, int(round(sample_rate * window_seconds)))
-    span = max(1, int(round(neighborhood_seconds / window_seconds)))
+    window = max(1, int(round(sample_rate * ENVELOPE_WINDOW_SECONDS)))
+    span = max(1, int(round(PEAK_NEIGHBORHOOD_SECONDS / ENVELOPE_WINDOW_SECONDS)))
     maxima = _window_maxima(chunk, window)
     n = len(maxima)
     if n < 2:
@@ -123,7 +120,6 @@ def has_peak(
 
 def split_chunks(
     clip: AudioClip,
-    chunk_seconds: float = CHUNK_SECONDS,
     peak_ratio: float = PEAK_RATIO,
     max_chunks: int = MAX_CHUNKS,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -131,11 +127,11 @@ def split_chunks(
 
     Returns (chunks, noise): `chunks` are the first max_chunks windows that
     pass has_peak, in order; `noise` collects every rejected window. Windows
-    are consecutive, non-overlapping, chunk_seconds long; the trailing
+    are consecutive, non-overlapping, CHUNK_SECONDS long; the trailing
     remainder shorter than one window is dropped. Chunks beyond the cap are
     discarded entirely (they do not join the noise pool).
     """
-    chunk_len = int(round(clip.sample_rate * chunk_seconds))
+    chunk_len = int(round(clip.sample_rate * CHUNK_SECONDS))
     n_windows = len(clip.samples) // chunk_len
     chunks: list[np.ndarray] = []
     noise: list[np.ndarray] = []

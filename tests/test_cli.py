@@ -293,6 +293,33 @@ class TestInfer:
         assert "output scale" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("offset, value, where", [
+        (28, 1e-40, "input scale"),  # after magic, version and five u32
+        # the stem conv's weight scale, after its kind byte and six u32 dims
+        (36 + struct.calcsize("<BIIIIII"), 2.0**-33, "layer 0: weight scale"),
+        # the stem conv's output scale, after its weight zero point
+        (36 + struct.calcsize("<BIIIIIIfi"), 1e-40, "layer 0: output scale"),
+        # the first relu6's output scale: the stem conv's record, its 72
+        # weights and 8 int32 biases, then the relu6 kind byte
+        (36 + struct.calcsize("<BIIIIIIfifiB") + 72 + 32 + 1, 3e38,
+         "layer 1: output scale"),
+    ])
+    def test_scale_outside_range_exits_1(
+        self, pipeline, tmp_path, capsys, offset, value, where
+    ):
+        blob = bytearray(pipeline["model"].read_bytes())
+        blob[offset:offset + 4] = struct.pack("<f", value)
+        model = tmp_path / "scale.enm"
+        model.write_bytes(bytes(blob))
+        report = tmp_path / "r.csv"
+        assert main([
+            "infer", "--model", str(model),
+            "--spec", str(pipeline["chunks"] / "calls_48k_chunk000.mels"),
+            "--out", str(report),
+        ]) == 1
+        assert f"{where} must be in [2**-32, 2**32]" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("offset, where", [
         (32, "input zero point"),  # the header's last field
         # the stem conv's output zero point, right after its output scale
@@ -404,6 +431,22 @@ class TestTrialTools:
         assert lines[0] == "id,cr_ram,cr_rom,cr_flops,cr_overall,pareto"
         assert lines[1] == "t,0.75,0.9,0.6,0.75,1"
         assert lines[2] == "pareto_mean,,,,0.75,"
+
+    def test_compress_rejects_summary_row_id(self, tmp_path, capsys):
+        baseline = self.write(tmp_path, "b.csv", BASELINE_CSV)
+        trials = self.write(
+            tmp_path, "t.csv",
+            "id,acc,ram,rom,flops\npareto_mean,0.9,100,100,400\nb,0.8,50,50,200\n",
+        )
+        assert main([
+            "compress", "--baseline", str(baseline), "--trials", str(trials),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "'pareto_mean'" in captured.err
+        assert captured.out == ""
+        for command in ("rank", "pareto"):
+            assert main([command, "--trials", str(trials)]) == 0
+            assert capsys.readouterr().out.splitlines()[1].startswith("pareto_mean,")
 
     @pytest.mark.parametrize("flags", [[], ["--resources-only"]])
     def test_compress_computes_front_once(self, tmp_path, capsys, monkeypatch, flags):

@@ -7,12 +7,20 @@ frozen structural and resource numbers.
 
 import hashlib
 import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from birdedge.exceptions import FormatError, GraphError, ShapeError, UnsupportedError
+from birdedge.exceptions import (
+    BirdEdgeError,
+    FormatError,
+    GraphError,
+    ShapeError,
+    UnsupportedError,
+)
 from birdedge.melspec import MelSpectrogram
 from birdedge.nnrt import (
     INPUT_BUFFER,
@@ -123,6 +131,30 @@ def residual_model():
         input_shape=(1, 4, 4),
         input_scale=0.5,
         input_zero_point=0,
+    )
+
+
+def every_record_model():
+    """One layer of every kind: a biased conv2d, unbiased depthwise and
+    pointwise convs, a residual from the graph input, relu6, the pool and a
+    biased linear head."""
+    return ModelGraph(
+        layers=[
+            conv(1, 2, seed=10, bias=np.array([5, -300], dtype=np.int32),
+                 out_scale=0.75, out_zero_point=-3),
+            conv(2, 2, seed=11, kind="depthwise_conv2d", out_scale=0.625,
+                 out_zero_point=4),
+            conv(2, 1, kernel=(1, 1), padding=0, seed=12,
+                 kind="pointwise_conv2d", out_scale=0.5, out_zero_point=-1),
+            residual(INPUT_BUFFER, out_scale=0.375, out_zero_point=6),
+            relu6(),
+            pool(out_scale=0.125, out_zero_point=-7),
+            linear(1, 3, seed=13, bias=np.array([1, 70000, -2], dtype=np.int32)),
+        ],
+        class_count=3,
+        input_shape=(1, 4, 5),
+        input_scale=0.25,
+        input_zero_point=-2,
     )
 
 
@@ -268,6 +300,74 @@ class TestSerialization:
             except (FormatError, UnsupportedError, GraphError):
                 pass
 
+    def test_golden_bytes_follow_the_documented_layout(self):
+        # expected bytes built from the serialize module docstring: the
+        # header, then per layer its kind byte (the index in LAYER_KINDS)
+        # and that kind's fields, weights and bias
+        model = every_record_model()
+        conv2d, depthwise, pointwise, _, _, _, head = model.layers
+
+        def weighted(code, layer):
+            record = struct.pack(
+                "<BIIIIIIfifiB", code, layer.in_ch, layer.out_ch, *layer.kernel,
+                layer.stride, layer.padding, layer.weight_scale, 0,
+                layer.out_scale, layer.out_zero_point, layer.bias is not None,
+            ) + layer.weight.astype(np.int8).tobytes()
+            if layer.bias is not None:
+                record += layer.bias.astype("<i4").tobytes()
+            return record
+
+        expected = b"".join([
+            b"ENM1",
+            struct.pack("<I", 1),
+            struct.pack("<IIIIIfi", 7, 3, 1, 4, 5, 0.25, -2),
+            weighted(0, conv2d),
+            weighted(1, depthwise),
+            weighted(2, pointwise),
+            struct.pack("<Bifi", 4, -1, 0.375, 6),
+            struct.pack("<Bfi", 3, float(np.float32(6 / 255)), -128),
+            struct.pack("<Bfi", 5, 0.125, -7),
+            weighted(6, head),
+        ])
+        assert save_model(model) == expected
+        assert save_model(load_model(expected)) == expected
+
+    @pytest.mark.parametrize("offset, value, where", [
+        (28, 1e-40, "input scale"),  # after magic, version and five u32
+        # first layer (conv2d): kind byte and six u32 dims, then its weight
+        # scale, weight zero point and output scale
+        (36 + struct.calcsize("<BIIIIII"), 2.0**-33, "layer 0: weight scale"),
+        (36 + struct.calcsize("<BIIIIIIfi"), 1e-40, "layer 0: output scale"),
+        # the relu6 record follows the conv2d record and its 18 weights;
+        # its output scale follows its kind byte
+        (36 + struct.calcsize("<BIIIIIIfifiB") + 18 + 1, 3e38,
+         "layer 1: output scale"),
+    ])
+    def test_scale_outside_range_rejected_on_load(self, offset, value, where):
+        blob = bytearray(save_model(chain_model()))
+        blob[offset:offset + 4] = struct.pack("<f", value)
+        with pytest.raises(GraphError, match=re.escape(f"{where} must be in [2**-32")):
+            load_model(bytes(blob))
+
+    def test_multi_byte_edits_load_and_infer_totally(self):
+        # every edited file either fails with a BirdEdgeError, on load or in
+        # infer, or classifies into finite probabilities, without a warning
+        rng = np.random.default_rng(1)
+        for blob in map(save_model, (chain_model(), residual_model(), strided_model())):
+            for _ in range(500):
+                edited = bytearray(blob)
+                for _ in range(int(rng.integers(1, 4))):
+                    edited[int(rng.integers(len(edited)))] = int(rng.integers(256))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        model = load_model(bytes(edited))
+                        probabilities = infer(model, spec_for(model))
+                    except BirdEdgeError:
+                        continue
+                assert np.isfinite(probabilities).all()
+                assert math.isclose(probabilities.sum(), 1.0)
+
 
 class TestValidation:
     def test_valid_models_pass(self):
@@ -368,6 +468,38 @@ class TestValidation:
         setattr(m if layer is None else m.layers[layer], field, value)
         with pytest.raises(GraphError, match=where):
             validate_graph(m)
+
+    @pytest.mark.parametrize("value", [2.0**-33, 1e-40, 2.0**33, 3e38])
+    @pytest.mark.parametrize("field,layer,where", [
+        ("input_scale", None, "input scale"),
+        ("weight_scale", 0, "layer 0: weight scale"),
+        ("out_scale", 0, "layer 0: output scale"),
+        ("out_scale", 1, "layer 1: output scale"),
+        ("out_scale", 5, "layer 5: output scale"),  # residual_add
+    ])
+    def test_scale_outside_range(self, field, layer, where, value):
+        m = residual_model()
+        setattr(m if layer is None else m.layers[layer], field, value)
+        with pytest.raises(GraphError, match=re.escape(f"{where} must be in [2**-32")):
+            validate_graph(m)
+
+    def test_scale_range_ends_infer_finite(self):
+        # scales at either end of [2**-32, 2**32], in any mix, pass
+        # validation and keep every int8 step finite
+        rng = np.random.default_rng(5)
+        for build in [chain_model, residual_model, strided_model] * 20:
+            m = build()
+            ends = iter(rng.choice([2.0**-32, 2.0**32], size=2 * len(m.layers) + 1))
+            m.input_scale = float(next(ends))
+            for layer in m.layers:
+                layer.out_scale = float(next(ends))
+                if layer.weight is not None:
+                    layer.weight_scale = float(next(ends))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                probabilities = infer(m, spec_for(m))
+            assert np.isfinite(probabilities).all()
+            assert math.isclose(probabilities.sum(), 1.0)
 
     @pytest.mark.parametrize("zero_point", [-129, 128])
     @pytest.mark.parametrize("layer, where", [
