@@ -11,6 +11,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import struct
 
 from .graph import (
     INPUT_BUFFER,
@@ -19,8 +20,9 @@ from .graph import (
     ModelGraph,
     ResourceReport,
     activation_shapes,
+    validate_graph,
 )
-from .serialize import save_model
+from .serialize import _HEADER, _RECORDS, MODEL_MAGIC
 
 
 def _flops_of(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
@@ -73,9 +75,19 @@ def estimate_rom(model: ModelGraph) -> int:
     """Bytes of parameters, quantization constants, and graph metadata.
 
     Equals the size of the serialized container, so it is invariant to
-    activation shapes and grows with every stored constant.
+    activation shapes and grows with every stored constant. The size is
+    summed from the container layout; no byte is packed.
     """
-    return len(save_model(model))
+    validate_graph(model)
+    # magic, version u32, then the header
+    size = len(MODEL_MAGIC) + 4 + struct.calcsize(_HEADER)
+    for layer in model.layers:
+        size += 1 + struct.calcsize(_RECORDS[layer.kind][0])  # kind byte, record
+        if layer.kind in WEIGHTED_KINDS:
+            size += layer.weight_count()  # int8 weights
+            if layer.bias is not None:
+                size += 4 * layer.out_ch  # int32 biases
+    return size
 
 
 def resource_report(model: ModelGraph) -> ResourceReport:

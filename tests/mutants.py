@@ -1,0 +1,168 @@
+"""Mutation kill list: each mutant below must make one of its tests fail.
+
+A mutant is one exact text replacement in one source file, the kind of
+slip a later edit could make without moving any golden digest. Each
+entry names the tests that must catch it. The script copies `src/`,
+`tests/`, `pyproject.toml` and `README.md` to a temporary directory,
+runs every named test there once unmutated (they must pass), then applies
+each mutant in turn and runs its tests again (one of them must fail).
+
+It fails if a mutant survives, if its old text does not occur exactly
+once in its file, or if a test errors in any other way. A survivor is
+fixed by a test, never by deleting the entry.
+
+Run from anywhere:
+
+    python3 tests/mutants.py
+
+The file has no test_ prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    kills: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "has_peak: > for >=",
+        "src/birdedge/preprocess.py",
+        "maxima[i] >= ratio * np.median(neighbors)",
+        "maxima[i] > ratio * np.median(neighbors)",
+        ("tests/test_preprocess.py::TestHasPeak::"
+         "test_max_exactly_ratio_times_median_is_a_peak",),
+    ),
+    Mutant(
+        "has_peak: window counted in its own median",
+        "src/birdedge/preprocess.py",
+        "neighbors = np.concatenate([maxima[lo:i], maxima[i + 1 : hi]])",
+        "neighbors = maxima[lo:hi]",
+        ("tests/test_preprocess.py::TestHasPeak::"
+         "test_window_is_left_out_of_its_own_median",),
+    ),
+    Mutant(
+        "int32 bound: graph input zero point for every layer",
+        "src/birdedge/nnrt/graph.py",
+        "        zero_point = layer.out_zero_point\n",
+        "",
+        ("tests/test_nnrt.py::TestSerialization::"
+         "test_int32_bound_uses_each_layers_input_zero_point",),
+    ),
+    Mutant(
+        "_int8_acc: always float32",
+        "src/birdedge/nnrt/engine.py",
+        "layer.weight.astype(np.float32 if bound < 2**24 else np.float64)",
+        "layer.weight.astype(np.float32)",
+        ("tests/test_nnrt.py::TestAccumulatorDtype",),
+    ),
+    Mutant(
+        "_int8_acc: float32 bound doubled",
+        "src/birdedge/nnrt/engine.py",
+        "np.float32 if bound < 2**24 else",
+        "np.float32 if bound < 2**25 else",
+        ("tests/test_nnrt.py::TestAccumulatorDtype",),
+    ),
+    Mutant(
+        "estimate_rom: bias counted one byte per channel",
+        "src/birdedge/nnrt/resources.py",
+        "size += 4 * layer.out_ch",
+        "size += layer.out_ch",
+        ("tests/test_nnrt.py::TestResources::"
+         "test_rom_is_serialized_size_on_every_record_and_fixture",),
+    ),
+    Mutant(
+        "estimate_rom: no validation",
+        "src/birdedge/nnrt/resources.py",
+        "    validate_graph(model)\n    # magic",
+        "    # magic",
+        ("tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",),
+    ),
+    Mutant(
+        "cli: parser rebuilt on every call",
+        "src/birdedge/cli.py",
+        "@functools.cache\ndef _parser()",
+        "def _parser()",
+        ("tests/test_cli.py::TestRepeatedCalls::test_parser_is_built_once",),
+    ),
+    Mutant(
+        "cli: one namespace shared by every call",
+        "src/birdedge/cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = _parser().parse_args(argv, namespace=_parser)",
+        ("tests/test_cli.py::TestRepeatedCalls::test_pareto_flag_does_not_carry_over",),
+    ),
+)
+
+
+def run_tests(tree: Path, node_ids) -> int:
+    """pytest's exit code for the given node ids, run in the copied tree."""
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # pyproject.toml puts the copy's src first
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *node_ids],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return result.returncode
+
+
+def main() -> int:
+    stale = [m.name for m in MUTANTS if (ROOT / m.path).read_text().count(m.old) != 1]
+    for name in stale:
+        print(f"STALE     {name}: old text not found exactly once", file=sys.stderr)
+    if stale:
+        return 1
+
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="birdedge-mutants-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(
+                    source, tree / name,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"),
+                )
+            else:
+                shutil.copy2(source, tree / name)
+        every_node = sorted({node for m in MUTANTS for node in m.kills})
+        code = run_tests(tree, every_node)
+        if code != 0:
+            print(f"the unmutated tests do not pass (pytest exit {code})", file=sys.stderr)
+            return 1
+        for m in MUTANTS:
+            path = tree / m.path
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                code = run_tests(tree, m.kills)
+            finally:
+                path.write_text(original)
+            # pytest exits 1 when a test failed; 0 means the mutant survived,
+            # and anything else (collection error, unknown node) proves nothing
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+            print(f"{verdict:9} {m.name}")
+            failures += code != 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return int(failures > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

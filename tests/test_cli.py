@@ -64,6 +64,28 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
+def fresh_runs(argvs, cwd):
+    """Run each argv as `birdedge` in a process of its own, all at once.
+
+    Returns (exit code, stdout, stderr) per argv, in order.
+    """
+    src = str(Path(birdedge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "birdedge.cli", *argv], cwd=cwd, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in argvs
+    ]
+    results = []
+    for child in children:
+        out, err = child.communicate(timeout=60)
+        results.append((child.returncode, out, err))
+    return results
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory, recordings_dir):
     """One preprocess run plus a generated model, shared by the module."""
@@ -661,3 +683,68 @@ class TestGenFixture:
                 "gen-fixture", "--classes", "8", "--seed", "3", "--out", str(path),
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRepeatedCalls:
+    """main called again and again in one process shares one parser, and
+    each call behaves as it would in a process of its own."""
+
+    def test_pareto_flag_does_not_carry_over(self, tmp_path, monkeypatch):
+        argvs = [
+            ["pareto", "--trials", "t.csv", "--resources-only", "--out", "res.csv"],
+            ["pareto", "--trials", "t.csv", "--out", "all.csv"],
+        ]
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        for directory in (here, fresh):
+            directory.mkdir()
+            (directory / "t.csv").write_text(TRIALS_CSV)
+        monkeypatch.chdir(here)
+        assert [main(argv) for argv in argvs] == [0, 0]
+        assert fresh_runs(argvs, fresh) == [(0, "", ""), (0, "", "")]
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        outputs = files(here)
+        assert sorted(outputs) == [
+            "all.csv", "all.csv.manifest.json", "res.csv", "res.csv.manifest.json",
+            "t.csv",
+        ]
+        assert outputs["all.csv"] != outputs["res.csv"]
+        assert outputs == files(fresh)
+
+    def test_usage_error_then_version_then_command(self, tmp_path, monkeypatch, capsys):
+        argvs = [["rank", "--bogus"], ["--version"], ["rank", "--trials", "t.csv"]]
+        (tmp_path / "t.csv").write_text(TRIALS_CSV)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        here = []
+        for argv in argvs:
+            code = main(argv)
+            here.append((code, *capsys.readouterr()))
+        assert [code for code, _, _ in here] == [2, 0, 0]
+        assert here == fresh_runs(argvs, tmp_path)
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        build_parser = birdedge.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(birdedge.cli, "build_parser", counting)
+        birdedge.cli._parser.cache_clear()
+        trials = tmp_path / "t.csv"
+        trials.write_text(TRIALS_CSV)
+        codes = [
+            main(argv)
+            for argv in (
+                ["rank", "--trials", str(trials)],
+                ["frobnicate"],
+                ["--version"],
+                ["pareto", "--trials", str(trials)],
+            )
+        ]
+        assert codes == [0, 2, 0, 0]
+        assert len(built) == 1

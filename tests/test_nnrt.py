@@ -274,6 +274,29 @@ class TestSerialization:
         validate_graph(model)
         assert math.isclose(infer(model, spec_for(model)).sum(), 1.0)
 
+    @pytest.mark.parametrize("input_zp, inner_zp", [(127, 0), (0, -128)])
+    def test_int32_bound_uses_each_layers_input_zero_point(self, input_zp, inner_zp):
+        # the linear head reads the pool's output, so its worst case is
+        # sum |w| * (128 + |inner_zp|) + |bias|, whatever the graph input's
+        # zero point; the bias brings it to the int32 maximum, then one past
+        head = linear(2, 2, seed=4)
+        fan = int(np.abs(head.weight[1].astype(np.int64)).sum())
+        bias = 2**31 - 1 - fan * (128 + abs(inner_zp))
+        for excess in (0, 1):
+            head.bias = np.array([0, bias + excess], dtype=np.int32)
+            blob = save_model(ModelGraph(
+                layers=[conv(1, 2, seed=3), pool(out_zero_point=inner_zp), head],
+                class_count=2,
+                input_shape=(1, 4, 4),
+                input_scale=0.5,
+                input_zero_point=input_zp,
+            ))
+            if excess == 0:
+                assert save_model(load_model(blob)) == blob
+            else:
+                with pytest.raises(GraphError, match="layer 2: linear worst-case"):
+                    load_model(blob)
+
     def test_huge_padding_rejected_on_load(self):
         blob = bytearray(save_model(chain_model()))
         # first layer (conv2d): kind byte, then in_ch, out_ch, k_h, k_w and
@@ -778,6 +801,21 @@ class TestResources:
     def test_rom_is_serialized_size(self):
         for model in (chain_model(), residual_model()):
             assert estimate_rom(model) == len(save_model(model))
+
+    def test_rom_is_serialized_size_on_every_record_and_fixture(self):
+        models = [every_record_model()] + [
+            generate_fixture_model(classes, seed)
+            for classes in (1, 2, 5, 31, 64)
+            for seed in range(4)
+        ]
+        for model in models:
+            assert estimate_rom(model) == len(save_model(model))
+
+    def test_rom_of_an_invalid_graph_raises(self):
+        model = chain_model()
+        model.layers[0].weight = model.layers[0].weight[:-1]
+        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
+            estimate_rom(model)
 
     def test_zero_bias_costs_rom_only(self):
         plain = chain_model()

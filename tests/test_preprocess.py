@@ -259,6 +259,27 @@ class TestHasPeak:
         chunk[lo:lo + window] = 0.4 * (PEAK_RATIO + 0.01)
         assert has_peak(chunk, RATE)
 
+    @pytest.mark.parametrize("ratio, level", [(1.5, 0.25), (PEAK_RATIO, 0.4)])
+    def test_max_exactly_ratio_times_median_is_a_peak(self, ratio, level):
+        # "at least ratio times that median": equality counts. The median of
+        # float32 maxima is a float32, and so is ratio times it.
+        window = round(RATE * 0.05)
+        level = np.float32(level)
+        chunk = np.full(RATE * 2, level, dtype=np.float32)
+        lo = 20 * window
+        chunk[lo:lo + window] = np.float32(ratio) * level
+        assert has_peak(chunk, RATE, ratio=ratio)
+
+    def test_window_is_left_out_of_its_own_median(self):
+        # a trill: 50 ms notes and 50 ms gaps in turn, ending on a note. An
+        # inner note's neighbours, itself excluded, are half notes and half
+        # gaps, so their median lies halfway and the note is a peak. Counted
+        # in its own median, each note would make notes the majority there.
+        window = round(RATE * 0.05)
+        levels = np.where(np.arange(40) % 2 == 0, 0.5, 0.05).astype(np.float32)
+        levels[-1] = 0.5
+        assert has_peak(np.repeat(levels, window), RATE)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.01, 50.0))
     def test_scale_invariance(self, seed, scale):
