@@ -20,6 +20,7 @@ For a 2 s chunk at 48 kHz the frame count is (96000 - 512)//384 + 1 = 249.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -97,6 +98,18 @@ def has_peak(
     (500 ms), the window itself excluded. The chunk has a peak iff some
     window max is nonzero and at least `ratio` times that median.
     The test is scale invariant: has_peak(c) == has_peak(a*c) for a > 0.
+
+    Every window is tested at once, and each median equals np.median of
+    that window's neighbours bit for bit: row i of one matrix holds the
+    maxima of windows i-span .. i+span without i, padded past either end
+    with +inf, which sorts after every real value. Each sorted row's
+    middle value, or the mean (low + high) / 2 of its two middle values,
+    is taken from its count of real neighbours, and a NaN, which sorts
+    last, makes the whole row's median NaN. As in np.median, integer
+    maxima are compared in float64, and float maxima keep their dtype, so
+    `ratio * median` is a float32 for float32 chunks; the mean is taken in
+    float32 for float16 maxima and in their own dtype otherwise. A sum or
+    product past the float maximum is inf, without a warning.
     """
     chunk = np.asarray(chunk)
     if len(chunk) == 0:
@@ -107,15 +120,23 @@ def has_peak(
     n = len(maxima)
     if n < 2:
         return False
-    for i in range(n):
-        lo = max(0, i - span)
-        hi = min(n, i + span + 1)
-        neighbors = np.concatenate([maxima[lo:i], maxima[i + 1 : hi]])
-        if len(neighbors) == 0:
-            continue
-        if maxima[i] > 0.0 and maxima[i] >= ratio * np.median(neighbors):
-            return True
-    return False
+    if maxima.dtype.kind != "f":
+        maxima = maxima.astype(np.float64)
+    pad = np.full(span, np.inf, dtype=maxima.dtype)
+    index = np.arange(n)
+    count = np.minimum(index + span, n - 1) - np.maximum(index - span, 0)
+    offsets = np.arange(2 * span)
+    offsets[span:] += 1  # skip the window itself
+    neighbors = np.concatenate([pad, maxima, pad])[index[:, None] + offsets]
+    neighbors.sort(axis=1)
+    low = neighbors[index, (count - 1) // 2]
+    high = neighbors[index, count // 2]
+    mean_dtype = np.promote_types(maxima.dtype, np.float32)  # as np.mean's
+    with np.errstate(over="ignore"):
+        mean = ((low.astype(mean_dtype) + high) / 2).astype(maxima.dtype)
+        median = np.where(count % 2 == 1, low, mean)
+        median[np.isnan(neighbors[:, -1])] = np.nan
+        return bool(np.any((maxima > 0.0) & (maxima >= ratio * median)))
 
 
 def split_chunks(
@@ -130,7 +151,15 @@ def split_chunks(
     are consecutive, non-overlapping, CHUNK_SECONDS long; the trailing
     remainder shorter than one window is dropped. Chunks beyond the cap are
     discarded entirely (they do not join the noise pool).
+
+    Raises ValueError unless peak_ratio is finite and positive and
+    max_chunks is at least 1. A NaN or inf ratio, or a cap below 1, would
+    keep no chunk at all; a ratio <= 0 would keep every nonzero one.
     """
+    if not (math.isfinite(peak_ratio) and peak_ratio > 0.0):
+        raise ValueError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
+    if max_chunks < 1:
+        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
     chunk_len = int(round(clip.sample_rate * CHUNK_SECONDS))
     n_windows = len(clip.samples) // chunk_len
     chunks: list[np.ndarray] = []
@@ -148,12 +177,15 @@ def split_chunks(
 def normalize(chunk: np.ndarray) -> np.ndarray:
     """Scale a chunk so its peak magnitude is exactly 1.
 
-    Raises DegenerateInputError on an all-zero chunk.
+    Raises DegenerateInputError on an all-zero chunk or one holding a NaN
+    or inf.
     """
     chunk = np.asarray(chunk, dtype=np.float32)
     peak = float(np.abs(chunk).max()) if len(chunk) else 0.0
     if peak == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero chunk")
+    if not np.isfinite(peak):
+        raise DegenerateInputError("cannot normalize a chunk holding a NaN or inf")
     return chunk / np.float32(peak)
 
 
@@ -214,6 +246,13 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _used_bins(cfg: MelConfig) -> int:
+    """1 + the last FFT bin any band of mel_filterbank(cfg) weights, or 0."""
+    weighted = np.flatnonzero(mel_filterbank(cfg).any(axis=0))
+    return int(weighted[-1]) + 1 if len(weighted) else 0
+
+
+@lru_cache(maxsize=16)
 def _hann_window(fft_size: int) -> np.ndarray:
     """Periodic Hann window of fft_size samples, cached and read-only."""
     n = np.arange(fft_size)
@@ -230,6 +269,13 @@ def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpect
     are projected through the filterbank and expressed in dB relative to
     the loudest mel cell of this chunk, floored at -80 dB. The maximum of
     the result is therefore exactly 0 dB.
+
+    Only the FFT bins up to the filterbank's last nonzero column are squared
+    and projected. The result equals the product over every bin bit for
+    bit: each kept bin keeps its place in each sum, and each dropped bin
+    would add 0 * power, an exact zero, because every power is finite. That
+    premise is checked: a chunk holding a NaN or inf, or samples so large
+    that a power could overflow, raises DegenerateInputError.
     """
     cfg.validate()
     chunk = np.asarray(chunk, dtype=np.float64)
@@ -238,11 +284,18 @@ def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpect
         raise ValueError(
             f"chunk of {len(chunk)} samples is shorter than one FFT frame"
         )
+    # |bin| <= fft_size * max |s|, so this bound keeps every power finite
+    limit = np.sqrt(np.finfo(np.float64).max) / (2 * cfg.fft_size)
+    if not max(chunk.max(), -chunk.min()) <= limit:
+        raise DegenerateInputError(
+            f"chunk samples must be finite and at most {limit:.3g} in magnitude"
+        )
     frames = np.lib.stride_tricks.sliding_window_view(chunk, cfg.fft_size)[:: cfg.hop]
     frames = frames[:n_frames]
-    spectra = np.fft.rfft(frames * _hann_window(cfg.fft_size), axis=1)
+    used = _used_bins(cfg)
+    spectra = np.fft.rfft(frames * _hann_window(cfg.fft_size), axis=1)[:, :used]
     power = spectra.real**2 + spectra.imag**2
-    mel_power = power @ mel_filterbank(cfg).T  # (n_frames, n_mels)
+    mel_power = power @ mel_filterbank(cfg)[:, :used].T  # (n_frames, n_mels)
     ref = float(mel_power.max())
     if ref <= 0.0:
         raise DegenerateInputError("chunk has no spectral energy")

@@ -146,11 +146,14 @@ def pareto_front(trials, include_accuracy: bool = True) -> set[str]:
     before it: an earlier trial that dominates it is either a front member
     or dominated by one, and dominance is transitive. The cost is
     O(n log n) for the sort plus at most n * |front| dominance tests, not
-    n * (n - 1).
+    n * (n - 1). The front is scanned newest first: its latest members are
+    the nearest in cost, and so the likeliest to dominate the candidate.
     """
     front: list[TrialRecord] = []
     for candidate in sorted(_require(trials), key=lambda t: (t.ram, t.rom, t.flops, -t.acc)):
-        if not any(_dominates(member, candidate, include_accuracy) for member in front):
+        if not any(
+            _dominates(member, candidate, include_accuracy) for member in reversed(front)
+        ):
             front.append(candidate)
     return {t.id for t in front}
 

@@ -11,6 +11,10 @@ It fails if a mutant survives, if its old text does not occur exactly
 once in its file, or if a test errors in any other way. A survivor is
 fixed by a test, never by deleting the entry.
 
+Mutants that cannot change any output sit in EQUIVALENT, each with the
+reason. They are applied the same way, and their tests must still pass:
+a failure there proves the stated reason wrong.
+
 Run from anywhere:
 
     python3 tests/mutants.py
@@ -44,18 +48,51 @@ MUTANTS = (
     Mutant(
         "has_peak: > for >=",
         "src/birdedge/preprocess.py",
-        "maxima[i] >= ratio * np.median(neighbors)",
-        "maxima[i] > ratio * np.median(neighbors)",
+        "(maxima >= ratio * median)",
+        "(maxima > ratio * median)",
         ("tests/test_preprocess.py::TestHasPeak::"
          "test_max_exactly_ratio_times_median_is_a_peak",),
     ),
     Mutant(
         "has_peak: window counted in its own median",
         "src/birdedge/preprocess.py",
-        "neighbors = np.concatenate([maxima[lo:i], maxima[i + 1 : hi]])",
-        "neighbors = maxima[lo:hi]",
+        "np.maximum(index - span, 0)\n"
+        "    offsets = np.arange(2 * span)\n"
+        "    offsets[span:] += 1  # skip the window itself\n",
+        "np.maximum(index - span, 0) + 1\n"
+        "    offsets = np.arange(2 * span + 1)\n",
         ("tests/test_preprocess.py::TestHasPeak::"
          "test_window_is_left_out_of_its_own_median",),
+    ),
+    Mutant(
+        "has_peak: window in its own row, count unchanged",
+        "src/birdedge/preprocess.py",
+        "    offsets[span:] += 1  # skip the window itself\n",
+        "",
+        ("tests/test_preprocess.py::TestHasPeak::"
+         "test_window_is_not_sorted_in_with_its_neighbours",),
+    ),
+    Mutant(
+        "has_peak: rows padded with 0 for +inf",
+        "src/birdedge/preprocess.py",
+        "pad = np.full(span, np.inf, dtype=maxima.dtype)",
+        "pad = np.full(span, 0, dtype=maxima.dtype)",
+        ("tests/test_preprocess.py::TestHasPeakAgainstLoop::test_matches_loop",),
+    ),
+    Mutant(
+        "has_peak: float16 pairs averaged in float16",
+        "src/birdedge/preprocess.py",
+        "mean_dtype = np.promote_types(maxima.dtype, np.float32)",
+        "mean_dtype = maxima.dtype",
+        ("tests/test_preprocess.py::TestHasPeakAgainstLoop::"
+         "test_float16_pairs_are_averaged_in_float32",),
+    ),
+    Mutant(
+        "mel_spectrogram: one weighted bin too few",
+        "src/birdedge/preprocess.py",
+        "return int(weighted[-1]) + 1 if",
+        "return int(weighted[-1]) if",
+        ("tests/test_preprocess.py::TestMelBinCut::test_matches_full_product_bytewise",),
     ),
     Mutant(
         "int32 bound: graph input zero point for every layer",
@@ -111,6 +148,31 @@ MUTANTS = (
 )
 
 
+# Mutants no test can kill, because the output cannot change; each gives
+# the reason. The script applies them too, and there their tests must pass.
+EQUIVALENT = (
+    Mutant(
+        "pareto_front: front scanned oldest first",  # the same any() over
+        # the same members: the order changes the count of dominance tests
+        # (pinned by test_front_is_scanned_newest_first), never the front
+        "src/birdedge/trials.py",
+        "for member in reversed(front)",
+        "for member in front",
+        ("tests/test_trials.py::TestParetoFront::test_matches_oracle_on_grids",),
+    ),
+    Mutant(
+        "has_peak: the two median indices swapped",  # low + high is
+        # commutative in IEEE arithmetic, and an odd count's indices coincide
+        "src/birdedge/preprocess.py",
+        "low = neighbors[index, (count - 1) // 2]\n"
+        "    high = neighbors[index, count // 2]",
+        "low = neighbors[index, count // 2]\n"
+        "    high = neighbors[index, (count - 1) // 2]",
+        ("tests/test_preprocess.py::TestHasPeakAgainstLoop::test_matches_loop",),
+    ),
+)
+
+
 def run_tests(tree: Path, node_ids) -> int:
     """pytest's exit code for the given node ids, run in the copied tree."""
     env = dict(os.environ)
@@ -124,7 +186,8 @@ def run_tests(tree: Path, node_ids) -> int:
 
 
 def main() -> int:
-    stale = [m.name for m in MUTANTS if (ROOT / m.path).read_text().count(m.old) != 1]
+    everything = MUTANTS + EQUIVALENT
+    stale = [m.name for m in everything if (ROOT / m.path).read_text().count(m.old) != 1]
     for name in stale:
         print(f"STALE     {name}: old text not found exactly once", file=sys.stderr)
     if stale:
@@ -142,12 +205,12 @@ def main() -> int:
                 )
             else:
                 shutil.copy2(source, tree / name)
-        every_node = sorted({node for m in MUTANTS for node in m.kills})
+        every_node = sorted({node for m in everything for node in m.kills})
         code = run_tests(tree, every_node)
         if code != 0:
             print(f"the unmutated tests do not pass (pytest exit {code})", file=sys.stderr)
             return 1
-        for m in MUTANTS:
+        for m in everything:
             path = tree / m.path
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -157,10 +220,15 @@ def main() -> int:
                 path.write_text(original)
             # pytest exits 1 when a test failed; 0 means the mutant survived,
             # and anything else (collection error, unknown node) proves nothing
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
-            print(f"{verdict:9} {m.name}")
-            failures += code != 1
-    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+            if m in EQUIVALENT:
+                verdict = {0: "equivalent", 1: "KILLED"}.get(code, f"ERROR {code}")
+                failures += code != 0
+            else:
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                failures += code != 1
+            print(f"{verdict:10} {m.name}")
+    print(f"{len(MUTANTS)} mutants and {len(EQUIVALENT)} equivalent ones, "
+          f"{failures} not as listed")
     return int(failures > 0)
 
 

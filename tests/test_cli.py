@@ -192,6 +192,17 @@ class TestPreprocess:
         assert main(["preprocess", "--in", str(empty), "--out", str(tmp_path / "o")]) == 1
         assert "no .wav files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-chunks", "-1"), ("--max-chunks", "0"),
+        ("--peak-ratio", "nan"), ("--peak-ratio", "inf"),
+    ])
+    def test_screen_that_keeps_no_chunk_exits_1(self, recordings_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        wav = recordings_dir / "calls_48k.wav"
+        assert main(["preprocess", "--in", str(wav), "--out", str(out), flag, value]) == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not list(out.rglob("*.mels"))
+
 
 class TestAugment:
     def run_augment(self, pipeline, dest):

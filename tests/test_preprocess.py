@@ -3,7 +3,9 @@
 Silence removal is checked against a naive per-sample sliding-max oracle
 and against the scipy maximum_filter1d formula it replaced, and the mel
 frequency mapping against a from-scratch reimplementation of the piecewise
-linear/log scale using only the math module.
+linear/log scale using only the math module. The peak screen is checked
+against a loop with one np.median per window, and the mel projection
+against the product over every FFT bin.
 """
 
 import math
@@ -18,11 +20,13 @@ from scipy.ndimage import maximum_filter1d
 
 from birdedge.audio_io import AudioClip
 from birdedge.exceptions import ConfigError, DegenerateInputError
-from birdedge.melspec import MelConfig
+from birdedge.melspec import MelConfig, power_to_db
 from birdedge.preprocess import (
     CHUNK_SECONDS,
+    ENVELOPE_WINDOW_SECONDS,
     MAX_CHUNKS,
     MIN_CLIP_SECONDS,
+    PEAK_NEIGHBORHOOD_SECONDS,
     PEAK_RATIO,
     SILENCE_THRESHOLD,
     has_peak,
@@ -237,6 +241,98 @@ class TestRemoveSilenceAgainstFilter:
         assert len(self.check(samples, 100)) == 0
 
 
+def naive_has_peak(chunk, sample_rate=48000, ratio=PEAK_RATIO):
+    """The peak screen as a loop over windows, one np.median each."""
+    chunk = np.asarray(chunk)
+    if len(chunk) == 0:
+        return False
+    window = max(1, int(round(sample_rate * ENVELOPE_WINDOW_SECONDS)))
+    span = max(1, int(round(PEAK_NEIGHBORHOOD_SECONDS / ENVELOPE_WINDOW_SECONDS)))
+    maxima = np.maximum.reduceat(np.abs(chunk), np.arange(0, len(chunk), window))
+    n = len(maxima)
+    if n < 2:
+        return False
+    for i in range(n):
+        lo = max(0, i - span)
+        hi = min(n, i + span + 1)
+        neighbors = np.concatenate([maxima[lo:i], maxima[i + 1 : hi]])
+        if len(neighbors) == 0:
+            continue
+        if maxima[i] > 0.0 and maxima[i] >= ratio * np.median(neighbors):
+            return True
+    return False
+
+
+# 10-sample windows keep drawn chunks small; the span stays 10 windows
+SMALL_RATE = 200
+SMALL_WINDOW = 10
+F32_MAX = float(np.finfo(np.float32).max)
+LEVELS = {
+    np.float16: [0.0, 0.25, 0.5, 1.0, 2.0, 32768.0, 49152.0, 65504.0, math.nan],
+    np.float32: [0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 2.0, 0.75 * F32_MAX, F32_MAX, math.nan],
+    np.float64: [0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 2.0, 0.75 * F32_MAX, F32_MAX,
+                 float(np.finfo(np.float64).max), math.nan],
+    np.int16: [0, 1, 2, 3, 100, 1000, -1000, 32767, -32768],
+}
+
+
+@st.composite
+def peak_screen_cases(draw):
+    """(chunk, ratio): float16, float32, float64 or int16 per-window levels
+    from a small pool, so medians tie, even neighbour counts average two
+    equal or unequal values, and sums pass the float maximum."""
+    dtype = draw(st.sampled_from(list(LEVELS)))
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 45)))
+    levels = np.array(
+        draw(st.lists(st.sampled_from(LEVELS[dtype]), min_size=n, max_size=n)),
+        dtype=dtype,
+    )
+    ratio = draw(st.one_of(
+        st.sampled_from([1.0, PEAK_RATIO, 1.5, 2.0]), st.floats(0.5, 4.0)
+    ))
+    if n >= 2 and dtype is not np.int16 and draw(st.booleans()):
+        # one window exactly ratio times its neighbours' median
+        i = draw(st.integers(0, n - 1))
+        neighbors = np.concatenate([levels[max(0, i - 10):i], levels[i + 1:i + 11]])
+        with np.errstate(over="ignore"):
+            levels[i] = ratio * np.median(np.abs(neighbors))
+    chunk = np.repeat(levels, SMALL_WINDOW)
+    if n and draw(st.booleans()):
+        chunk = chunk[:len(chunk) - draw(st.integers(1, SMALL_WINDOW - 1))]
+    return chunk, ratio
+
+
+class TestHasPeakAgainstLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(case=peak_screen_cases())
+    def test_matches_loop(self, case):
+        chunk, ratio = case
+        with np.errstate(over="ignore"):  # np.median warns where a sum overflows
+            expect = naive_has_peak(chunk, SMALL_RATE, ratio)
+        assert has_peak(chunk, SMALL_RATE, ratio) == expect
+
+    @pytest.mark.parametrize("dtype", list(LEVELS))
+    def test_all_zero(self, dtype):
+        for n in (0, 1, SMALL_WINDOW, 2 * SMALL_WINDOW, 45 * SMALL_WINDOW - 3):
+            chunk = np.zeros(n, dtype=dtype)
+            assert not has_peak(chunk, SMALL_RATE)
+            assert not naive_has_peak(chunk, SMALL_RATE)
+
+    def test_float16_pairs_are_averaged_in_float32(self):
+        # 32768 + 32768 is past the float16 maximum, and np.median averages
+        # float16 values in float32, so the first window's median is 32768
+        chunk = np.repeat(np.array([65504, 32768, 32768], dtype=np.float16), SMALL_WINDOW)
+        assert naive_has_peak(chunk, SMALL_RATE)
+        assert has_peak(chunk, SMALL_RATE)
+
+    def test_matches_loop_on_random_chunks(self):
+        rng = np.random.default_rng(12)
+        for k in range(60):
+            chunk = rng.uniform(-1, 1, RATE * 2).astype(np.float32)
+            chunk *= rng.uniform(0, 1, RATE * 2).astype(np.float32) ** (1 + k % 5)
+            assert has_peak(chunk, RATE) == naive_has_peak(chunk, RATE)
+
+
 class TestHasPeak:
     def test_flat_chunk_is_noise(self):
         assert not has_peak(np.full(RATE * 2, 0.4, dtype=np.float32), RATE)
@@ -279,6 +375,16 @@ class TestHasPeak:
         levels = np.where(np.arange(40) % 2 == 0, 0.5, 0.05).astype(np.float32)
         levels[-1] = 0.5
         assert has_peak(np.repeat(levels, window), RATE)
+
+    def test_window_is_not_sorted_in_with_its_neighbours(self):
+        # a step from 1.0 to 1.3 with one 1.2 window on it. That window's
+        # neighbours are ten 1.0s and ten 1.3s, median 1.15, and 1.2 is
+        # less than 1.075 * 1.15, so no window is a peak. Sorted in among
+        # its own neighbours, the 1.2 would become their upper middle
+        # value, and 1.2 >= 1.075 * (1.0 + 1.2) / 2 would make it one.
+        window = round(RATE * 0.05)
+        levels = np.array([1.0] * 20 + [1.2] + [1.3] * 19, dtype=np.float32)
+        assert not has_peak(np.repeat(levels, window), RATE)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.01, 50.0))
@@ -328,6 +434,16 @@ class TestSplitChunks:
         assert np.array_equal(chunks[0], first)
         assert np.array_equal(chunks[1], second)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_ratio_must_be_finite_and_positive(self, ratio):
+        with pytest.raises(ValueError, match="peak_ratio"):
+            split_chunks(clip_of(peaked_chunk()), peak_ratio=ratio)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_at_least_one(self, cap):
+        with pytest.raises(ValueError, match="max_chunks"):
+            split_chunks(clip_of(peaked_chunk()), max_chunks=cap)
+
 
 class TestNormalize:
     def test_peak_hits_one(self):
@@ -337,6 +453,13 @@ class TestNormalize:
     def test_zero_chunk_rejected(self):
         with pytest.raises(DegenerateInputError):
             normalize(np.zeros(10, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_chunk_rejected(self, bad):
+        chunk = np.full(10, 0.5, dtype=np.float32)
+        chunk[3] = bad
+        with pytest.raises(DegenerateInputError):
+            normalize(chunk)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -402,6 +525,17 @@ class TestMelSpectrogram:
         with pytest.raises(DegenerateInputError):
             mel_spectrogram(np.zeros(RATE * 2, dtype=np.float32))
 
+    # the last sample lies in no frame: 248 * 384 + 512 = 95744 < 96000
+    @pytest.mark.parametrize("bad, at", [
+        (math.nan, 1000), (math.inf, 1000), (-math.inf, 1000),
+        (math.nan, RATE * 2 - 1), (1e200, 1000),
+    ])
+    def test_non_finite_or_overflowing_chunk_rejected(self, bad, at):
+        chunk = np.random.default_rng(5).uniform(-1, 1, RATE * 2)
+        chunk[at] = bad
+        with pytest.raises(DegenerateInputError):
+            mel_spectrogram(chunk)
+
     def test_band_edges_match_reference(self):
         edges = mel_band_edges(MelConfig())
         lo, hi = _hz_to_mel(150.0), _hz_to_mel(7500.0)
@@ -458,6 +592,54 @@ class TestMelSpectrogram:
     def test_bad_configs(self, kwargs):
         with pytest.raises(ConfigError):
             mel_spectrogram(np.ones(4096, dtype=np.float32), MelConfig(**kwargs))
+
+
+def full_product_mel(chunk, cfg):
+    """mel_spectrogram projecting every FFT bin through the filterbank."""
+    chunk = np.asarray(chunk, dtype=np.float64)
+    n = np.arange(cfg.fft_size)
+    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / cfg.fft_size))
+    frames = np.lib.stride_tricks.sliding_window_view(chunk, cfg.fft_size)[:: cfg.hop]
+    spectra = np.fft.rfft(frames[: cfg.frame_count(len(chunk))] * hann, axis=1)
+    power = spectra.real**2 + spectra.imag**2
+    mel_power = power @ mel_filterbank(cfg).T
+    return power_to_db(mel_power, float(mel_power.max())).T.astype(np.float32)
+
+
+# (config, FFT bins its filterbank weights, of fft_size // 2 + 1)
+BIN_CUT_CONFIGS = [
+    (MelConfig(), 80),
+    (MelConfig(f_max=24000.0), 257),
+    (MelConfig(n_mels=40, f_max=4000.0), 43),
+    (MelConfig(sample_rate=16000, n_mels=32, fft_size=256, hop=128, f_max=8000.0), 128),
+    (MelConfig(fft_size=1024, hop=512), 160),
+    (MelConfig(sample_rate=22050, f_max=11025.0), 256),
+]
+
+
+class TestMelBinCut:
+    @pytest.mark.parametrize("cfg, weighted", BIN_CUT_CONFIGS)
+    def test_filterbank_is_zero_past_the_weighted_bins(self, cfg, weighted):
+        bank = mel_filterbank(cfg)
+        assert bank[:, weighted - 1].any()
+        assert not bank[:, weighted:].any()
+
+    @pytest.mark.parametrize("cfg, weighted", BIN_CUT_CONFIGS)
+    def test_matches_full_product_bytewise(self, cfg, weighted):
+        rng = np.random.default_rng(weighted)
+        for _ in range(8):
+            n = int(rng.integers(cfg.fft_size, 3 * cfg.sample_rate))
+            chunk = rng.uniform(-1, 1, n).astype(np.float32)
+            chunk *= rng.uniform(0, 1, n).astype(np.float32) ** int(rng.integers(1, 5))
+            got = mel_spectrogram(chunk, cfg).values
+            assert got.tobytes() == full_product_mel(chunk, cfg).tobytes()
+
+    def test_filterbank_weighting_no_bin_means_no_energy(self):
+        # bins lie 93.75 Hz apart, so none falls inside 100-101 Hz
+        cfg = MelConfig(f_min=100.0, f_max=101.0)
+        assert not mel_filterbank(cfg).any()
+        with pytest.raises(DegenerateInputError, match="no spectral energy"):
+            mel_spectrogram(np.random.default_rng(0).uniform(-1, 1, 4096), cfg)
 
 
 def loud_peaked_chunk(seed=0):
