@@ -17,11 +17,10 @@ from .graph import (
     WEIGHTED_KINDS,
     LayerSpec,
     ModelGraph,
-    ResourceReport,
     validate_graph,
 )
-from .resources import count_flops, estimate_ram, estimate_rom, resource_report
-from .serialize import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
+from .resources import ResourceReport, count_flops, estimate_ram, resource_report
+from .serialize import MODEL_MAGIC, MODEL_VERSION, estimate_rom, load_model, save_model
 
 __all__ = [
     "INPUT_BUFFER",

@@ -84,15 +84,6 @@ class ModelGraph:
     input_zero_point: int = 127
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """Static cost estimates for one model."""
-
-    flops: int
-    ram_bytes: int
-    rom_bytes: int
-
-
 def output_shape(
     layer: LayerSpec, in_shape: tuple[int, int, int]
 ) -> tuple[int, int, int]:
@@ -148,37 +139,13 @@ def output_shape(
     raise GraphError(f"unknown layer kind {kind!r}")
 
 
-def activation_shapes(model: ModelGraph) -> list[tuple[int, int, int]]:
-    """Output shape of every layer, validating the chain as it goes."""
-    shapes: list[tuple[int, int, int]] = []
-    current = model.input_shape
-    for i, layer in enumerate(model.layers):
-        if layer.kind == "residual_add":
-            if layer.skip_from is None:
-                raise GraphError(f"layer {i}: residual_add without a skip source")
-            if not INPUT_BUFFER <= layer.skip_from < i:
-                raise GraphError(
-                    f"layer {i}: skip source {layer.skip_from} out of range"
-                )
-            skip_shape = (
-                model.input_shape
-                if layer.skip_from == INPUT_BUFFER
-                else shapes[layer.skip_from]
-            )
-            if skip_shape != current:
-                raise GraphError(
-                    f"layer {i}: residual operands differ, {current} vs {skip_shape}"
-                )
-        try:
-            current = output_shape(layer, current)
-        except GraphError as err:
-            raise GraphError(f"layer {i}: {err}") from None
-        shapes.append(current)
-    return shapes
+def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
+    """Check the whole graph; raise GraphError on the first violation.
 
-
-def validate_graph(model: ModelGraph) -> None:
-    """Check the whole graph; raise GraphError on the first violation."""
+    Returns the (C, H, W) shape of every buffer in the order inference
+    fills them: shapes[k - INPUT_BUFFER] is the output of layer k, so
+    shapes[0] is the graph input.
+    """
     if not model.layers:
         raise GraphError("model has no layers")
     if len(model.input_shape) != 3 or any(d < 1 for d in model.input_shape):
@@ -204,6 +171,7 @@ def validate_graph(model: ModelGraph) -> None:
     if model.class_count < 1:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
+    shapes = [model.input_shape]
     for i, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise GraphError(f"layer {i}: unknown kind {layer.kind!r}")
@@ -247,8 +215,22 @@ def validate_graph(model: ModelGraph) -> None:
                     )
             if min(layer.kernel) < 1 or layer.stride < 1 or layer.padding < 0:
                 raise GraphError(f"layer {i}: bad kernel geometry")
-
-    activation_shapes(model)  # validates chain compatibility and residuals
+        if layer.kind == "residual_add":
+            if layer.skip_from is None:
+                raise GraphError(f"layer {i}: residual_add without a skip source")
+            if not INPUT_BUFFER <= layer.skip_from < i:
+                raise GraphError(
+                    f"layer {i}: skip source {layer.skip_from} out of range"
+                )
+            skip_shape = shapes[layer.skip_from - INPUT_BUFFER]
+            if skip_shape != shapes[-1]:
+                raise GraphError(
+                    f"layer {i}: residual operands differ, {shapes[-1]} vs {skip_shape}"
+                )
+        try:
+            shapes.append(output_shape(layer, shapes[-1]))
+        except GraphError as err:
+            raise GraphError(f"layer {i}: {err}") from None
 
     last = model.layers[-1]
     if last.kind != "linear":
@@ -257,6 +239,7 @@ def validate_graph(model: ModelGraph) -> None:
         raise GraphError(
             f"final layer emits {last.out_ch} logits for {model.class_count} classes"
         )
+    return shapes
 
 
 def check_int32_accumulators(model: ModelGraph) -> None:

@@ -12,8 +12,8 @@ Layout:
     layer records    see below
 
 A layer record is the kind byte (the kind's index in LAYER_KINDS) and
-then the fields below; the table _RECORDS is this layout, and both
-save_model and load_model read it.
+then the fields below; the table _RECORDS is this layout, and
+save_model, load_model and estimate_rom read it.
 
 Weighted record (conv2d, depthwise_conv2d, pointwise_conv2d, linear):
     kind u8, in_ch u32, out_ch u32, k_h u32, k_w u32, stride u32,
@@ -103,6 +103,25 @@ def save_model(model: ModelGraph) -> bytes:
             if has_bias:
                 parts.append(np.ascontiguousarray(layer.bias, dtype="<i4").tobytes())
     return b"".join(parts)
+
+
+def estimate_rom(model: ModelGraph) -> int:
+    """Bytes of parameters, quantization constants, and graph metadata.
+
+    Equals the size of the serialized container, so it is invariant to
+    activation shapes and grows with every stored constant. The size is
+    summed from the container layout; no byte is packed.
+    """
+    validate_graph(model)
+    # magic, version u32, then the header
+    size = len(MODEL_MAGIC) + 4 + struct.calcsize(_HEADER)
+    for layer in model.layers:
+        size += 1 + struct.calcsize(_RECORDS[layer.kind][0])  # kind byte, record
+        if layer.kind in WEIGHTED_KINDS:
+            size += layer.weight_count()  # int8 weights
+            if layer.bias is not None:
+                size += 4 * layer.out_ch  # int32 biases
+    return size
 
 
 class _Reader:

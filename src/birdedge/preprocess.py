@@ -48,6 +48,18 @@ def length_filter(clip: AudioClip) -> bool:
     return clip.duration >= MIN_CLIP_SECONDS
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def _check_screen(peak_ratio: float, max_chunks: int) -> None:
+    if not (math.isfinite(peak_ratio) and peak_ratio > 0.0):
+        raise ValueError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
+    if max_chunks < 1:
+        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
+
+
 def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> AudioClip:
     """Cut silent regions out of a clip and concatenate the rest.
 
@@ -57,8 +69,7 @@ def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> Aud
     all-zero clip comes back empty. Sample order is preserved; nothing else
     is modified.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     abs_samples = np.abs(clip.samples, dtype=np.float32)
     if len(abs_samples) == 0:
         return AudioClip(samples=clip.samples.copy(), sample_rate=clip.sample_rate)
@@ -80,7 +91,12 @@ def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> Aud
 
 
 def _window_maxima(chunk: np.ndarray, window: int) -> np.ndarray:
-    """Maxima of |chunk| over consecutive windows; the last one may be short."""
+    """Maxima of |chunk| over consecutive windows; the last one may be short.
+
+    Integer chunks are taken to float64 first, so |-32768| is 32768.
+    """
+    if chunk.dtype.kind in "biu":
+        chunk = chunk.astype(np.float64)
     edges = np.arange(0, len(chunk), window)
     return np.maximum.reduceat(np.abs(chunk), edges)
 
@@ -106,7 +122,7 @@ def has_peak(
     middle value, or the mean (low + high) / 2 of its two middle values,
     is taken from its count of real neighbours, and a NaN, which sorts
     last, makes the whole row's median NaN. As in np.median, integer
-    maxima are compared in float64, and float maxima keep their dtype, so
+    chunks are compared in float64, and float maxima keep their dtype, so
     `ratio * median` is a float32 for float32 chunks; the mean is taken in
     float32 for float16 maxima and in their own dtype otherwise. A sum or
     product past the float maximum is inf, without a warning.
@@ -120,8 +136,6 @@ def has_peak(
     n = len(maxima)
     if n < 2:
         return False
-    if maxima.dtype.kind != "f":
-        maxima = maxima.astype(np.float64)
     pad = np.full(span, np.inf, dtype=maxima.dtype)
     index = np.arange(n)
     count = np.minimum(index + span, n - 1) - np.maximum(index - span, 0)
@@ -147,19 +161,19 @@ def split_chunks(
     """Slice a clip into fixed-length chunks and screen them for peaks.
 
     Returns (chunks, noise): `chunks` are the first max_chunks windows that
-    pass has_peak, in order; `noise` collects every rejected window. Windows
-    are consecutive, non-overlapping, CHUNK_SECONDS long; the trailing
-    remainder shorter than one window is dropped. Chunks beyond the cap are
-    discarded entirely (they do not join the noise pool).
+    pass has_peak, in order; `noise` collects every rejected window. Chunks
+    are views of clip.samples; noise windows are copies, because they
+    outlive preprocess_recording and a view would keep the whole clip
+    alive. Windows are consecutive, non-overlapping, CHUNK_SECONDS long;
+    the trailing remainder shorter than one window is dropped. Chunks
+    beyond the cap are discarded entirely (they do not join the noise
+    pool).
 
     Raises ValueError unless peak_ratio is finite and positive and
     max_chunks is at least 1. A NaN or inf ratio, or a cap below 1, would
     keep no chunk at all; a ratio <= 0 would keep every nonzero one.
     """
-    if not (math.isfinite(peak_ratio) and peak_ratio > 0.0):
-        raise ValueError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
-    if max_chunks < 1:
-        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
+    _check_screen(peak_ratio, max_chunks)
     chunk_len = int(round(clip.sample_rate * CHUNK_SECONDS))
     n_windows = len(clip.samples) // chunk_len
     chunks: list[np.ndarray] = []
@@ -168,7 +182,7 @@ def split_chunks(
         window = clip.samples[k * chunk_len : (k + 1) * chunk_len]
         if has_peak(window, sample_rate=clip.sample_rate, ratio=peak_ratio):
             if len(chunks) < max_chunks:
-                chunks.append(window.copy())
+                chunks.append(window)
         else:
             noise.append(window.copy())
     return chunks, noise
@@ -315,8 +329,11 @@ def preprocess_recording(
     Order: length gate -> silence removal (at the native rate) -> resample
     to cfg.sample_rate -> chunk + peak screen -> normalize -> mel convert.
     Returns (spectrograms, noise_chunks). A too-short clip, or one whose
-    voiced part shrinks below one chunk, yields ([], noise_chunks).
+    voiced part shrinks below one chunk, yields ([], noise_chunks). A bad
+    setting raises ValueError whatever the clip.
     """
+    _check_threshold(silence_threshold)
+    _check_screen(peak_ratio, max_chunks)
     if not length_filter(clip):
         return [], []
     voiced = remove_silence(clip, threshold=silence_threshold)

@@ -118,7 +118,7 @@ MUTANTS = (
     ),
     Mutant(
         "estimate_rom: bias counted one byte per channel",
-        "src/birdedge/nnrt/resources.py",
+        "src/birdedge/nnrt/serialize.py",
         "size += 4 * layer.out_ch",
         "size += layer.out_ch",
         ("tests/test_nnrt.py::TestResources::"
@@ -126,10 +126,65 @@ MUTANTS = (
     ),
     Mutant(
         "estimate_rom: no validation",
-        "src/birdedge/nnrt/resources.py",
+        "src/birdedge/nnrt/serialize.py",
         "    validate_graph(model)\n    # magic",
         "    # magic",
         ("tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",),
+    ),
+    Mutant(
+        "estimate_ram: residual source freed a step early",
+        "src/birdedge/nnrt/resources.py",
+        "last_read[layer.skip_from - INPUT_BUFFER] = i\n",
+        "last_read[layer.skip_from - INPUT_BUFFER] = i - 1\n",
+        ("tests/test_nnrt.py::TestResources::test_ram_residual_span",
+         "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
+    ),
+    Mutant(
+        "estimate_ram: sweep starts without the graph input",
+        "src/birdedge/nnrt/resources.py",
+        "live, peak = sizes[0], 0",
+        "live, peak = 0, 0",
+        ("tests/test_nnrt.py::TestResources::test_ram_chain_liveness",
+         "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
+    ),
+    Mutant(
+        "count_flops: each layer costed on its input shape",
+        "src/birdedge/nnrt/resources.py",
+        "zip(model.layers, shapes[1:])",
+        "zip(model.layers, shapes[:-1])",
+        ("tests/test_nnrt.py::TestResources::test_flops_hand_count",
+         "tests/test_nnrt.py::TestRandomGraphs::test_flops_match_a_brute_force_count"),
+    ),
+    Mutant(
+        "validate_graph: skip shape read one buffer late",
+        "src/birdedge/nnrt/graph.py",
+        "skip_shape = shapes[layer.skip_from - INPUT_BUFFER]",
+        "skip_shape = shapes[layer.skip_from]",
+        ("tests/test_nnrt.py::TestValidation::test_residual_shape_mismatch",
+         "tests/test_nnrt.py::TestRandomGraphs::"
+         "test_validate_graph_returns_every_buffer_shape"),
+    ),
+    Mutant(
+        "has_peak: |x| taken in the integer dtype",
+        "src/birdedge/preprocess.py",
+        '    if chunk.dtype.kind in "biu":\n'
+        "        chunk = chunk.astype(np.float64)\n"
+        "    edges = np.arange(0, len(chunk), window)\n"
+        "    return np.maximum.reduceat(np.abs(chunk), edges)\n",
+        "    edges = np.arange(0, len(chunk), window)\n"
+        "    maxima = np.maximum.reduceat(np.abs(chunk), edges)\n"
+        '    return maxima if maxima.dtype.kind == "f" else maxima.astype(np.float64)\n',
+        ("tests/test_preprocess.py::TestHasPeak::"
+         "test_int16_full_scale_negative_window_is_a_peak",),
+    ),
+    Mutant(
+        "preprocess_recording: settings checked only past the length gate",
+        "src/birdedge/preprocess.py",
+        "    _check_threshold(silence_threshold)\n"
+        "    _check_screen(peak_ratio, max_chunks)\n",
+        "",
+        ("tests/test_preprocess.py::TestPipeline::test_bad_setting_raises_whatever_the_clip",
+         "tests/test_cli.py::TestPreprocess::test_bad_setting_exits_1_on_a_too_short_clip"),
     ),
     Mutant(
         "cli: parser rebuilt on every call",

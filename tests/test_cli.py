@@ -203,6 +203,26 @@ class TestPreprocess:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not list(out.rglob("*.mels"))
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--max-chunks", "0", "max_chunks"),
+        ("--peak-ratio", "nan", "peak_ratio"),
+        ("--silence-threshold", "2", "threshold"),
+    ])
+    def test_bad_setting_exits_1_on_a_too_short_clip(self, tmp_path, capsys, flag, value, name):
+        # the length gate drops this clip before any screen would see it
+        recordings = tmp_path / "short"
+        recordings.mkdir()
+        samples = np.full(48000, 1000, dtype="<i2")
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE", b"fmt ",
+            16, 1, 1, 48000, 96000, 2, 16, b"data", samples.nbytes,
+        )
+        (recordings / "a.wav").write_bytes(header + samples.tobytes())
+        out = tmp_path / "o"
+        assert main(["preprocess", "--in", str(recordings), "--out", str(out), flag, value]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAugment:
     def run_augment(self, pipeline, dest):

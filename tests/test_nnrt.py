@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birdedge.exceptions import (
     BirdEdgeError,
@@ -817,6 +819,13 @@ class TestResources:
         with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
             estimate_rom(model)
 
+    @pytest.mark.parametrize("cost", [count_flops, estimate_ram])
+    def test_cost_of_an_invalid_graph_raises(self, cost):
+        model = chain_model()
+        model.layers[0].weight = model.layers[0].weight[:-1]
+        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
+            cost(model)
+
     def test_zero_bias_costs_rom_only(self):
         plain = chain_model()
         biased = chain_model()
@@ -839,6 +848,118 @@ class TestResources:
         assert report.flops == count_flops(model)
         assert report.ram_bytes == estimate_ram(model)
         assert report.rom_bytes == estimate_rom(model)
+
+
+@st.composite
+def small_graphs(draw):
+    """A small valid ModelGraph on a (1, H, W) input: 1-6 layers of any
+    kind but linear, with 1-3 kernels, strides 1-2, paddings below the
+    kernel and residual sources anywhere the shapes agree, the graph input
+    included; then a pool unless the map is already 1x1, then the head."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    shapes = [(1, draw(st.integers(1, 7)), draw(st.integers(1, 7)))]
+    layers = []
+    for i in range(draw(st.integers(1, 6))):
+        c, h, w = shapes[-1]
+        kind = draw(st.sampled_from(LAYER_KINDS[:-1]))
+        affine = dict(out_scale=float(np.float32(draw(st.floats(2**-8, 4.0)))),
+                      out_zero_point=draw(st.integers(-128, 127)))
+        if kind in ("conv2d", "depthwise_conv2d"):
+            pad = draw(st.integers(0, 2))
+            kernel = (draw(st.integers(pad + 1, min(3, h + 2 * pad))),
+                      draw(st.integers(pad + 1, min(3, w + 2 * pad))))
+        else:
+            pad, kernel = 0, (1, 1)
+        if kind in ("conv2d", "depthwise_conv2d", "pointwise_conv2d"):
+            out_ch = c if kind == "depthwise_conv2d" else draw(st.integers(1, 4))
+            bias = None
+            if draw(st.booleans()):
+                bias = np.random.default_rng(seed + i).integers(
+                    -1000, 1000, out_ch).astype(np.int32)
+            layer = conv(c, out_ch, kernel, draw(st.integers(1, 2)), pad,
+                         seed=seed + i, bias=bias, kind=kind, **affine)
+        elif kind == "residual_add":
+            sources = [k + INPUT_BUFFER for k, shape in enumerate(shapes)
+                       if shape == shapes[-1]]
+            layer = residual(draw(st.sampled_from(sources)), **affine)
+        elif kind == "relu6":
+            layer = relu6(**affine)
+        else:
+            layer = pool(**affine)
+        layers.append(layer)
+        shapes = reference_costs(ModelGraph(layers, input_shape=shapes[0]))[1]
+    c, h, w = shapes[-1]
+    if (h, w) != (1, 1):
+        layers.append(pool())
+    classes = draw(st.integers(1, 3))
+    layers.append(linear(c, classes, seed=seed))
+    return ModelGraph(layers, class_count=classes, input_shape=shapes[0])
+
+
+def reference_costs(model):
+    """(FLOPs, buffer shapes) of a graph, found by sliding each window.
+
+    Every output position of a weighted layer costs 2 FLOPs per input tap
+    of each output channel; relu6 and residual_add cost one op per element,
+    and the pool one per channel.
+    """
+    shapes = [model.input_shape]
+    flops = 0
+    for layer in model.layers:
+        c, h, w = shapes[-1]
+        if layer.kind in ("relu6", "residual_add"):
+            flops += c * h * w
+            shapes.append((c, h, w))
+        elif layer.kind == "global_avg_pool":
+            flops += c
+            shapes.append((c, 1, 1))
+        else:
+            kh, kw = layer.kernel
+            fan_in = {"conv2d": c * kh * kw, "depthwise_conv2d": kh * kw}.get(
+                layer.kind, c)
+            rows = range(-layer.padding, h + layer.padding - kh + 1, layer.stride)
+            cols = range(-layer.padding, w + layer.padding - kw + 1, layer.stride)
+            for _ in rows:
+                for _ in cols:
+                    flops += 2 * layer.out_ch * fan_in
+            shapes.append((layer.out_ch, len(rows), len(cols)))
+    return flops, shapes
+
+
+def quadratic_ram(model, shapes):
+    """estimate_ram as first written: every buffer scanned at every step."""
+    sizes = [math.prod(s) for s in shapes]
+    last_read = [0] * len(sizes)
+    for i, layer in enumerate(model.layers):
+        last_read[i] = max(last_read[i], i)
+        if layer.kind == "residual_add":
+            source = 0 if layer.skip_from == INPUT_BUFFER else layer.skip_from + 1
+            last_read[source] = max(last_read[source], i)
+    peak = 0
+    for i in range(len(model.layers)):
+        live = sizes[i + 1]
+        for b in range(i + 1):
+            if last_read[b] >= i:
+                live += sizes[b]
+        peak = max(peak, live)
+    return peak
+
+
+class TestRandomGraphs:
+    @settings(max_examples=200, deadline=None)
+    @given(model=small_graphs())
+    def test_validate_graph_returns_every_buffer_shape(self, model):
+        assert validate_graph(model) == reference_costs(model)[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=small_graphs())
+    def test_flops_match_a_brute_force_count(self, model):
+        assert count_flops(model) == reference_costs(model)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=small_graphs())
+    def test_ram_matches_the_quadratic_scan(self, model):
+        assert estimate_ram(model) == quadratic_ram(model, reference_costs(model)[1])
 
 
 class TestFixtureModel:

@@ -248,6 +248,8 @@ def naive_has_peak(chunk, sample_rate=48000, ratio=PEAK_RATIO):
         return False
     window = max(1, int(round(sample_rate * ENVELOPE_WINDOW_SECONDS)))
     span = max(1, int(round(PEAK_NEIGHBORHOOD_SECONDS / ENVELOPE_WINDOW_SECONDS)))
+    if chunk.dtype.kind in "iu":
+        chunk = chunk.astype(np.float64)  # in int16, |-32768| wraps to -32768
     maxima = np.maximum.reduceat(np.abs(chunk), np.arange(0, len(chunk), window))
     n = len(maxima)
     if n < 2:
@@ -394,6 +396,14 @@ class TestHasPeak:
         chunk *= rng.uniform(0, 1, RATE * 2).astype(np.float32) ** 3
         assert has_peak(chunk, RATE) == has_peak(chunk * np.float32(scale), RATE)
 
+    def test_int16_full_scale_negative_window_is_a_peak(self):
+        # |-32768| is 32768 only outside int16, where np.abs wraps it
+        window = round(RATE * 0.05)
+        chunk = np.full(RATE * 2, 100, dtype=np.int16)
+        chunk[20 * window:21 * window] = -32768
+        assert has_peak(chunk.astype(np.float32), RATE)
+        assert has_peak(chunk, RATE)
+
 
 def peaked_chunk(seed=0):
     """A 2 s chunk with a clear transient, quiet elsewhere."""
@@ -433,6 +443,14 @@ class TestSplitChunks:
         chunks, _ = split_chunks(clip_of(np.concatenate([first, second])))
         assert np.array_equal(chunks[0], first)
         assert np.array_equal(chunks[1], second)
+
+    def test_chunks_are_views_and_noise_windows_copies(self):
+        samples = np.concatenate([peaked_chunk(2), np.full(RATE * 2, 0.3, np.float32)])
+        clip = clip_of(samples)
+        chunks, noise = split_chunks(clip)
+        assert len(chunks) == 1 and len(noise) == 1
+        assert np.shares_memory(chunks[0], clip.samples)
+        assert not np.shares_memory(noise[0], clip.samples)
 
     @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_ratio_must_be_finite_and_positive(self, ratio):
@@ -656,6 +674,17 @@ class TestPipeline:
     def test_short_recording_rejected(self):
         specs, noise = preprocess_recording(clip_of(np.full(int(RATE * 1.5), 0.5)))
         assert specs == [] and noise == []
+
+    @pytest.mark.parametrize("setting, value", [
+        ("silence_threshold", 2.0), ("silence_threshold", math.nan),
+        ("peak_ratio", math.nan), ("max_chunks", 0),
+    ])
+    @pytest.mark.parametrize("samples", [np.full(RATE, 0.5), np.zeros(RATE * 4)],
+                             ids=["short", "silent"])
+    def test_bad_setting_raises_whatever_the_clip(self, setting, value, samples):
+        name = "threshold" if setting == "silence_threshold" else setting
+        with pytest.raises(ValueError, match=name):
+            preprocess_recording(clip_of(samples), **{setting: value})
 
     def test_peaked_recording(self):
         samples = np.concatenate([loud_peaked_chunk(i) for i in range(3)])
