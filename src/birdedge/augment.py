@@ -4,7 +4,8 @@ Four augmentations operate directly on log-mel matrices: a frequency roll,
 a time roll, a piecewise-linear time warp, and noise admixture from a pool
 of rejected chunks. Each is applied with probability 0.5 per chunk; when
 more than three are selected, a uniformly random subset of three survives,
-and the survivors run in uniformly random order.
+and the survivors run in uniformly random order. AugmentConfig sets those
+two knobs; the parameter ranges are module constants.
 
 All randomness flows through a numpy Generator handed in by the caller.
 The substream rule for batch runs: chunk number i of a run seeded with S
@@ -25,32 +26,28 @@ from .melspec import FLOOR_DB, MelSpectrogram, db_to_power, power_to_db
 # always maps to the same schedule.
 AUGMENTATION_NAMES = ("freq_roll", "time_roll", "time_warp", "add_noise")
 
+# Parameter ranges, each drawn uniformly.
+FREQ_ROLL_LIMIT = 0.05   # fraction of mel bands, drawn in [-x, x]
+TIME_ROLL_LIMIT = 0.25   # fraction of frames, drawn in [-x, x]
+WARP_LIMIT = 12          # max control point displacement, frames
+NOISE_ALPHA = (0.2, 0.8)  # weight of the noise power, drawn in [lo, hi]
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Ranges and scheduler knobs for one augmentation run."""
+    """Scheduler knobs for one augmentation run."""
 
     p_apply: float = 0.5
     max_augs: int = 3
-    freq_roll_limit: float = 0.05   # fraction of mel bands, drawn in [-x, x]
-    time_roll_limit: float = 0.25   # fraction of frames, drawn in [-x, x]
-    warp_limit: int = 12            # max control point displacement, frames
-    noise_alpha: tuple[float, float] = (0.2, 0.8)
-    seed: int = 0
 
     def validate(self, n_frames: int | None = None) -> None:
         if not 0.0 <= self.p_apply <= 1.0:
             raise ValueError(f"p_apply must be in [0, 1], got {self.p_apply}")
         if self.max_augs < 0:
             raise ValueError(f"max_augs must be >= 0, got {self.max_augs}")
-        lo, hi = self.noise_alpha
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ValueError(f"noise_alpha range invalid: {self.noise_alpha}")
-        if self.warp_limit < 0:
-            raise ValueError(f"warp_limit must be >= 0, got {self.warp_limit}")
-        if n_frames is not None and self.warp_limit >= n_frames / 2:
+        if n_frames is not None and WARP_LIMIT >= n_frames / 2:
             raise ValueError(
-                f"warp_limit {self.warp_limit} too large for {n_frames} frames"
+                f"warp limit {WARP_LIMIT} too large for {n_frames} frames"
             )
 
 
@@ -86,13 +83,13 @@ def freq_roll(spec: MelSpectrogram, u: float) -> MelSpectrogram:
     Vacated bands are set to the floor; u == 0 is an exact identity.
     """
     shift = int(np.rint(u * spec.n_mels))
-    return MelSpectrogram(_rolled(spec.values, shift, axis=0), spec.config)
+    return MelSpectrogram(_rolled(spec.values, shift, axis=0))
 
 
 def time_roll(spec: MelSpectrogram, u: float) -> MelSpectrogram:
     """Shift all energy later (u > 0) or earlier by round(u * n_frames) frames."""
     shift = int(np.rint(u * spec.n_frames))
-    return MelSpectrogram(_rolled(spec.values, shift, axis=1), spec.config)
+    return MelSpectrogram(_rolled(spec.values, shift, axis=1))
 
 
 def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
@@ -115,7 +112,7 @@ def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
             f"center {center} + w {w} exceeds last movable column {n_frames - 2}"
         )
     if w == 0:
-        return MelSpectrogram(values.copy(), spec.config)
+        return MelSpectrogram(values.copy())
 
     target = center + w
     out_cols = np.arange(n_frames, dtype=np.float64)
@@ -135,7 +132,7 @@ def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
     right_cols = values[:, lo + 1]
     # written as a + f*(b - a) so equal columns interpolate exactly
     warped = left_cols + frac[None, :] * (right_cols - left_cols)
-    return MelSpectrogram(warped.astype(np.float32), spec.config)
+    return MelSpectrogram(warped.astype(np.float32))
 
 
 def add_noise(
@@ -155,7 +152,7 @@ def add_noise(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     power = db_to_power(spec.values) + alpha * db_to_power(noise.values)
     db = power_to_db(power, ref=float(power.max()))
-    return MelSpectrogram(db.astype(np.float32), spec.config)
+    return MelSpectrogram(db.astype(np.float32))
 
 
 @dataclass
@@ -194,7 +191,7 @@ def augment_chunk(
 ) -> tuple[MelSpectrogram, list[AppliedAugmentation]]:
     """Apply a randomly drawn subset of augmentations to one chunk.
 
-    Parameters are drawn uniformly from the config ranges, in application
+    Parameters are drawn uniformly from the module's ranges, in application
     order, after the schedule is settled. If add_noise is scheduled but the
     pool is empty, it is skipped and recorded with skipped=True; no draws
     are consumed for it. The returned log always has at most max_augs
@@ -206,18 +203,16 @@ def augment_chunk(
     log: list[AppliedAugmentation] = []
     for name in schedule.order:
         if name == "freq_roll":
-            u = float(rng.uniform(-cfg.freq_roll_limit, cfg.freq_roll_limit))
+            u = float(rng.uniform(-FREQ_ROLL_LIMIT, FREQ_ROLL_LIMIT))
             out = freq_roll(out, u)
             log.append(AppliedAugmentation("freq_roll", {"u": u}))
         elif name == "time_roll":
-            u = float(rng.uniform(-cfg.time_roll_limit, cfg.time_roll_limit))
+            u = float(rng.uniform(-TIME_ROLL_LIMIT, TIME_ROLL_LIMIT))
             out = time_roll(out, u)
             log.append(AppliedAugmentation("time_roll", {"u": u}))
         elif name == "time_warp":
-            w = int(rng.integers(0, cfg.warp_limit + 1))
-            center = int(
-                rng.integers(cfg.warp_limit, spec.n_frames - cfg.warp_limit + 1)
-            )
+            w = int(rng.integers(0, WARP_LIMIT + 1))
+            center = int(rng.integers(WARP_LIMIT, spec.n_frames - WARP_LIMIT + 1))
             # keep the displaced column inside the movable range
             w = min(w, spec.n_frames - 2 - center)
             out = time_warp(out, w, center)
@@ -227,7 +222,7 @@ def augment_chunk(
                 log.append(AppliedAugmentation("add_noise", {}, skipped=True))
                 continue
             idx = int(rng.integers(len(noise_pool)))
-            alpha = float(rng.uniform(*cfg.noise_alpha))
+            alpha = float(rng.uniform(*NOISE_ALPHA))
             out = add_noise(out, noise_pool[idx], alpha)
             log.append(
                 AppliedAugmentation("add_noise", {"alpha": alpha, "noise_index": idx})

@@ -42,9 +42,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_manifest(
-    path: Path, subcommand: str, args: argparse.Namespace, outputs: list[str]
-) -> None:
+def _write_manifest(path: Path, args: argparse.Namespace, outputs: list[str]) -> None:
     arguments = {
         key: str(value)
         for key, value in sorted(vars(args).items())
@@ -53,23 +51,24 @@ def _write_manifest(
     manifest = {
         "tool": "birdedge",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "arguments": arguments,
         "outputs": sorted(outputs),
     }
     _atomic_write(path, json.dumps(manifest, indent=2).encode() + b"\n")
 
 
-def _emit(text: str, out: str | None, subcommand: str, args) -> None:
-    """Send a report to --out (with manifest) or stdout (without)."""
-    if out is None:
-        sys.stdout.write(text)
+def _emit(data: str | bytes, args: argparse.Namespace) -> None:
+    """Send a report to --out (with manifest) or stdout (without).
+
+    Bytes, such as a model, need --out.
+    """
+    if args.out is None:
+        sys.stdout.write(data)
         return
-    path = Path(out)
-    _atomic_write(path, text.encode())
-    _write_manifest(
-        path.with_name(path.name + ".manifest.json"), subcommand, args, [str(path)]
-    )
+    path = Path(args.out)
+    _atomic_write(path, data.encode() if isinstance(data, str) else data)
+    _write_manifest(path.with_name(path.name + ".manifest.json"), args, [str(path)])
 
 
 def _fmt(value: float) -> str:
@@ -83,12 +82,19 @@ def _spectrogram_bytes(spec) -> bytes:
 
 
 def _wav_inputs(path: Path) -> list[Path]:
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".wav")
-        if not files:
-            raise BirdEdgeError(f"no .wav files in {path}")
-        return files
-    return [path]
+    if not path.is_dir():
+        return [path]
+    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".wav")
+    if not files:
+        raise BirdEdgeError(f"no .wav files in {path}")
+    by_stem: dict[str, Path] = {}  # outputs are named after the stem
+    for file in files:
+        first = by_stem.setdefault(file.stem, file)
+        if first is not file:
+            raise BirdEdgeError(
+                f"{first.name} and {file.name} would both write {file.stem}_*.mels"
+            )
+    return files
 
 
 def _mels_inputs(path: Path) -> list[Path]:
@@ -104,13 +110,11 @@ def _mels_inputs(path: Path) -> list[Path]:
 def cmd_preprocess(args) -> int:
     out_dir = Path(args.out)
     noise_dir = Path(args.noise_out) if args.noise_out else out_dir / "noise"
-    cfg = preprocess.MelConfig()
     outputs: list[str] = []
     for wav_path in _wav_inputs(Path(getattr(args, "in"))):
         clip = decode_wav(wav_path.read_bytes())
         specs, noise_chunks = preprocess.preprocess_recording(
             clip,
-            cfg,
             silence_threshold=args.silence_threshold,
             peak_ratio=args.peak_ratio,
             max_chunks=args.max_chunks,
@@ -124,7 +128,7 @@ def cmd_preprocess(args) -> int:
         for chunk in noise_chunks:
             if not np.any(chunk):
                 continue  # nothing to normalize in an all-zero window
-            spec = preprocess.mel_spectrogram(preprocess.normalize(chunk), cfg)
+            spec = preprocess.mel_spectrogram(preprocess.normalize(chunk))
             path = noise_dir / f"{stem}_noise{kept_noise:03d}.mels"
             _atomic_write(path, _spectrogram_bytes(spec))
             outputs.append(str(path))
@@ -133,7 +137,7 @@ def cmd_preprocess(args) -> int:
             f"{wav_path.name}: {len(specs)} chunks, {kept_noise} noise windows",
             file=sys.stderr,
         )
-    _write_manifest(out_dir / "manifest.json", "preprocess", args, outputs)
+    _write_manifest(out_dir / "manifest.json", args, outputs)
     return 0
 
 
@@ -144,19 +148,17 @@ def cmd_augment(args) -> int:
     pool_names: list[str] = []
     if args.noise_pool:
         pool_dir = Path(args.noise_pool)
+        if not pool_dir.is_dir():
+            raise BirdEdgeError(f"noise pool {pool_dir} is not a directory")
         for path in sorted(pool_dir.glob("*.mels")):
             pool.append(read_spectrogram(path))
             pool_names.append(path.name)
-    cfg = augment.AugmentConfig(
-        p_apply=args.p_apply,
-        max_augs=args.max_augs,
-        seed=args.seed,
-    )
+    cfg = augment.AugmentConfig(p_apply=args.p_apply, max_augs=args.max_augs)
     outputs: list[str] = []
     log_lines: list[str] = []
     for index, path in enumerate(_mels_inputs(in_dir)):
         spec = read_spectrogram(path)
-        rng = augment.chunk_rng(cfg.seed, index)
+        rng = augment.chunk_rng(args.seed, index)
         augmented, applied = augment.augment_chunk(spec, pool, cfg, rng)
         out_path = out_dir / path.name
         _atomic_write(out_path, _spectrogram_bytes(augmented))
@@ -182,7 +184,7 @@ def cmd_augment(args) -> int:
     log_path = out_dir / "augment_log.txt"
     _atomic_write(log_path, ("\n".join(log_lines) + "\n").encode())
     outputs.append(str(log_path))
-    _write_manifest(out_dir / "manifest.json", "augment", args, outputs)
+    _write_manifest(out_dir / "manifest.json", args, outputs)
     return 0
 
 
@@ -206,7 +208,7 @@ def cmd_infer(args) -> int:
     model = _load_model_file(args.model)
     spec = read_spectrogram(Path(args.spec))
     probabilities = nnrt.infer(model, spec)
-    _emit(_infer_report(model, probabilities), args.out, "infer", args)
+    _emit(_infer_report(model, probabilities), args)
     return 0
 
 
@@ -215,7 +217,7 @@ def cmd_rank(args) -> int:
     lines = ["id,acc_score,mem_score,rank,selected"]
     for trial_id, (acc, mem, score, selected) in table.items():
         lines.append(f"{trial_id},{_fmt(acc)},{_fmt(mem)},{_fmt(score)},{int(selected)}")
-    _emit("\n".join(lines) + "\n", args.out, "rank", args)
+    _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -228,7 +230,7 @@ def cmd_pareto(args) -> int:
             f"{t.id},{_fmt(t.acc)},{_fmt(t.ram)},{_fmt(t.rom)},{_fmt(t.flops)},"
             f"{int(t.id in front)}"
         )
-    _emit("\n".join(lines) + "\n", args.out, "pareto", args)
+    _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -252,7 +254,7 @@ def cmd_compress(args) -> int:
         )
     avg = sum(front_overall) / len(front_overall)
     lines.append(f"pareto_mean,,,,{_fmt(avg)},")
-    _emit("\n".join(lines) + "\n", args.out, "compress", args)
+    _emit("\n".join(lines) + "\n", args)
     return 0
 
 
@@ -274,15 +276,17 @@ def cmd_energy(args) -> int:
             f"{_fmt(row.average_power_w)},{_fmt(row.battery_wh)},"
             f"{_fmt(row.charge_power_w)},{_fmt(row.panel_area_m2)},{int(row.worst)}"
         )
-    _emit("\n".join(lines) + "\n", args.out, "energy", args)
+    _emit("\n".join(lines) + "\n", args)
     return 0
 
 
 def cmd_bench(args) -> int:
     """Latency methodology only: wall-clock per inference, no energy figures."""
+    reps = args.repetitions
+    if reps < 1:
+        raise ValueError(f"repetitions must be >= 1, got {reps}")
     model = _load_model_file(args.model)
     specs = [read_spectrogram(p) for p in _mels_inputs(Path(args.spec_dir))]
-    reps = args.repetitions
     latencies = np.empty(reps, dtype=np.float64)
     for i in range(reps):
         spec = specs[i % len(specs)]
@@ -294,23 +298,16 @@ def cmd_bench(args) -> int:
         "repetitions,mean_ms,std_ms,min_ms,max_ms\n"
         f"{reps},{_fmt(ms.mean())},{_fmt(ms.std())},{_fmt(ms.min())},{_fmt(ms.max())}\n"
     )
-    _emit(text, args.out, "bench", args)
+    _emit(text, args)
     return 0
 
 
 def cmd_gen_fixture(args) -> int:
     model = nnrt.generate_fixture_model(args.classes, args.seed)
-    path = Path(args.out)
-    _atomic_write(path, nnrt.save_model(model))
-    _write_manifest(
-        path.with_name(path.name + ".manifest.json"),
-        "gen-fixture",
-        args,
-        [str(path)],
-    )
+    _emit(nnrt.save_model(model), args)
     report = nnrt.resource_report(model)
     print(
-        f"wrote {path}: {len(model.layers)} layers, {report.flops} flops, "
+        f"wrote {args.out}: {len(model.layers)} layers, {report.flops} flops, "
         f"{report.ram_bytes} B ram, {report.rom_bytes} B rom",
         file=sys.stderr,
     )

@@ -11,67 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
-
 # Hard lower bound of the dB scale. Cells at or below this value carry no
 # usable energy and augmentations treat it as "empty".
 FLOOR_DB = -80.0
 
 
-@dataclass(frozen=True)
-class MelConfig:
-    """Parameters of the waveform -> log-mel conversion.
-
-    Defaults describe the deployed pipeline: 48 kHz input, 64 mel bands
-    between 150 and 7500 Hz, 512-point FFT with hop 384 and no centering,
-    so a 2 s chunk yields exactly 249 frames.
-    """
-
-    sample_rate: int = 48000
-    n_mels: int = 64
-    fft_size: int = 512
-    hop: int = 384
-    f_min: float = 150.0
-    f_max: float = 7500.0
-
-    def validate(self) -> None:
-        """Raise ConfigError if any field is out of its legal range."""
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.n_mels < 1:
-            raise ConfigError(f"n_mels must be >= 1, got {self.n_mels}")
-        if self.fft_size < 2:
-            raise ConfigError(f"fft_size must be >= 2, got {self.fft_size}")
-        if not 0 < self.hop <= self.fft_size:
-            raise ConfigError(
-                f"hop must be in (0, fft_size], got hop={self.hop} fft_size={self.fft_size}"
-            )
-        if not 0 < self.f_min < self.f_max:
-            raise ConfigError(
-                f"need 0 < f_min < f_max, got f_min={self.f_min} f_max={self.f_max}"
-            )
-        if self.f_max > self.sample_rate / 2:
-            raise ConfigError(
-                f"f_max={self.f_max} exceeds Nyquist {self.sample_rate / 2}"
-            )
-
-    def frame_count(self, n_samples: int) -> int:
-        """Number of full analysis frames for a waveform of n_samples."""
-        if n_samples < self.fft_size:
-            return 0
-        return (n_samples - self.fft_size) // self.hop + 1
-
-
 @dataclass
 class MelSpectrogram:
-    """A log-mel matrix plus the config that produced it.
+    """A log-mel matrix.
 
     values: float32 array of shape (n_mels, n_frames), dB in [FLOOR_DB, 0].
-    config is carried for provenance; file round-trips only preserve values.
     """
 
     values: np.ndarray
-    config: MelConfig | None = None
 
     @property
     def n_mels(self) -> int:

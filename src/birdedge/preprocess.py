@@ -16,18 +16,19 @@ A recording passes through five stages before it reaches the classifier:
    150 and 7500 Hz, dB referenced to the chunk maximum and floored at -80.
 
 For a 2 s chunk at 48 kHz the frame count is (96000 - 512)//384 + 1 = 249.
+Stage 5 has no settings: its parameters are the constants below.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .audio_io import AudioClip, resample
 from .exceptions import DegenerateInputError
-from .melspec import MelConfig, MelSpectrogram, power_to_db
+from .melspec import MelSpectrogram, power_to_db
 
 # Pipeline constants; the CLI overrides SILENCE_THRESHOLD, PEAK_RATIO and
 # MAX_CHUNKS.
@@ -38,6 +39,13 @@ CHUNK_SECONDS = 2.0
 PEAK_RATIO = 1.075
 PEAK_NEIGHBORHOOD_SECONDS = 0.5
 MAX_CHUNKS = 30
+# stage 5: the mel conversion
+SAMPLE_RATE = 48000
+N_MELS = 64
+FFT_SIZE = 512
+HOP = 384
+F_MIN = 150.0
+F_MAX = 7500.0
 
 
 def length_filter(clip: AudioClip) -> bool:
@@ -103,7 +111,7 @@ def _window_maxima(chunk: np.ndarray, window: int) -> np.ndarray:
 
 def has_peak(
     chunk: np.ndarray,
-    sample_rate: int = 48000,
+    sample_rate: int = SAMPLE_RATE,
     ratio: float = PEAK_RATIO,
 ) -> bool:
     """Decide whether a chunk contains a local amplitude peak.
@@ -228,28 +236,30 @@ def _mel_to_hz(mel: np.ndarray) -> np.ndarray:
     return freq
 
 
-def mel_band_edges(cfg: MelConfig) -> np.ndarray:
-    """The n_mels + 2 band edge frequencies in Hz, equally spaced in mel."""
-    mel_pts = np.linspace(
-        _hz_to_mel(cfg.f_min), _hz_to_mel(cfg.f_max), cfg.n_mels + 2
-    )
-    return _mel_to_hz(mel_pts)
+@cache
+def mel_band_edges() -> np.ndarray:
+    """The N_MELS + 2 band edge frequencies in Hz, equally spaced in mel.
+
+    Built on the first call and returned read-only.
+    """
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(F_MIN), _hz_to_mel(F_MAX), N_MELS + 2))
+    edges.flags.writeable = False
+    return edges
 
 
-@lru_cache(maxsize=16)
-def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """Triangular area-normalized filterbank, shape (n_mels, fft_size//2 + 1).
+@cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular area-normalized filterbank, shape (N_MELS, FFT_SIZE//2 + 1).
 
     Band k rises from edge k to edge k+1 (its center) and falls to edge k+2.
     Each triangle is scaled by 2 / (upper - lower) so all bands integrate to
-    the same area. Bins outside [f_min, f_max] get zero weight. The result
-    is cached per config and returned read-only.
+    the same area. Bins outside [F_MIN, F_MAX] get zero weight. The result
+    is built on the first call and returned read-only.
     """
-    cfg.validate()
-    edges = mel_band_edges(cfg)
-    bin_freqs = np.arange(cfg.fft_size // 2 + 1) * (cfg.sample_rate / cfg.fft_size)
-    weights = np.zeros((cfg.n_mels, len(bin_freqs)), dtype=np.float64)
-    for k in range(cfg.n_mels):
+    edges = mel_band_edges()
+    bin_freqs = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
+    weights = np.zeros((N_MELS, len(bin_freqs)), dtype=np.float64)
+    for k in range(N_MELS):
         lower, center, upper = edges[k], edges[k + 1], edges[k + 2]
         rising = (bin_freqs - lower) / (center - lower)
         falling = (upper - bin_freqs) / (upper - center)
@@ -259,30 +269,30 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=16)
-def _used_bins(cfg: MelConfig) -> int:
-    """1 + the last FFT bin any band of mel_filterbank(cfg) weights, or 0."""
-    weighted = np.flatnonzero(mel_filterbank(cfg).any(axis=0))
-    return int(weighted[-1]) + 1 if len(weighted) else 0
+@cache
+def _used_bins() -> int:
+    """1 + the last FFT bin any band of mel_filterbank() weights."""
+    return int(np.flatnonzero(mel_filterbank().any(axis=0))[-1]) + 1
 
 
-@lru_cache(maxsize=16)
-def _hann_window(fft_size: int) -> np.ndarray:
-    """Periodic Hann window of fft_size samples, cached and read-only."""
-    n = np.arange(fft_size)
-    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / fft_size))
+@cache
+def _hann_window() -> np.ndarray:
+    """Periodic Hann window of FFT_SIZE samples, cached and read-only."""
+    n = np.arange(FFT_SIZE)
+    window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / FFT_SIZE))
     window.flags.writeable = False
     return window
 
 
-def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
+def mel_spectrogram(chunk: np.ndarray) -> MelSpectrogram:
     """Convert a normalized chunk into a log-mel matrix.
 
-    Frames start at multiples of cfg.hop with no padding, each windowed by a
-    periodic Hann window of cfg.fft_size samples. Magnitude-squared spectra
-    are projected through the filterbank and expressed in dB relative to
-    the loudest mel cell of this chunk, floored at -80 dB. The maximum of
-    the result is therefore exactly 0 dB.
+    Frames start at multiples of HOP with no padding, each windowed by a
+    periodic Hann window of FFT_SIZE samples, so n samples give
+    (n - FFT_SIZE) // HOP + 1 frames. Magnitude-squared spectra are
+    projected through the filterbank and expressed in dB relative to the
+    loudest mel cell of this chunk, floored at -80 dB. The maximum of the
+    result is therefore exactly 0 dB.
 
     Only the FFT bins up to the filterbank's last nonzero column are squared
     and projected. The result equals the product over every bin bit for
@@ -291,35 +301,31 @@ def mel_spectrogram(chunk: np.ndarray, cfg: MelConfig = MelConfig()) -> MelSpect
     premise is checked: a chunk holding a NaN or inf, or samples so large
     that a power could overflow, raises DegenerateInputError.
     """
-    cfg.validate()
     chunk = np.asarray(chunk, dtype=np.float64)
-    n_frames = cfg.frame_count(len(chunk))
-    if n_frames < 1:
+    if len(chunk) < FFT_SIZE:
         raise ValueError(
             f"chunk of {len(chunk)} samples is shorter than one FFT frame"
         )
-    # |bin| <= fft_size * max |s|, so this bound keeps every power finite
-    limit = np.sqrt(np.finfo(np.float64).max) / (2 * cfg.fft_size)
+    # |bin| <= FFT_SIZE * max |s|, so this bound keeps every power finite
+    limit = np.sqrt(np.finfo(np.float64).max) / (2 * FFT_SIZE)
     if not max(chunk.max(), -chunk.min()) <= limit:
         raise DegenerateInputError(
             f"chunk samples must be finite and at most {limit:.3g} in magnitude"
         )
-    frames = np.lib.stride_tricks.sliding_window_view(chunk, cfg.fft_size)[:: cfg.hop]
-    frames = frames[:n_frames]
-    used = _used_bins(cfg)
-    spectra = np.fft.rfft(frames * _hann_window(cfg.fft_size), axis=1)[:, :used]
+    frames = np.lib.stride_tricks.sliding_window_view(chunk, FFT_SIZE)[::HOP]
+    used = _used_bins()
+    spectra = np.fft.rfft(frames * _hann_window(), axis=1)[:, :used]
     power = spectra.real**2 + spectra.imag**2
-    mel_power = power @ mel_filterbank(cfg)[:, :used].T  # (n_frames, n_mels)
+    mel_power = power @ mel_filterbank()[:, :used].T  # (n_frames, N_MELS)
     ref = float(mel_power.max())
     if ref <= 0.0:
         raise DegenerateInputError("chunk has no spectral energy")
     db = power_to_db(mel_power, ref)
-    return MelSpectrogram(values=db.T.astype(np.float32), config=cfg)
+    return MelSpectrogram(values=db.T.astype(np.float32))
 
 
 def preprocess_recording(
     clip: AudioClip,
-    cfg: MelConfig = MelConfig(),
     silence_threshold: float = SILENCE_THRESHOLD,
     peak_ratio: float = PEAK_RATIO,
     max_chunks: int = MAX_CHUNKS,
@@ -327,7 +333,7 @@ def preprocess_recording(
     """Run the full pipeline on one recording.
 
     Order: length gate -> silence removal (at the native rate) -> resample
-    to cfg.sample_rate -> chunk + peak screen -> normalize -> mel convert.
+    to SAMPLE_RATE -> chunk + peak screen -> normalize -> mel convert.
     Returns (spectrograms, noise_chunks). A too-short clip, or one whose
     voiced part shrinks below one chunk, yields ([], noise_chunks). A bad
     setting raises ValueError whatever the clip.
@@ -339,10 +345,10 @@ def preprocess_recording(
     voiced = remove_silence(clip, threshold=silence_threshold)
     if len(voiced.samples) == 0:
         return [], []
-    if voiced.sample_rate != cfg.sample_rate:
-        voiced = resample(voiced, cfg.sample_rate)
+    if voiced.sample_rate != SAMPLE_RATE:
+        voiced = resample(voiced, SAMPLE_RATE)
     chunks, noise = split_chunks(
         voiced, peak_ratio=peak_ratio, max_chunks=max_chunks
     )
-    spectrograms = [mel_spectrogram(normalize(c), cfg) for c in chunks]
+    spectrograms = [mel_spectrogram(normalize(c)) for c in chunks]
     return spectrograms, noise

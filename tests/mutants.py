@@ -90,9 +90,23 @@ MUTANTS = (
     Mutant(
         "mel_spectrogram: one weighted bin too few",
         "src/birdedge/preprocess.py",
-        "return int(weighted[-1]) + 1 if",
-        "return int(weighted[-1]) if",
+        "any(axis=0))[-1]) + 1\n",
+        "any(axis=0))[-1])\n",
         ("tests/test_preprocess.py::TestMelBinCut::test_matches_full_product_bytewise",),
+    ),
+    Mutant(
+        "mel_spectrogram: symmetric Hann window for periodic",
+        "src/birdedge/preprocess.py",
+        "np.pi * n / FFT_SIZE))",
+        "np.pi * n / (FFT_SIZE - 1)))",
+        ("tests/test_preprocess.py::TestMelBinCut::test_matches_full_product_bytewise",),
+    ),
+    Mutant(
+        "AugmentConfig.validate: warp limit may reach half the frames",
+        "src/birdedge/augment.py",
+        "WARP_LIMIT >= n_frames / 2",
+        "WARP_LIMIT > n_frames / 2",
+        ("tests/test_augment.py::TestConfig::test_warp_limit_vs_frames",),
     ),
     Mutant(
         "int32 bound: graph input zero point for every layer",
@@ -185,6 +199,44 @@ MUTANTS = (
         "",
         ("tests/test_preprocess.py::TestPipeline::test_bad_setting_raises_whatever_the_clip",
          "tests/test_cli.py::TestPreprocess::test_bad_setting_exits_1_on_a_too_short_clip"),
+    ),
+    Mutant(
+        "augment: every run seeded with 0",
+        "src/birdedge/cli.py",
+        "augment.chunk_rng(args.seed, index)",
+        "augment.chunk_rng(0, index)",
+        ("tests/test_cli.py::TestAugment::test_golden_digests",),
+    ),
+    Mutant(
+        "augment: a missing noise pool read as an empty one",
+        "src/birdedge/cli.py",
+        "        if not pool_dir.is_dir():\n"
+        '            raise BirdEdgeError(f"noise pool {pool_dir} is not a directory")\n',
+        "",
+        ("tests/test_cli.py::TestAugment::test_missing_noise_pool_exits_1",),
+    ),
+    Mutant(
+        "preprocess: inputs sharing a stem not checked",
+        "src/birdedge/cli.py",
+        "        if first is not file:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::TestPreprocess::test_two_inputs_with_one_stem_exit_1",),
+    ),
+    Mutant(
+        "bench: repetitions below 1 not checked",
+        "src/birdedge/cli.py",
+        "    if reps < 1:\n"
+        '        raise ValueError(f"repetitions must be >= 1, got {reps}")\n',
+        "",
+        ("tests/test_cli.py::TestBench::test_repetitions_below_1_exit_1",),
+    ),
+    Mutant(
+        "_emit: --out written without its manifest",
+        "src/birdedge/cli.py",
+        '    _write_manifest(path.with_name(path.name + ".manifest.json"), args, [str(path)])\n',
+        "",
+        ("tests/test_cli.py::TestInfer::test_out_manifest",
+         "tests/test_cli.py::TestGenFixture::test_writes_model_and_manifest"),
     ),
     Mutant(
         "cli: parser rebuilt on every call",

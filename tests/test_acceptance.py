@@ -35,7 +35,6 @@ from birdedge.energy import (
     parse_irradiance,
     parse_profile,
 )
-from birdedge.melspec import MelConfig, MelSpectrogram
 from birdedge.nnrt import (
     LayerSpec,
     ModelGraph,
@@ -44,7 +43,14 @@ from birdedge.nnrt import (
     infer,
     save_model,
 )
-from birdedge.preprocess import mel_spectrogram, preprocess_recording
+from birdedge.preprocess import (
+    F_MAX,
+    F_MIN,
+    N_MELS,
+    SAMPLE_RATE,
+    mel_spectrogram,
+    preprocess_recording,
+)
 from birdedge.trials import (
     BaselineRecord,
     TrialRecord,
@@ -255,16 +261,15 @@ def test_criterion_4_preprocessing_shape_law(recordings_dir):
                 assert a.tobytes() == b.tobytes()
         assert total_chunks == 5  # three recordings yield 3 + 2 + 0 chunks
 
-        cfg = MelConfig()
         tone = np.sin(
-            2 * np.pi * 1000.0 * np.arange(cfg.sample_rate * 2) / cfg.sample_rate
+            2 * np.pi * 1000.0 * np.arange(SAMPLE_RATE * 2) / SAMPLE_RATE
         ).astype(np.float32)
-        spec = mel_spectrogram(tone, cfg)
+        spec = mel_spectrogram(tone)
         assert spec.values.shape == (64, 249)
-        lo, hi = hz_to_mel(cfg.f_min), hz_to_mel(cfg.f_max)
+        lo, hi = hz_to_mel(F_MIN), hz_to_mel(F_MAX)
         centers = [
-            mel_to_hz(lo + (hi - lo) * (k + 1) / (cfg.n_mels + 1))
-            for k in range(cfg.n_mels)
+            mel_to_hz(lo + (hi - lo) * (k + 1) / (N_MELS + 1))
+            for k in range(N_MELS)
         ]
         expected_band = min(range(64), key=lambda k: abs(centers[k] - 1000.0))
         assert int(np.argmax(spec.values.mean(axis=1))) == expected_band

@@ -223,6 +223,18 @@ class TestPreprocess:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    def test_two_inputs_with_one_stem_exit_1(self, recordings_dir, tmp_path, capsys):
+        # both would write x_chunk000.mels, and the second would win
+        recordings = tmp_path / "clash"
+        recordings.mkdir()
+        (recordings / "x.wav").write_bytes((recordings_dir / "calls_48k.wav").read_bytes())
+        (recordings / "x.WAV").write_bytes((recordings_dir / "stereo_441.wav").read_bytes())
+        out = tmp_path / "o"
+        assert main(["preprocess", "--in", str(recordings), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "x.WAV" in err and "x.wav" in err
+        assert not out.exists()
+
 
 class TestAugment:
     def run_augment(self, pipeline, dest):
@@ -262,6 +274,28 @@ class TestAugment:
         assert main([
             "augment", "--seed", "11", "--p-apply", "1.0", "--max-augs", "4",
             "--in", str(pipeline["chunks"]), "--out", str(out),
+        ]) == 0
+        log = (out / "augment_log.txt").read_text()
+        assert "add_noise(skipped: empty noise pool)" in log
+
+    def test_missing_noise_pool_exits_1(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "aug"
+        assert main([
+            "augment", "--seed", "11", "--p-apply", "1",
+            "--in", str(pipeline["chunks"]), "--out", str(out),
+            "--noise-pool", str(tmp_path / "no_such_dir"),
+        ]) == 1
+        assert "no_such_dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_pool_without_mels_is_an_empty_pool(self, pipeline, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "aug"
+        assert main([
+            "augment", "--seed", "11", "--p-apply", "1", "--max-augs", "4",
+            "--in", str(pipeline["chunks"]), "--out", str(out),
+            "--noise-pool", str(empty),
         ]) == 0
         log = (out / "augment_log.txt").read_text()
         assert "add_noise(skipped: empty noise pool)" in log
@@ -682,6 +716,16 @@ class TestBench:
         ]) == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[2] == "0"
+
+    @pytest.mark.parametrize("repetitions", ["0", "-1"])
+    def test_repetitions_below_1_exit_1(self, pipeline, tmp_path, capsys, repetitions):
+        # checked before the model is read: this one does not exist
+        assert main([
+            "bench", "--model", str(tmp_path / "absent.enm"),
+            "--spec-dir", str(pipeline["chunks"]), "--repetitions", repetitions,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"repetitions must be >= 1, got {repetitions}" in err
 
     def test_empty_spec_dir(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "none"

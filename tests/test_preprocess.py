@@ -19,15 +19,19 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d
 
 from birdedge.audio_io import AudioClip
-from birdedge.exceptions import ConfigError, DegenerateInputError
-from birdedge.melspec import MelConfig, power_to_db
+from birdedge.exceptions import DegenerateInputError
+from birdedge.melspec import power_to_db
 from birdedge.preprocess import (
     CHUNK_SECONDS,
     ENVELOPE_WINDOW_SECONDS,
+    FFT_SIZE,
+    HOP,
     MAX_CHUNKS,
     MIN_CLIP_SECONDS,
+    N_MELS,
     PEAK_NEIGHBORHOOD_SECONDS,
     PEAK_RATIO,
+    SAMPLE_RATE,
     SILENCE_THRESHOLD,
     has_peak,
     length_filter,
@@ -497,13 +501,14 @@ class TestMelSpectrogram:
         assert spec.values.dtype == np.float32
 
     def test_frame_count_law(self):
-        cfg = MelConfig()
+        frames = {}
         for n in (512, 513, 96000, 96383, 96384, 200000):
             rng = np.random.default_rng(n)
             spec = mel_spectrogram(rng.uniform(-1, 1, n).astype(np.float32))
-            assert spec.values.shape[1] == (n - cfg.fft_size) // cfg.hop + 1
-        assert cfg.frame_count(96000) == 249
-        assert cfg.frame_count(96384) == 250
+            frames[n] = spec.values.shape[1]
+            assert frames[n] == (n - FFT_SIZE) // HOP + 1
+        assert frames[96000] == 249
+        assert frames[96384] == 250
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -540,7 +545,7 @@ class TestMelSpectrogram:
         assert float(spec.values.max()) == 0.0
 
     def test_silent_chunk_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="no spectral energy"):
             mel_spectrogram(np.zeros(RATE * 2, dtype=np.float32))
 
     # the last sample lies in no frame: 248 * 384 + 512 = 95744 < 96000
@@ -555,7 +560,7 @@ class TestMelSpectrogram:
             mel_spectrogram(chunk)
 
     def test_band_edges_match_reference(self):
-        edges = mel_band_edges(MelConfig())
+        edges = mel_band_edges()
         lo, hi = _hz_to_mel(150.0), _hz_to_mel(7500.0)
         expect = [_mel_to_hz(lo + (hi - lo) * k / 65) for k in range(66)]
         assert np.allclose(edges, expect, rtol=1e-9)
@@ -563,11 +568,10 @@ class TestMelSpectrogram:
         assert edges[-1] == pytest.approx(7500.0)
 
     def test_filterbank_support(self):
-        cfg = MelConfig()
-        bank = mel_filterbank(cfg)
-        assert bank.shape == (64, cfg.fft_size // 2 + 1)
-        freqs = np.arange(cfg.fft_size // 2 + 1) * cfg.sample_rate / cfg.fft_size
-        edges = mel_band_edges(cfg)
+        bank = mel_filterbank()
+        assert bank.shape == (64, FFT_SIZE // 2 + 1)
+        freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE / FFT_SIZE
+        edges = mel_band_edges()
         for k in (0, 20, 63):
             row = bank[k]
             nz = np.nonzero(row)[0]
@@ -576,88 +580,58 @@ class TestMelSpectrogram:
             assert freqs[nz].max() < edges[k + 2]
 
     def test_filterbank_is_cached_read_only(self):
-        bank = mel_filterbank(MelConfig())
-        assert mel_filterbank(MelConfig()) is bank
+        bank = mel_filterbank()
+        assert mel_filterbank() is bank
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mel_band_edges()[0] = 1.0
 
     def test_filterbank_matches_analytic_triangles(self):
         # weight[k, j] is the triangle over (lower, center, upper) sampled
         # at bin j, scaled by 2 / (upper - lower)
-        cfg = MelConfig()
-        bank = mel_filterbank(cfg)
-        edges = mel_band_edges(cfg)
-        freqs = np.arange(cfg.fft_size // 2 + 1) * cfg.sample_rate / cfg.fft_size
+        bank = mel_filterbank()
+        edges = mel_band_edges()
+        freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE / FFT_SIZE
         expect = np.zeros_like(bank, dtype=np.float64)
-        for k in range(cfg.n_mels):
+        for k in range(N_MELS):
             lo, mid, hi = edges[k], edges[k + 1], edges[k + 2]
             for j, f in enumerate(freqs):
                 tri = min((f - lo) / (mid - lo), (hi - f) / (hi - mid))
                 expect[k, j] = max(0.0, tri) * 2.0 / (hi - lo)
         assert np.allclose(bank, expect, rtol=1e-9, atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(f_min=7500.0, f_max=150.0),
-            dict(f_min=-1.0),
-            dict(f_max=30000.0),
-            dict(hop=1024),
-            dict(n_mels=0),
-            dict(fft_size=0),
-        ],
-    )
-    def test_bad_configs(self, kwargs):
-        with pytest.raises(ConfigError):
-            mel_spectrogram(np.ones(4096, dtype=np.float32), MelConfig(**kwargs))
 
-
-def full_product_mel(chunk, cfg):
+def full_product_mel(chunk):
     """mel_spectrogram projecting every FFT bin through the filterbank."""
     chunk = np.asarray(chunk, dtype=np.float64)
-    n = np.arange(cfg.fft_size)
-    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / cfg.fft_size))
-    frames = np.lib.stride_tricks.sliding_window_view(chunk, cfg.fft_size)[:: cfg.hop]
-    spectra = np.fft.rfft(frames[: cfg.frame_count(len(chunk))] * hann, axis=1)
+    n = np.arange(FFT_SIZE)
+    hann = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / FFT_SIZE))
+    frames = np.lib.stride_tricks.sliding_window_view(chunk, FFT_SIZE)[::HOP]
+    spectra = np.fft.rfft(frames[: (len(chunk) - FFT_SIZE) // HOP + 1] * hann, axis=1)
     power = spectra.real**2 + spectra.imag**2
-    mel_power = power @ mel_filterbank(cfg).T
+    mel_power = power @ mel_filterbank().T
     return power_to_db(mel_power, float(mel_power.max())).T.astype(np.float32)
 
 
-# (config, FFT bins its filterbank weights, of fft_size // 2 + 1)
-BIN_CUT_CONFIGS = [
-    (MelConfig(), 80),
-    (MelConfig(f_max=24000.0), 257),
-    (MelConfig(n_mels=40, f_max=4000.0), 43),
-    (MelConfig(sample_rate=16000, n_mels=32, fft_size=256, hop=128, f_max=8000.0), 128),
-    (MelConfig(fft_size=1024, hop=512), 160),
-    (MelConfig(sample_rate=22050, f_max=11025.0), 256),
-]
+# FFT bins the filterbank weights, of FFT_SIZE // 2 + 1 = 257
+WEIGHTED_BINS = 80
 
 
 class TestMelBinCut:
-    @pytest.mark.parametrize("cfg, weighted", BIN_CUT_CONFIGS)
-    def test_filterbank_is_zero_past_the_weighted_bins(self, cfg, weighted):
-        bank = mel_filterbank(cfg)
-        assert bank[:, weighted - 1].any()
-        assert not bank[:, weighted:].any()
+    def test_filterbank_is_zero_past_the_weighted_bins(self):
+        bank = mel_filterbank()
+        assert bank[:, WEIGHTED_BINS - 1].any()
+        assert not bank[:, WEIGHTED_BINS:].any()
 
-    @pytest.mark.parametrize("cfg, weighted", BIN_CUT_CONFIGS)
-    def test_matches_full_product_bytewise(self, cfg, weighted):
-        rng = np.random.default_rng(weighted)
+    def test_matches_full_product_bytewise(self):
+        rng = np.random.default_rng(WEIGHTED_BINS)
         for _ in range(8):
-            n = int(rng.integers(cfg.fft_size, 3 * cfg.sample_rate))
+            n = int(rng.integers(FFT_SIZE, 3 * SAMPLE_RATE))
             chunk = rng.uniform(-1, 1, n).astype(np.float32)
             chunk *= rng.uniform(0, 1, n).astype(np.float32) ** int(rng.integers(1, 5))
-            got = mel_spectrogram(chunk, cfg).values
-            assert got.tobytes() == full_product_mel(chunk, cfg).tobytes()
-
-    def test_filterbank_weighting_no_bin_means_no_energy(self):
-        # bins lie 93.75 Hz apart, so none falls inside 100-101 Hz
-        cfg = MelConfig(f_min=100.0, f_max=101.0)
-        assert not mel_filterbank(cfg).any()
-        with pytest.raises(DegenerateInputError, match="no spectral energy"):
-            mel_spectrogram(np.random.default_rng(0).uniform(-1, 1, 4096), cfg)
+            got = mel_spectrogram(chunk).values
+            assert got.tobytes() == full_product_mel(chunk).tobytes()
 
 
 def loud_peaked_chunk(seed=0):
