@@ -60,8 +60,30 @@ SWEEP_GOLDEN = {
 SWEEP_BASELINE_CSV = "id,acc,ram,rom,flops\nbaseline,0.97,900000,2000000,90000000\n"
 
 
+# stdout of `energy --profile src/birdedge/data/profile_m7.cfg`, with the
+# bundled irradiance table and with CUSTOM_IRRADIANCE
+ENERGY_GOLDEN = {"bundled": "b9e11d119d88fc3b", "custom": "44565af62bdb769d"}
+CUSTOM_IRRADIANCE = "month,s_rad_w_m2\n" + "".join(
+    f"{month},{value}\n"
+    for month, value in zip(
+        ("Jan", "feb", "3", "apr", "May", "jun", "7", "aug", "sep", "10", "nov", "dec"),
+        (31.5, 57.25, 101, 149.9, 192.3, 203, 198.75, 166, 118.4, 69, 35.1, 22.8),
+    )
+)
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def pcm16_wav(samples, rate: int) -> bytes:
+    """A mono PCM16 WAV file holding the given int16 samples."""
+    samples = np.asarray(samples, dtype="<i2")
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE", b"fmt ",
+        16, 1, 1, rate, 2 * rate, 2, 16, b"data", samples.nbytes,
+    )
+    return header + samples.tobytes()
 
 
 def fresh_runs(argvs, cwd):
@@ -212,16 +234,25 @@ class TestPreprocess:
         # the length gate drops this clip before any screen would see it
         recordings = tmp_path / "short"
         recordings.mkdir()
-        samples = np.full(48000, 1000, dtype="<i2")
-        header = struct.pack(
-            "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + samples.nbytes, b"WAVE", b"fmt ",
-            16, 1, 1, 48000, 96000, 2, 16, b"data", samples.nbytes,
-        )
-        (recordings / "a.wav").write_bytes(header + samples.tobytes())
+        (recordings / "a.wav").write_bytes(pcm16_wav(np.full(48000, 1000), 48000))
         out = tmp_path / "o"
         assert main(["preprocess", "--in", str(recordings), "--out", str(out), flag, value]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    def test_all_zero_noise_window_is_skipped(self, tmp_path, capsys):
+        # every sample is loud, so silence removal keeps all 3 s; halving
+        # the rate keeps the even samples, which are 0, so the one window
+        # is all zero: no peak, and nothing to normalize into a noise file
+        samples = np.zeros(3 * 96000, dtype="<i2")
+        samples[1::2] = np.resize([8000, -8000, -8000, 8000], samples[1::2].size)
+        wav = tmp_path / "zeros.wav"
+        wav.write_bytes(pcm16_wav(samples, 96000))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--in", str(wav), "--out", str(out)]) == 0
+        assert "zeros.wav: 0 chunks, 0 noise windows" in capsys.readouterr().err
+        assert not list(out.rglob("*.mels"))
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
 
     def test_two_inputs_with_one_stem_exit_1(self, recordings_dir, tmp_path, capsys):
         # both would write x_chunk000.mels, and the second would win
@@ -638,6 +669,18 @@ class TestEnergy:
         lines = capsys.readouterr().out.splitlines()[1:]
         areas = {line.split(",")[5] for line in lines}
         assert len(areas) == 1  # flat irradiance, identical areas
+
+    @pytest.mark.parametrize("table", sorted(ENERGY_GOLDEN))
+    def test_report_golden(self, tmp_path, capsys, table):
+        profile = Path(birdedge.__file__).parent / "data" / "profile_m7.cfg"
+        argv = ["energy", "--profile", str(profile)]
+        if table == "custom":
+            sun = tmp_path / "sun.csv"
+            sun.write_text(CUSTOM_IRRADIANCE)
+            argv += ["--irradiance", str(sun)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == ENERGY_GOLDEN[table]
 
     def test_bad_profile(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
