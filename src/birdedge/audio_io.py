@@ -17,7 +17,6 @@ Round-trips through write_spectrogram/read_spectrogram are bitwise exact.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,39 +209,29 @@ def write_spectrogram(spec: MelSpectrogram, sink) -> None:
 
 
 def read_spectrogram(source) -> MelSpectrogram:
-    """Read a spectrogram from a path, bytes, or binary file object.
+    """Read a spectrogram from a path or bytes.
 
     Raises:
         FormatError: bad magic, truncated header or payload, non-finite
-            values, or (for path and bytes sources) trailing garbage after
-            the payload.
+            values, or trailing garbage after the payload.
     """
-    exact = True
-    if hasattr(source, "read"):
-        stream = source
-        exact = False  # a stream may carry more records after this one
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.BytesIO(source)
-    else:
-        stream = io.BytesIO(Path(source).read_bytes())
-
-    header = stream.read(12)
-    if len(header) < 12:
+    data = source if isinstance(source, (bytes, bytearray)) else Path(source).read_bytes()
+    if len(data) < 12:
         raise FormatError("truncated spectrogram header")
-    if header[0:4] != SPECTROGRAM_MAGIC:
-        raise FormatError(f"bad spectrogram magic {header[0:4]!r}")
-    n_mels, n_frames = struct.unpack_from("<II", header, 4)
+    if data[0:4] != SPECTROGRAM_MAGIC:
+        raise FormatError(f"bad spectrogram magic {bytes(data[0:4])!r}")
+    n_mels, n_frames = struct.unpack_from("<II", data, 4)
     if n_mels == 0 or n_frames == 0:
         raise FormatError(f"degenerate dimensions {n_mels}x{n_frames}")
     count = n_mels * n_frames
-    body = stream.read(count * 4)
-    if len(body) != count * 4:
+    if len(data) - 12 < count * 4:
         raise FormatError(
-            f"payload truncated: expected {count * 4} bytes, got {len(body)}"
+            f"payload truncated: expected {count * 4} bytes, got {len(data) - 12}"
         )
-    if exact and stream.read(1):
+    if len(data) - 12 > count * 4:
         raise FormatError("trailing bytes after spectrogram payload")
-    values = np.frombuffer(body, dtype="<f4").reshape(n_mels, n_frames).copy()
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=12)
+    values = values.reshape(n_mels, n_frames).copy()
     if not np.isfinite(values).all():
         raise FormatError("spectrogram contains non-finite values")
     return MelSpectrogram(values=values)

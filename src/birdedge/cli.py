@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import astuple
 from importlib import resources
 from pathlib import Path
 
@@ -71,8 +72,17 @@ def _emit(data: str | bytes, args: argparse.Namespace) -> None:
     _write_manifest(path.with_name(path.name + ".manifest.json"), args, [str(path)])
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+# The report dialect, one field template per column code: s text, g a float
+# as %.10g, d an integer or a 0/1 flag, and "" an empty field.
+_FIELDS = {"s": "{}", "g": "{:.10g}", "d": "{:d}", "": ""}
+
+
+def _table(header: str | None, row_format: str, rows) -> str:
+    """The header line (unless None), then each row rendered by one
+    str.format of row_format: one _FIELDS code per column, comma separated."""
+    line = ",".join(_FIELDS[code] for code in row_format.split(",")) + "\n"
+    body = "".join(line.format(*row) for row in rows)
+    return body if header is None else header + "\n" + body
 
 
 def _spectrogram_bytes(spec) -> bytes:
@@ -125,10 +135,7 @@ def cmd_preprocess(args) -> int:
             _atomic_write(path, _spectrogram_bytes(spec))
             outputs.append(str(path))
         kept_noise = 0
-        for chunk in noise_chunks:
-            if not np.any(chunk):
-                continue  # nothing to normalize in an all-zero window
-            spec = preprocess.mel_spectrogram(preprocess.normalize(chunk))
+        for spec in preprocess.noise_spectrograms(noise_chunks):
             path = noise_dir / f"{stem}_noise{kept_noise:03d}.mels"
             _atomic_write(path, _spectrogram_bytes(spec))
             outputs.append(str(path))
@@ -192,45 +199,27 @@ def _load_model_file(path: str):
     return nnrt.load_model(Path(path).read_bytes())
 
 
-def _infer_report(model, probabilities) -> str:
-    report = nnrt.resource_report(model)
-    lines = ["class,probability"]
-    lines += [f"{i},{_fmt(p)}" for i, p in enumerate(probabilities)]
-    lines += [
-        "",
-        "flops,ram_bytes,rom_bytes",
-        f"{report.flops},{report.ram_bytes},{report.rom_bytes}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def cmd_infer(args) -> int:
     model = _load_model_file(args.model)
     spec = read_spectrogram(Path(args.spec))
-    probabilities = nnrt.infer(model, spec)
-    _emit(_infer_report(model, probabilities), args)
+    report = _table("class,probability", "d,g", enumerate(nnrt.infer(model, spec)))
+    cost = astuple(nnrt.resource_report(model))
+    _emit(report + "\n" + _table("flops,ram_bytes,rom_bytes", "d,d,d", [cost]), args)
     return 0
 
 
 def cmd_rank(args) -> int:
     table = trials.score_table(trials.read_trials_csv(args.trials))
-    lines = ["id,acc_score,mem_score,rank,selected"]
-    for trial_id, (acc, mem, score, selected) in table.items():
-        lines.append(f"{trial_id},{_fmt(acc)},{_fmt(mem)},{_fmt(score)},{int(selected)}")
-    _emit("\n".join(lines) + "\n", args)
+    rows = [(trial_id, *row) for trial_id, row in table.items()]
+    _emit(_table("id,acc_score,mem_score,rank,selected", "s,g,g,g,d", rows), args)
     return 0
 
 
 def cmd_pareto(args) -> int:
     records = trials.read_trials_csv(args.trials)
     front = trials.pareto_front(records, include_accuracy=not args.resources_only)
-    lines = ["id,acc,ram,rom,flops,pareto"]
-    for t in records:
-        lines.append(
-            f"{t.id},{_fmt(t.acc)},{_fmt(t.ram)},{_fmt(t.rom)},{_fmt(t.flops)},"
-            f"{int(t.id in front)}"
-        )
-    _emit("\n".join(lines) + "\n", args)
+    rows = [(t.id, t.acc, t.ram, t.rom, t.flops, t.id in front) for t in records]
+    _emit(_table("id,acc,ram,rom,flops,pareto", "s,g,g,g,g,d", rows), args)
     return 0
 
 
@@ -239,22 +228,10 @@ def cmd_compress(args) -> int:
     records = trials.read_trials_csv(args.trials)
     if any(t.id == "pareto_mean" for t in records):
         raise ValueError("trial id 'pareto_mean' is reserved for the summary row")
-    front = trials.pareto_front(records, include_accuracy=not args.resources_only)
-    lines = ["id,cr_ram,cr_rom,cr_flops,cr_overall,pareto"]
-    front_overall = []  # avg_overall_compression's terms, in its order
-    for t in records:
-        overall = trials.overall_compression(baseline, t)
-        if t.id in front:
-            front_overall.append(overall)
-        lines.append(
-            f"{t.id},{_fmt(trials.compression_rate(baseline.ram, t.ram))},"
-            f"{_fmt(trials.compression_rate(baseline.rom, t.rom))},"
-            f"{_fmt(trials.compression_rate(baseline.flops, t.flops))},"
-            f"{_fmt(overall)},{int(t.id in front)}"
-        )
-    avg = sum(front_overall) / len(front_overall)
-    lines.append(f"pareto_mean,,,,{_fmt(avg)},")
-    _emit("\n".join(lines) + "\n", args)
+    table, mean = trials.compression_table(baseline, records, not args.resources_only)
+    rows = [(trial_id, *row) for trial_id, row in table.items()]
+    report = _table("id,cr_ram,cr_rom,cr_flops,cr_overall,pareto", "s,g,g,g,g,d", rows)
+    _emit(report + _table(None, "s,,,,g,", [("pareto_mean", mean)]), args)
     return 0
 
 
@@ -265,18 +242,13 @@ def cmd_energy(args) -> int:
     else:
         data = resources.files("birdedge").joinpath("data/irradiance_de.csv")
         table = energy.parse_irradiance(data.read_text())
-    rows = energy.monthly_report(profile, table)
-    lines = [
-        "month,s_rad_w_m2,average_power_w,battery_wh,charge_power_w,"
-        "panel_area_m2,worst"
+    rows = [
+        (energy.MONTH_NAMES[r.month - 1], r.s_rad_w_m2, r.average_power_w, r.battery_wh,
+         r.charge_power_w, r.panel_area_m2, r.worst)
+        for r in energy.monthly_report(profile, table)
     ]
-    for row in rows:
-        lines.append(
-            f"{energy.MONTH_NAMES[row.month - 1]},{_fmt(row.s_rad_w_m2)},"
-            f"{_fmt(row.average_power_w)},{_fmt(row.battery_wh)},"
-            f"{_fmt(row.charge_power_w)},{_fmt(row.panel_area_m2)},{int(row.worst)}"
-        )
-    _emit("\n".join(lines) + "\n", args)
+    header = "month,s_rad_w_m2,average_power_w,battery_wh,charge_power_w,panel_area_m2,worst"
+    _emit(_table(header, "s,g,g,g,g,g,d", rows), args)
     return 0
 
 
@@ -294,11 +266,8 @@ def cmd_bench(args) -> int:
         nnrt.infer(model, spec)
         latencies[i] = time.perf_counter() - start
     ms = latencies * 1e3
-    text = (
-        "repetitions,mean_ms,std_ms,min_ms,max_ms\n"
-        f"{reps},{_fmt(ms.mean())},{_fmt(ms.std())},{_fmt(ms.min())},{_fmt(ms.max())}\n"
-    )
-    _emit(text, args)
+    row = (reps, ms.mean(), ms.std(), ms.min(), ms.max())
+    _emit(_table("repetitions,mean_ms,std_ms,min_ms,max_ms", "d,g,g,g,g", [row]), args)
     return 0
 
 

@@ -226,14 +226,19 @@ def load_profile(path) -> DeploymentProfile:
 def parse_irradiance(text: str) -> dict[int, float]:
     """Parse the 12 row month,s_rad CSV; months may be names or 1..12.
 
-    Every irradiance must be finite and positive.
+    Every irradiance must be finite and positive. A malformed row, an
+    over-long field included, raises ConfigError.
     """
     table: dict[int, float] = {}
     reader = csv.reader(text.splitlines())
-    header = next(reader, None)
+    try:
+        rows = list(reader)
+    except csv.Error as err:
+        raise ConfigError(f"irradiance line {reader.line_num}: {err}") from None
+    header = rows[0] if rows else None
     if header is None or [h.strip().lower() for h in header][:1] != ["month"]:
         raise ConfigError(f"expected a month,s_rad_w_m2 header, got {header}")
-    for row in reader:
+    for row in rows[1:]:
         if not row:
             continue
         if len(row) != 2:

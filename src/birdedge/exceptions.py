@@ -6,7 +6,7 @@ class BirdEdgeError(Exception):
 
 
 class FormatError(BirdEdgeError):
-    """A binary container is malformed: bad magic, truncated payload, garbage fields."""
+    """A file is malformed: bad magic, truncated payload, garbage fields, an unreadable CSV row."""
 
 
 class UnsupportedError(BirdEdgeError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
-from .serialize import estimate_rom
+from .serialize import _container_size
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,10 @@ def _flops_of(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
 
 def count_flops(model: ModelGraph) -> int:
     """Total FLOPs of one inference; additive over the layer list."""
-    shapes = validate_graph(model)
+    return _flops(model, validate_graph(model))
+
+
+def _flops(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
     return sum(
         _flops_of(layer, shape) for layer, shape in zip(model.layers, shapes[1:])
     )
@@ -51,7 +54,11 @@ def estimate_ram(model: ModelGraph) -> int:
     still awaited by a later residual_add are live. The estimate is the
     maximum over execution steps and is independent of weight values.
     """
-    sizes = [math.prod(s) for s in validate_graph(model)]  # 1 byte per int8 element
+    return _peak_ram(model, validate_graph(model))
+
+
+def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
+    sizes = [math.prod(s) for s in shapes]  # 1 byte per int8 element
 
     # buffer b (layer b-1's output) is last read at step b, the layer it
     # feeds, or later by a residual_add; it is freed after that step
@@ -72,8 +79,10 @@ def estimate_ram(model: ModelGraph) -> int:
 
 
 def resource_report(model: ModelGraph) -> ResourceReport:
+    """count_flops, estimate_ram and estimate_rom, on one validation."""
+    shapes = validate_graph(model)
     return ResourceReport(
-        flops=count_flops(model),
-        ram_bytes=estimate_ram(model),
-        rom_bytes=estimate_rom(model),
+        flops=_flops(model, shapes),
+        ram_bytes=_peak_ram(model, shapes),
+        rom_bytes=_container_size(model),
     )

@@ -113,6 +113,11 @@ def estimate_rom(model: ModelGraph) -> int:
     summed from the container layout; no byte is packed.
     """
     validate_graph(model)
+    return _container_size(model)
+
+
+def _container_size(model: ModelGraph) -> int:
+    """estimate_rom of a graph that has passed validate_graph."""
     # magic, version u32, then the header
     size = len(MODEL_MAGIC) + 4 + struct.calcsize(_HEADER)
     for layer in model.layers:

@@ -22,6 +22,7 @@ Stage 5 has no settings: its parameters are the constants below.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
@@ -352,3 +353,10 @@ def preprocess_recording(
     )
     spectrograms = [mel_spectrogram(normalize(c)) for c in chunks]
     return spectrograms, noise
+
+
+def noise_spectrograms(noise: list[np.ndarray]) -> Iterator[MelSpectrogram]:
+    """Log-mel matrices of preprocess_recording's noise windows, in order,
+    one at a time. An all-zero window, which resampling can leave, has
+    nothing to normalize and is left out."""
+    return (mel_spectrogram(normalize(window)) for window in noise if np.any(window))

@@ -19,9 +19,8 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
-from .exceptions import DegenerateInputError, EmptyError
+from .exceptions import DegenerateInputError, EmptyError, FormatError
 
 CSV_HEADER = ("id", "acc", "ram", "rom", "flops")
 _COSTS = ("ram", "rom", "flops")
@@ -165,49 +164,62 @@ def compression_rate(baseline_value: float, edge_value: float) -> float:
     return 1.0 - edge_value / baseline_value
 
 
+def _rates(baseline: BaselineRecord, trial: TrialRecord) -> tuple[float, float, float, float]:
+    """The ram, rom, flops and overall compression rates of one trial."""
+    ram = compression_rate(baseline.ram, trial.ram)
+    rom = compression_rate(baseline.rom, trial.rom)
+    flops = compression_rate(baseline.flops, trial.flops)
+    return ram, rom, flops, (ram + rom + flops) / 3.0
+
+
 def overall_compression(baseline: BaselineRecord, trial: TrialRecord) -> float:
     """Mean of the ram, rom, and flops compression rates."""
-    return (
-        compression_rate(baseline.ram, trial.ram)
-        + compression_rate(baseline.rom, trial.rom)
-        + compression_rate(baseline.flops, trial.flops)
-    ) / 3.0
+    return _rates(baseline, trial)[3]
+
+
+def compression_table(
+    baseline: BaselineRecord, trials, include_accuracy: bool = True
+) -> tuple[dict[str, tuple[float, float, float, float, bool]], float]:
+    """Every trial's (cr_ram, cr_rom, cr_flops, cr_overall, on_front), keyed
+    by id in input order, and the mean cr_overall of the Pareto front, summed
+    in that order. The front is computed once."""
+    trials = _require(trials)
+    front = pareto_front(trials, include_accuracy=include_accuracy)
+    rows = {t.id: (*_rates(baseline, t), t.id in front) for t in trials}
+    front_overall = [row[3] for row in rows.values() if row[4]]
+    return rows, sum(front_overall) / len(front_overall)
 
 
 def avg_overall_compression(
     baseline: BaselineRecord, trials, include_accuracy: bool = True
 ) -> float:
     """Mean overall compression across the Pareto-optimal trials only."""
-    trials = _require(trials)
-    front = pareto_front(trials, include_accuracy=include_accuracy)
-    members = [t for t in trials if t.id in front]
-    return sum(overall_compression(baseline, t) for t in members) / len(members)
+    return compression_table(baseline, trials, include_accuracy)[1]
 
 
 def read_trials_csv(path) -> list[TrialRecord]:
-    """Load trials from a CSV with header id,acc,ram,rom,flops."""
+    """Load trials from a CSV with header id,acc,ram,rom,flops.
+
+    A row the csv module cannot read, such as an over-long field, is a FormatError.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(
-                f"expected header {','.join(CSV_HEADER)}, got {header}"
-            )
-        trials = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"bad row {row}")
-            trials.append(
-                TrialRecord(
-                    id=row[0].strip(),
-                    acc=float(row[1]),
-                    ram=float(row[2]),
-                    rom=float(row[3]),
-                    flops=float(row[4]),
-                )
-            )
+        try:
+            rows = list(reader)
+        except csv.Error as err:
+            raise FormatError(f"line {reader.line_num}: {err}") from None
+    header = rows[0] if rows else None
+    if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ValueError(
+            f"expected header {','.join(CSV_HEADER)}, got {header}"
+        )
+    trials = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ValueError(f"bad row {row}")
+        trials.append(TrialRecord(row[0].strip(), *map(float, row[1:])))
     return trials
 
 
@@ -218,12 +230,3 @@ def read_baseline_csv(path) -> BaselineRecord:
         raise ValueError(f"baseline file must hold exactly one row, got {len(rows)}")
     b = rows[0]
     return BaselineRecord(acc=b.acc, ram=b.ram, rom=b.rom, flops=b.flops)
-
-
-def write_trials_csv(trials, path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for t in trials:
-            writer.writerow([t.id, t.acc, t.ram, t.rom, t.flops])

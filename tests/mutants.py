@@ -141,9 +141,29 @@ MUTANTS = (
     Mutant(
         "estimate_rom: no validation",
         "src/birdedge/nnrt/serialize.py",
-        "    validate_graph(model)\n    # magic",
-        "    # magic",
+        "    validate_graph(model)\n    return _container_size(model)",
+        "    return _container_size(model)",
         ("tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",),
+    ),
+    Mutant(
+        "resource_report: shapes taken without validation",
+        "src/birdedge/nnrt/resources.py",
+        "    shapes = validate_graph(model)\n    return ResourceReport(",
+        "    shapes = [model.input_shape] * (len(model.layers) + 1)\n"
+        "    return ResourceReport(",
+        ("tests/test_nnrt.py::TestResources::test_report_of_an_invalid_graph_raises",
+         "tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once"),
+    ),
+    Mutant(
+        "resource_report: the graph validated once per cost",
+        "src/birdedge/nnrt/resources.py",
+        "        flops=_flops(model, shapes),\n"
+        "        ram_bytes=_peak_ram(model, shapes),\n"
+        "        rom_bytes=_container_size(model),\n",
+        "        flops=count_flops(model),\n"
+        "        ram_bytes=estimate_ram(model),\n"
+        "        rom_bytes=_container_size(model),\n",
+        ("tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once",),
     ),
     Mutant(
         "estimate_ram: residual source freed a step early",
@@ -199,6 +219,51 @@ MUTANTS = (
         "",
         ("tests/test_preprocess.py::TestPipeline::test_bad_setting_raises_whatever_the_clip",
          "tests/test_cli.py::TestPreprocess::test_bad_setting_exits_1_on_a_too_short_clip"),
+    ),
+    Mutant(
+        "noise_spectrograms: all-zero window not skipped",
+        "src/birdedge/preprocess.py",
+        " for window in noise if np.any(window))",
+        " for window in noise)",
+        ("tests/test_cli.py::TestPreprocess::test_all_zero_noise_window_is_skipped",),
+    ),
+    Mutant(
+        "compression_table: mean over every trial, not the front",
+        "src/birdedge/trials.py",
+        "for row in rows.values() if row[4]]",
+        "for row in rows.values()]",
+        ("tests/test_trials.py::TestCompression::test_avg_over_front_only",
+         "tests/test_trials.py::TestCompression::test_table_rows_in_input_order"),
+    ),
+    Mutant(
+        "read_trials_csv: csv.Error not converted",
+        "src/birdedge/trials.py",
+        "        try:\n"
+        "            rows = list(reader)\n"
+        "        except csv.Error as err:\n"
+        '            raise FormatError(f"line {reader.line_num}: {err}") from None\n',
+        "        rows = list(reader)\n",
+        ("tests/test_trials.py::TestCsv::test_oversized_field_is_a_format_error",
+         "tests/test_cli.py::TestTrialTools::test_oversized_csv_field_exits_1"),
+    ),
+    Mutant(
+        "parse_irradiance: csv.Error not converted",
+        "src/birdedge/energy.py",
+        "    try:\n"
+        "        rows = list(reader)\n"
+        "    except csv.Error as err:\n"
+        '        raise ConfigError(f"irradiance line {reader.line_num}: {err}") from None\n',
+        "    rows = list(reader)\n",
+        ("tests/test_energy.py::TestParsers::test_irradiance_oversized_field_is_a_config_error",
+         "tests/test_cli.py::TestEnergy::test_oversized_irradiance_field_exits_1"),
+    ),
+    Mutant(
+        "_table: a flag rendered as True or False",
+        "src/birdedge/cli.py",
+        '"d": "{:d}"',
+        '"d": "{}"',
+        ("tests/test_cli.py::TestEnergy::test_report_golden",
+         "tests/test_cli.py::TestTrialTools::test_rank_output"),
     ),
     Mutant(
         "augment: every run seeded with 0",

@@ -409,14 +409,6 @@ class TestResampleMatchesWholeClip:
 
 
 class TestSpectrogramContainer:
-    def test_roundtrip_via_stream(self):
-        values = np.random.default_rng(0).uniform(-80, 0, (64, 249)).astype(np.float32)
-        buf = io.BytesIO()
-        write_spectrogram(MelSpectrogram(values), buf)
-        back = read_spectrogram(io.BytesIO(buf.getvalue()))
-        assert back.values.tobytes() == values.tobytes()
-        assert back.values.shape == (64, 249)
-
     def test_roundtrip_via_path(self, tmp_path):
         values = np.random.default_rng(1).normal(size=(3, 5)).astype(np.float32)
         path = tmp_path / "x.mels"

@@ -629,6 +629,24 @@ class TestTrialTools:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, oversized", [
+        ("rank", "trials"), ("pareto", "trials"),
+        ("compress", "trials"), ("compress", "baseline"),
+    ])
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys, command, oversized):
+        # the csv module refuses fields over 131072 characters
+        files = {"trials": TRIALS_CSV, "baseline": BASELINE_CSV}
+        files[oversized] += "x" * 200_000 + ",0.5,1,1,1\n"
+        paths = {name: self.write(tmp_path, f"{name}.csv", text) for name, text in files.items()}
+        argv = [command, "--trials", str(paths["trials"])]
+        if command == "compress":
+            argv += ["--baseline", str(paths["baseline"])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"birdedge {command}: line ")
+        assert "field larger than field limit" in captured.err
+        assert captured.out == ""
+
     def test_bad_trials_file(self, tmp_path, capsys):
         trials = self.write(tmp_path, "bad.csv", "nope\n")
         assert main(["rank", "--trials", str(trials)]) == 1
@@ -681,6 +699,17 @@ class TestEnergy:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == ENERGY_GOLDEN[table]
+
+    def test_oversized_irradiance_field_exits_1(self, tmp_path, capsys):
+        table = tmp_path / "sun.csv"
+        table.write_text("month,s_rad_w_m2\n" + "x" * 200_000 + ",50\n")
+        assert main([
+            "energy", "--profile", str(self.profile(tmp_path)),
+            "--irradiance", str(table),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("birdedge energy: irradiance line 2: ")
+        assert captured.out == ""
 
     def test_bad_profile(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

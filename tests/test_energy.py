@@ -325,6 +325,12 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_irradiance(text)
 
+    def test_irradiance_oversized_field_is_a_config_error(self):
+        # the csv module refuses fields over 131072 characters
+        text = "month,s_rad_w_m2\n" + "x" * 200_000 + ",50\n"
+        with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
+            parse_irradiance(text)
+
     def test_month_names_are_calendar_order(self):
         assert MONTH_NAMES[0] == "jan" and MONTH_NAMES[11] == "dec"
         assert len(MONTH_NAMES) == 12

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import birdedge.nnrt.resources
+import birdedge.nnrt.serialize
 from birdedge.exceptions import (
     BirdEdgeError,
     FormatError,
@@ -30,6 +32,7 @@ from birdedge.nnrt import (
     MODEL_MAGIC,
     LayerSpec,
     ModelGraph,
+    ResourceReport,
     count_flops,
     estimate_ram,
     estimate_rom,
@@ -848,6 +851,24 @@ class TestResources:
         assert report.flops == count_flops(model)
         assert report.ram_bytes == estimate_ram(model)
         assert report.rom_bytes == estimate_rom(model)
+
+    def test_report_validates_the_graph_once(self, fixture_model, monkeypatch):
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return validate_graph(model)
+
+        for module in (birdedge.nnrt.resources, birdedge.nnrt.serialize):
+            monkeypatch.setattr(module, "validate_graph", counting)
+        assert resource_report(fixture_model) == ResourceReport(5315248, 96000, 22803)
+        assert len(calls) == 1
+
+    def test_report_of_an_invalid_graph_raises(self):
+        model = chain_model()
+        model.layers[0].weight = model.layers[0].weight[:-1]
+        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
+            resource_report(model)
 
 
 @st.composite

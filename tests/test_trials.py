@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import birdedge.trials
-from birdedge.exceptions import DegenerateInputError, EmptyError
+from birdedge.exceptions import DegenerateInputError, EmptyError, FormatError
 from birdedge.trials import (
     CSV_HEADER,
     BaselineRecord,
@@ -20,6 +20,7 @@ from birdedge.trials import (
     acc_score,
     avg_overall_compression,
     compression_rate,
+    compression_table,
     mem_score,
     overall_compression,
     pareto_front,
@@ -27,7 +28,6 @@ from birdedge.trials import (
     read_baseline_csv,
     read_trials_csv,
     select_best,
-    write_trials_csv,
 )
 
 from conftest import sweep_trials_csv
@@ -358,18 +358,52 @@ class TestCompression:
         without = avg_overall_compression(baseline, ts, include_accuracy=False)
         assert without == pytest.approx(0.5, rel=1e-12)  # front shrinks to {a}
 
+    def test_table_rows_in_input_order(self):
+        baseline = BaselineRecord(acc=1.0, ram=400.0, rom=1000.0, flops=1000.0)
+        ts = [
+            trial("z", 0.5, 200.0, 500.0, 900.0),  # dominated by t
+            trial("t", 0.9, 100.0, 100.0, 400.0),
+        ]
+        rows, mean = compression_table(baseline, ts)
+        assert list(rows) == ["z", "t"]
+        assert rows["t"] == (0.75, 0.9, 0.6, overall_compression(baseline, ts[1]), True)
+        assert rows["z"][3:] == (overall_compression(baseline, ts[0]), False)
+        assert mean == rows["t"][3] == avg_overall_compression(baseline, ts)
+
+    def test_mean_sums_the_front_in_input_order(self):
+        # three front members whose float sum depends on the order
+        baseline = BaselineRecord(acc=1.0, ram=10.0, rom=10.0, flops=10.0)
+        ts = [
+            trial("a", 0.9, 3.6, 5.3, 0.1),
+            trial("b", 0.8, 5.7, 3.2, 5.0),
+            trial("c", 0.7, 9.6, 1.4, 5.0),
+        ]
+        rows, mean = compression_table(baseline, ts)
+        a, b, c = (row[3] for row in rows.values())
+        assert all(row[4] for row in rows.values())
+        assert mean == (a + b + c) / 3 != (c + b + a) / 3
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "trials.csv"
-        ts = [
+        path.write_text(
+            ",".join(CSV_HEADER) + "\n"
+            "m7-int8,0.914,310000,880000,5315248\n"
+            "m7-pruned,0.88,1.5e5,440000.0,2650000\n"
+        )
+        assert read_trials_csv(path) == [
             trial("m7-int8", 0.914, 310000.0, 880000.0, 5315248.0),
             trial("m7-pruned", 0.88, 150000.0, 440000.0, 2650000.0),
         ]
-        write_trials_csv(ts, path)
-        assert read_trials_csv(path) == ts
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(CSV_HEADER)
+
+    @pytest.mark.parametrize("reader", [read_trials_csv, read_baseline_csv])
+    def test_oversized_field_is_a_format_error(self, tmp_path, reader):
+        # the csv module refuses fields over 131072 characters
+        path = tmp_path / "big.csv"
+        path.write_text("id,acc,ram,rom,flops\n" + "x" * 200_000 + ",0.5,1,1,1\n")
+        with pytest.raises(FormatError, match="line 2: field larger than field limit"):
+            reader(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
