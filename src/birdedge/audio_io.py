@@ -23,7 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import FormatError, UnsupportedError
+from .exceptions import (
+    ConfigError,
+    DegenerateInputError,
+    EmptyError,
+    FormatError,
+    ShapeError,
+    UnsupportedError,
+)
 from .melspec import MelSpectrogram
 
 SPECTROGRAM_MAGIC = b"MELS"
@@ -160,9 +167,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     value is the one a single whole-clip np.interp gives, bit for bit.
     """
     if target_rate <= 0:
-        raise ValueError(f"target_rate must be positive, got {target_rate}")
+        raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if len(clip.samples) == 0:
-        raise ValueError("cannot resample an empty clip")
+        raise EmptyError("cannot resample an empty clip")
     if target_rate == clip.sample_rate:
         return clip
 
@@ -189,13 +196,14 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 def write_spectrogram(spec: MelSpectrogram, sink) -> None:
     """Serialise a spectrogram to a path or binary file object.
 
-    Raises ValueError if the matrix is not 2-D or contains non-finite values.
+    Raises ShapeError if the matrix is not 2-D and DegenerateInputError if
+    it contains non-finite values.
     """
     values = np.asarray(spec.values)
     if values.ndim != 2:
-        raise ValueError(f"spectrogram must be 2-D, got shape {values.shape}")
+        raise ShapeError(f"spectrogram must be 2-D, got shape {values.shape}")
     if not np.isfinite(values).all():
-        raise ValueError("spectrogram contains non-finite values")
+        raise DegenerateInputError("spectrogram contains non-finite values")
     n_mels, n_frames = values.shape
     payload = (
         SPECTROGRAM_MAGIC

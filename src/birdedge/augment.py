@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ShapeError
+from .exceptions import ConfigError, ShapeError
 from .melspec import FLOOR_DB, MelSpectrogram, db_to_power, power_to_db
 
 # Canonical order in which selection coins are flipped. Fixed so a seed
@@ -42,11 +42,11 @@ class AugmentConfig:
 
     def validate(self, n_frames: int | None = None) -> None:
         if not 0.0 <= self.p_apply <= 1.0:
-            raise ValueError(f"p_apply must be in [0, 1], got {self.p_apply}")
+            raise ConfigError(f"p_apply must be in [0, 1], got {self.p_apply}")
         if self.max_augs < 0:
-            raise ValueError(f"max_augs must be >= 0, got {self.max_augs}")
+            raise ConfigError(f"max_augs must be >= 0, got {self.max_augs}")
         if n_frames is not None and WARP_LIMIT >= n_frames / 2:
-            raise ValueError(
+            raise ShapeError(
                 f"warp limit {WARP_LIMIT} too large for {n_frames} frames"
             )
 
@@ -104,11 +104,11 @@ def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
     values = spec.values
     n_frames = spec.n_frames
     if w < 0:
-        raise ValueError(f"displacement must be >= 0, got {w}")
+        raise ConfigError(f"displacement must be >= 0, got {w}")
     if not 0 < center < n_frames - 1:
-        raise ValueError(f"center {center} outside (0, {n_frames - 1})")
+        raise ConfigError(f"center {center} outside (0, {n_frames - 1})")
     if center + w > n_frames - 2:
-        raise ValueError(
+        raise ConfigError(
             f"center {center} + w {w} exceeds last movable column {n_frames - 2}"
         )
     if w == 0:
@@ -149,7 +149,7 @@ def add_noise(
             f"spectrogram {spec.values.shape} vs noise {noise.values.shape}"
         )
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     power = db_to_power(spec.values) + alpha * db_to_power(noise.values)
     db = power_to_db(power, ref=float(power.max()))
     return MelSpectrogram(db.astype(np.float32))
@@ -232,4 +232,6 @@ def augment_chunk(
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented substream rule: one child generator per chunk index."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng([seed, chunk_index])

@@ -6,7 +6,9 @@ data goes to files or stdout, and every run that writes files also writes
 a JSON manifest alongside them so the exact invocation can be replayed.
 File writes are atomic: a sibling temp file is renamed into place.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 an input error (a BirdEdgeError or an OSError,
+reported on stderr as `birdedge <cmd>: <message>`), 2 usage error. Any
+other exception is a bug and ends the run with a traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__, augment, energy, nnrt, preprocess, trials
 from .audio_io import decode_wav, read_spectrogram, write_spectrogram
-from .exceptions import BirdEdgeError
+from .exceptions import BirdEdgeError, ConfigError, FormatError
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -227,7 +229,7 @@ def cmd_compress(args) -> int:
     baseline = trials.read_baseline_csv(args.baseline)
     records = trials.read_trials_csv(args.trials)
     if any(t.id == "pareto_mean" for t in records):
-        raise ValueError("trial id 'pareto_mean' is reserved for the summary row")
+        raise FormatError("trial id 'pareto_mean' is reserved for the summary row")
     table, mean = trials.compression_table(baseline, records, not args.resources_only)
     rows = [(trial_id, *row) for trial_id, row in table.items()]
     report = _table("id,cr_ram,cr_rom,cr_flops,cr_overall,pareto", "s,g,g,g,g,d", rows)
@@ -256,7 +258,7 @@ def cmd_bench(args) -> int:
     """Latency methodology only: wall-clock per inference, no energy figures."""
     reps = args.repetitions
     if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
+        raise ConfigError(f"repetitions must be >= 1, got {reps}")
     model = _load_model_file(args.model)
     specs = [read_spectrogram(p) for p in _mels_inputs(Path(args.spec_dir))]
     latencies = np.empty(reps, dtype=np.float64)
@@ -394,7 +396,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (BirdEdgeError, ValueError, ZeroDivisionError, OSError) as err:
+    except (BirdEdgeError, OSError) as err:
         print(f"birdedge {args.subcommand}: {err}", file=sys.stderr)
         return 1
 

@@ -80,10 +80,7 @@ def _check(name: str, value: float, field: str, per_si: float = 1.0) -> None:
 
 def active_power(profile: DeploymentProfile) -> float:
     """Mean power while processing, W: total energy over total time."""
-    total_time = profile.t_infer_s + profile.t_dsp_s
-    if total_time == 0:
-        raise ZeroDivisionError("active time is zero")
-    return (profile.e_infer_j + profile.e_dsp_j) / total_time
+    return (profile.e_infer_j + profile.e_dsp_j) / (profile.t_infer_s + profile.t_dsp_s)
 
 
 def average_power(profile: DeploymentProfile) -> float:
@@ -100,8 +97,6 @@ def battery_capacity(profile: DeploymentProfile) -> float:
 
 def charge_power(capacity_wh: float, charge_hours: float) -> float:
     """Power in W needed to refill capacity_wh within charge_hours."""
-    if charge_hours == 0:
-        raise ZeroDivisionError("charge window is zero")
     return capacity_wh / charge_hours
 
 
@@ -109,10 +104,7 @@ def panel_area(
     charge_w: float, s_rad_w_m2: float, eta_solar: float, eta_bat: float
 ) -> float:
     """Solar panel area in m^2 delivering charge_w at irradiance s_rad."""
-    denom = eta_solar * eta_bat * s_rad_w_m2
-    if denom == 0:
-        raise ZeroDivisionError("irradiance or efficiency is zero")
-    return charge_w / denom
+    return charge_w / (eta_solar * eta_bat * s_rad_w_m2)
 
 
 @dataclass(frozen=True)
@@ -141,6 +133,9 @@ def monthly_report(
     avg = average_power(profile)
     capacity = battery_capacity(profile)
     charge = charge_power(capacity, profile.charge_hours)
+    # finite positive inputs can still underflow panel_area's denominator to 0
+    if any(profile.eta_solar * profile.eta_bat * s_rad == 0 for s_rad in irradiance.values()):
+        raise ConfigError("sizing underflows: efficiency x irradiance is 0")
     areas = {
         month: panel_area(charge, s_rad, profile.eta_solar, profile.eta_bat)
         for month, s_rad in irradiance.items()
@@ -186,8 +181,9 @@ def parse_profile(text: str) -> DeploymentProfile:
 
     Measured keys (e_infer_mj, t_infer_ms, e_dsp_mj, t_dsp_ms, p_sleep_mw)
     are required; deployment keys fall back to the standard assumptions.
-    Unknown keys, malformed lines and out-of-range values raise ConfigError;
-    a range error names the key and states the range in its units.
+    Unknown keys, malformed lines, out-of-range values and a zero active
+    time (t_infer_ms + t_dsp_ms) raise ConfigError; a range error names the
+    key and states the range in its units.
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,11 +212,22 @@ def parse_profile(text: str) -> DeploymentProfile:
         field, per_si = _PROFILE_KEYS[key]
         _check(key, value, field, per_si)
         si[field] = value / per_si
+    # active_power divides by this sum, which a tiny time can underflow to 0
+    if si["t_infer_s"] + si["t_dsp_s"] == 0:
+        raise ConfigError("t_infer_ms + t_dsp_ms must be > 0: the active time is 0 s")
     return DeploymentProfile(**si)
 
 
+def _read_text(path) -> str:
+    """A UTF-8 text file; bytes that are not UTF-8 are a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def load_profile(path) -> DeploymentProfile:
-    return parse_profile(Path(path).read_text())
+    return parse_profile(_read_text(path))
 
 
 def parse_irradiance(text: str) -> dict[int, float]:
@@ -268,4 +275,4 @@ def parse_irradiance(text: str) -> dict[int, float]:
 
 
 def load_irradiance(path) -> dict[int, float]:
-    return parse_irradiance(Path(path).read_text())
+    return parse_irradiance(_read_text(path))

@@ -1,7 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every input error the package raises on purpose is a BirdEdgeError, and the
+command line reports exactly these (and OSError) as exit 1; any other
+exception is a bug. BirdEdgeError is also a ValueError, so callers that
+catch ValueError for a bad argument keep working.
+"""
 
 
-class BirdEdgeError(Exception):
+class BirdEdgeError(ValueError):
     """Base class for every error this package raises on purpose."""
 
 

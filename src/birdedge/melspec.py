@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import DegenerateInputError
+
 # Hard lower bound of the dB scale. Cells at or below this value carry no
 # usable energy and augmentations treat it as "empty".
 FLOOR_DB = -80.0
@@ -46,7 +48,7 @@ def power_to_db(power: np.ndarray, ref: float) -> np.ndarray:
     exactly on 0 dB. Zero power maps to the floor, not -inf.
     """
     if ref <= 0.0:
-        raise ValueError(f"reference power must be positive, got {ref}")
+        raise DegenerateInputError(f"reference power must be positive, got {ref}")
     power = np.asarray(power, dtype=np.float64)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(power / ref)

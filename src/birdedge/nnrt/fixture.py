@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ConfigError
 from .engine import _float_forward
 from .graph import LayerSpec, ModelGraph, validate_graph
+from .serialize import _MAX_DIM
 
 # (expansion, out_channels, repeats, first_stride) per stage; 17 blocks total.
 _STAGES = (
@@ -78,9 +80,15 @@ def _weighted_layer(
 
 
 def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:
-    """Build, calibrate, and validate a seeded fixture classifier."""
-    if class_count < 1:
-        raise ValueError(f"class_count must be >= 1, got {class_count}")
+    """Build, calibrate, and validate a seeded fixture classifier.
+
+    class_count is at most the .enm container's dimension limit, so
+    save_model can store every graph this builds.
+    """
+    if not 1 <= class_count <= _MAX_DIM:
+        raise ConfigError(f"class_count must be in [1, {_MAX_DIM}], got {class_count}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     layers: list[LayerSpec] = []
 

@@ -71,14 +71,42 @@ _RECORDS = {
 }
 _KIND_CODE = {name: code for code, name in enumerate(LAYER_KINDS)}
 
-# Guard rails against absurd headers when parsing untrusted bytes.
+# Guard rails against absurd headers when parsing untrusted bytes. save_model
+# applies them too, so every file it writes loads.
+_MAX_LAYERS = 1 << 16
 _MAX_DIM = 1 << 20
 _MAX_WEIGHTS = 1 << 26
 
 
+def _check_header(layer_count: int, input_shape) -> None:
+    if layer_count > _MAX_LAYERS:
+        raise FormatError(f"implausible layer count {layer_count}")
+    for dim in input_shape:
+        if dim == 0 or dim > _MAX_DIM:
+            raise FormatError(f"implausible input dimension {dim}")
+
+
+def _check_layer(layer: LayerSpec) -> None:
+    """The limits of a weighted layer, checked before its weights are read."""
+    for dim in (layer.in_ch, layer.out_ch, *layer.kernel):
+        if dim == 0 or dim > _MAX_DIM:
+            raise FormatError(f"implausible layer dimension {dim}")
+    count = layer.weight_count()
+    if count > _MAX_WEIGHTS:
+        raise FormatError(f"implausible weight count {count}")
+
+
 def save_model(model: ModelGraph) -> bytes:
-    """Serialise a validated model graph to bytes."""
+    """Serialise a validated model graph to bytes.
+
+    A graph beyond the container's limits, which load_model would refuse,
+    is a FormatError.
+    """
     validate_graph(model)
+    _check_header(len(model.layers), model.input_shape)
+    for layer in model.layers:
+        if layer.kind in WEIGHTED_KINDS:
+            _check_layer(layer)
     parts = [
         MODEL_MAGIC,
         struct.pack("<I", MODEL_VERSION),
@@ -161,14 +189,9 @@ def _read_layer(reader: _Reader) -> LayerSpec:
         return LayerSpec(kind=kind, **values)
     kernel = (values.pop("k_h"), values.pop("k_w"))
     has_bias = values.pop("has_bias")
-    for dim in (values["in_ch"], values["out_ch"], *kernel):
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(f"implausible layer dimension {dim}")
     layer = LayerSpec(kind=kind, kernel=kernel, **values)
-    count = layer.weight_count()
-    if count > _MAX_WEIGHTS:
-        raise FormatError(f"implausible weight count {count}")
-    layer.weight = np.frombuffer(reader.raw(count), dtype=np.int8).copy()
+    _check_layer(layer)
+    layer.weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8).copy()
     if has_bias:
         layer.bias = np.frombuffer(
             reader.raw(4 * layer.out_ch), dtype="<i4"
@@ -194,11 +217,7 @@ def load_model(data: bytes) -> ModelGraph:
     if version != MODEL_VERSION:
         raise UnsupportedError(f"model version {version} not supported")
     layer_count, class_count, c, h, w, input_scale, input_zp = reader.unpack(_HEADER)
-    if layer_count > 1 << 16:
-        raise FormatError(f"implausible layer count {layer_count}")
-    for dim in (c, h, w):
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(f"implausible input dimension {dim}")
+    _check_header(layer_count, (c, h, w))
 
     layers = [_read_layer(reader) for _ in range(layer_count)]
     if reader.pos != len(data):

@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from .audio_io import AudioClip, resample
-from .exceptions import DegenerateInputError
+from .exceptions import ConfigError, DegenerateInputError
 from .melspec import MelSpectrogram, power_to_db
 
 # Pipeline constants; the CLI overrides SILENCE_THRESHOLD, PEAK_RATIO and
@@ -59,14 +59,14 @@ def length_filter(clip: AudioClip) -> bool:
 
 def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+        raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
 
 
 def _check_screen(peak_ratio: float, max_chunks: int) -> None:
     if not (math.isfinite(peak_ratio) and peak_ratio > 0.0):
-        raise ValueError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
+        raise ConfigError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
     if max_chunks < 1:
-        raise ValueError(f"max_chunks must be >= 1, got {max_chunks}")
+        raise ConfigError(f"max_chunks must be >= 1, got {max_chunks}")
 
 
 def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> AudioClip:
@@ -304,7 +304,7 @@ def mel_spectrogram(chunk: np.ndarray) -> MelSpectrogram:
     """
     chunk = np.asarray(chunk, dtype=np.float64)
     if len(chunk) < FFT_SIZE:
-        raise ValueError(
+        raise DegenerateInputError(
             f"chunk of {len(chunk)} samples is shorter than one FFT frame"
         )
     # |bin| <= FFT_SIZE * max |s|, so this bound keeps every power finite

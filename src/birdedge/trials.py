@@ -16,6 +16,7 @@ ram, rom, and flops rates.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .exceptions import DegenerateInputError, EmptyError, FormatError
 
 CSV_HEADER = ("id", "acc", "ram", "rom", "flops")
 _COSTS = ("ram", "rom", "flops")
+_RATES = ("cr_ram", "cr_rom", "cr_flops", "cr_overall")
 # ids are printed unquoted as the first field of CSV rows
 _UNSAFE_ID_CHARS = frozenset(',"\r\n')
 
@@ -40,15 +42,15 @@ class TrialRecord:
 
     def __post_init__(self):
         if not self.id or not _UNSAFE_ID_CHARS.isdisjoint(self.id):
-            raise ValueError(
+            raise FormatError(
                 f"trial id {self.id!r} must be non-empty and hold no comma, quote, CR or LF"
             )
         if not 0.0 <= self.acc <= 1.0:
-            raise ValueError(f"trial {self.id}: acc {self.acc} outside [0, 1]")
+            raise FormatError(f"trial {self.id}: acc {self.acc} outside [0, 1]")
         for name in _COSTS:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise ValueError(f"trial {self.id}: {name} {value} must be finite and positive")
+                raise FormatError(f"trial {self.id}: {name} {value} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def _require(trials) -> list[TrialRecord]:
     counts = Counter(t.id for t in trials)
     duplicates = sorted(trial_id for trial_id, n in counts.items() if n > 1)
     if duplicates:
-        raise ValueError(f"duplicate trial ids: {', '.join(duplicates)}")
+        raise FormatError(f"duplicate trial ids: {', '.join(duplicates)}")
     return trials
 
 
@@ -159,8 +161,6 @@ def pareto_front(trials, include_accuracy: bool = True) -> set[str]:
 
 def compression_rate(baseline_value: float, edge_value: float) -> float:
     """Fractional saving of one metric: 1 - edge/baseline."""
-    if baseline_value == 0:
-        raise ZeroDivisionError("baseline metric is zero")
     return 1.0 - edge_value / baseline_value
 
 
@@ -182,12 +182,25 @@ def compression_table(
 ) -> tuple[dict[str, tuple[float, float, float, float, bool]], float]:
     """Every trial's (cr_ram, cr_rom, cr_flops, cr_overall, on_front), keyed
     by id in input order, and the mean cr_overall of the Pareto front, summed
-    in that order. The front is computed once."""
+    in that order. The front is computed once.
+
+    Finite costs can still overflow a rate (an edge cost over a tiny
+    baseline one); that is a DegenerateInputError naming the trial and the
+    rate, never a -inf in the table.
+    """
     trials = _require(trials)
     front = pareto_front(trials, include_accuracy=include_accuracy)
     rows = {t.id: (*_rates(baseline, t), t.id in front) for t in trials}
+    for trial_id, row in rows.items():
+        # a rate that overflows makes cr_overall overflow too
+        if not math.isfinite(row[3]):
+            name, rate = next((n, r) for n, r in zip(_RATES, row) if not math.isfinite(r))
+            raise DegenerateInputError(f"trial {trial_id}: {name} overflows to {rate}")
     front_overall = [row[3] for row in rows.values() if row[4]]
-    return rows, sum(front_overall) / len(front_overall)
+    mean = sum(front_overall) / len(front_overall)
+    if not math.isfinite(mean):
+        raise DegenerateInputError(f"pareto_mean: cr_overall overflows to {mean}")
+    return rows, mean
 
 
 def avg_overall_compression(
@@ -198,28 +211,38 @@ def avg_overall_compression(
 
 
 def read_trials_csv(path) -> list[TrialRecord]:
-    """Load trials from a CSV with header id,acc,ram,rom,flops.
+    """Load trials from a UTF-8 CSV with header id,acc,ram,rom,flops.
 
-    A row the csv module cannot read, such as an over-long field, is a FormatError.
+    A row the csv module cannot read, such as an over-long field, or a
+    field that is not a number is a FormatError naming its line; bytes that
+    are not UTF-8 are a FormatError naming the file and their offset.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
-            rows = list(reader)
-        except csv.Error as err:
-            raise FormatError(f"line {reader.line_num}: {err}") from None
-    header = rows[0] if rows else None
+            text = fh.read()  # one decode, so an error gives the file offset
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: {err}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as err:
+        raise FormatError(f"line {reader.line_num}: {err}") from None
+    header = rows[0][1] if rows else None
     if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ValueError(
+        raise FormatError(
             f"expected header {','.join(CSV_HEADER)}, got {header}"
         )
     trials = []
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         if not row:
             continue
         if len(row) != 5:
-            raise ValueError(f"bad row {row}")
-        trials.append(TrialRecord(row[0].strip(), *map(float, row[1:])))
+            raise FormatError(f"bad row {row}")
+        try:
+            values = [float(field) for field in row[1:]]
+        except ValueError as err:
+            raise FormatError(f"line {line}: {err}") from None
+        trials.append(TrialRecord(row[0].strip(), *values))
     return trials
 
 
@@ -227,6 +250,6 @@ def read_baseline_csv(path) -> BaselineRecord:
     """Load the single baseline row from a CSV with the trial header."""
     rows = read_trials_csv(path)
     if len(rows) != 1:
-        raise ValueError(f"baseline file must hold exactly one row, got {len(rows)}")
+        raise FormatError(f"baseline file must hold exactly one row, got {len(rows)}")
     b = rows[0]
     return BaselineRecord(acc=b.acc, ram=b.ram, rom=b.rom, flops=b.flops)

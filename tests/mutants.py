@@ -238,11 +238,11 @@ MUTANTS = (
     Mutant(
         "read_trials_csv: csv.Error not converted",
         "src/birdedge/trials.py",
-        "        try:\n"
-        "            rows = list(reader)\n"
-        "        except csv.Error as err:\n"
-        '            raise FormatError(f"line {reader.line_num}: {err}") from None\n',
-        "        rows = list(reader)\n",
+        "    try:\n"
+        "        rows = [(reader.line_num, row) for row in reader]\n"
+        "    except csv.Error as err:\n"
+        '        raise FormatError(f"line {reader.line_num}: {err}") from None\n',
+        "    rows = [(reader.line_num, row) for row in reader]\n",
         ("tests/test_trials.py::TestCsv::test_oversized_field_is_a_format_error",
          "tests/test_cli.py::TestTrialTools::test_oversized_csv_field_exits_1"),
     ),
@@ -291,7 +291,7 @@ MUTANTS = (
         "bench: repetitions below 1 not checked",
         "src/birdedge/cli.py",
         "    if reps < 1:\n"
-        '        raise ValueError(f"repetitions must be >= 1, got {reps}")\n',
+        '        raise ConfigError(f"repetitions must be >= 1, got {reps}")\n',
         "",
         ("tests/test_cli.py::TestBench::test_repetitions_below_1_exit_1",),
     ),
@@ -316,6 +316,90 @@ MUTANTS = (
         "args = _parser().parse_args(argv)",
         "args = _parser().parse_args(argv, namespace=_parser)",
         ("tests/test_cli.py::TestRepeatedCalls::test_pareto_flag_does_not_carry_over",),
+    ),
+    Mutant(
+        "main: a ValueError caught as an input error",
+        "src/birdedge/cli.py",
+        "    except (BirdEdgeError, OSError) as err:",
+        "    except (BirdEdgeError, ValueError, OSError) as err:",
+        ("tests/test_cli.py::TestErrorContract::test_a_bug_is_not_an_input_error",),
+    ),
+    Mutant(
+        "parse_profile: zero active time accepted",
+        "src/birdedge/energy.py",
+        '    if si["t_infer_s"] + si["t_dsp_s"] == 0:\n',
+        "    if False:\n",
+        ("tests/test_energy.py::TestParsers::test_profile_errors",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[zero-active-time]"),
+    ),
+    Mutant(
+        "monthly_report: an underflowed panel_area denominator accepted",
+        "src/birdedge/energy.py",
+        "    if any(profile.eta_solar * profile.eta_bat * s_rad == 0 ",
+        "    if False and any(profile.eta_solar * profile.eta_bat * s_rad == 0 ",
+        ("tests/test_energy.py::TestMonthlyReport::test_underflowed_denominator_rejected",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[irradiance-underflow]"),
+    ),
+    Mutant(
+        "load_profile, load_irradiance: bytes that are not UTF-8 not converted",
+        "src/birdedge/energy.py",
+        "    except UnicodeDecodeError as err:",
+        "    except LookupError as err:",
+        ("tests/test_energy.py::TestParsers::test_bytes_that_are_not_utf8_are_a_config_error",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[profile-not-utf8]"),
+    ),
+    Mutant(
+        "read_trials_csv: bytes that are not UTF-8 not converted",
+        "src/birdedge/trials.py",
+        "        except UnicodeDecodeError as err:",
+        "        except LookupError as err:",
+        ("tests/test_trials.py::TestCsv::test_bytes_that_are_not_utf8_are_a_format_error",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[trials-not-utf8]"),
+    ),
+    Mutant(
+        "read_trials_csv: a non-numeric field not converted",
+        "src/birdedge/trials.py",
+        "        except ValueError as err:",
+        "        except LookupError as err:",
+        ("tests/test_trials.py::TestCsv::"
+         "test_non_numeric_field_is_a_format_error_naming_its_line",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[trials-not-a-number]"),
+    ),
+    Mutant(
+        "chunk_rng: negative seed accepted",
+        "src/birdedge/augment.py",
+        "    if seed < 0:\n",
+        "    if False:\n",
+        ("tests/test_augment.py::TestAugmentChunk::test_negative_seed_is_a_config_error",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[augment-negative-seed]"),
+    ),
+    Mutant(
+        "generate_fixture_model: negative seed accepted",
+        "src/birdedge/nnrt/fixture.py",
+        "    if seed < 0:\n",
+        "    if False:\n",
+        ("tests/test_nnrt.py::TestFixtureModel::test_bad_arguments_are_config_errors[negative-seed]",
+         "tests/test_cli.py::TestErrorContract::"
+         "test_input_error_exits_1[gen-fixture-negative-seed]"),
+    ),
+    Mutant(
+        "save_model: the loader's limits not applied",
+        "src/birdedge/nnrt/serialize.py",
+        "    _check_header(len(model.layers), model.input_shape)\n"
+        "    for layer in model.layers:\n"
+        "        if layer.kind in WEIGHTED_KINDS:\n"
+        "            _check_layer(layer)\n"
+        "    parts = [",
+        "    parts = [",
+        ("tests/test_nnrt.py::TestSerialization::test_save_applies_the_loader_limits",),
+    ),
+    Mutant(
+        "compression_table: an overflowing rate accepted",
+        "src/birdedge/trials.py",
+        "        if not math.isfinite(row[3]):\n",
+        "        if False:\n",
+        ("tests/test_trials.py::TestCompression::test_rate_overflow_is_rejected",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[compress-rate-overflow]"),
     ),
 )
 

@@ -27,7 +27,7 @@ from birdedge.augment import (
     time_roll,
     time_warp,
 )
-from birdedge.exceptions import ShapeError
+from birdedge.exceptions import ConfigError, ShapeError
 from birdedge.melspec import MelSpectrogram
 
 from conftest import random_spec
@@ -295,6 +295,10 @@ class TestAugmentChunk:
         out, log = augment_chunk(spec, self.pool(), AugmentConfig(p_apply=0.0), chunk_rng(0, 0))
         assert log == []
         assert np.array_equal(out.values, spec.values)
+
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            chunk_rng(-1, 0)
 
     def test_empty_pool_skips_noise(self):
         spec = random_spec(33)

@@ -7,6 +7,7 @@ a fresh directory.
 """
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -20,10 +21,16 @@ import pytest
 
 import birdedge
 from birdedge import __version__
-from birdedge.audio_io import read_spectrogram
+from birdedge.audio_io import read_spectrogram, write_spectrogram
 from birdedge.cli import main
 
-from conftest import FIXTURE_CLASSES, FIXTURE_SEED, sweep_trials_csv, with_linear_geometry
+from conftest import (
+    FIXTURE_CLASSES,
+    FIXTURE_SEED,
+    random_spec,
+    sweep_trials_csv,
+    with_linear_geometry,
+)
 
 PREPROCESS_GOLDEN = {
     "calls_48k_chunk000.mels": "a3296ee94b37b53f",
@@ -59,6 +66,11 @@ SWEEP_GOLDEN = {
 }
 SWEEP_BASELINE_CSV = "id,acc,ram,rom,flops\nbaseline,0.97,900000,2000000,90000000\n"
 
+
+# the measurements of profile_m7.cfg
+PROFILE_CFG = (
+    "e_infer_mj = 83\nt_infer_ms = 237\ne_dsp_mj = 55\nt_dsp_ms = 170\np_sleep_mw = 116\n"
+)
 
 # stdout of `energy --profile src/birdedge/data/profile_m7.cfg`, with the
 # bundled irradiance table and with CUSTOM_IRRADIANCE
@@ -656,10 +668,7 @@ class TestTrialTools:
 class TestEnergy:
     def profile(self, tmp_path):
         path = tmp_path / "m7.cfg"
-        path.write_text(
-            "e_infer_mj = 83\nt_infer_ms = 237\ne_dsp_mj = 55\n"
-            "t_dsp_ms = 170\np_sleep_mw = 116\n"
-        )
+        path.write_text(PROFILE_CFG)
         return path
 
     def test_bundled_irradiance_report(self, tmp_path, capsys):
@@ -895,3 +904,166 @@ class TestRepeatedCalls:
         ]
         assert codes == [0, 2, 0, 0]
         assert len(built) == 1
+
+
+FLAT_IRRADIANCE = "month,s_rad_w_m2\n" + "".join(f"{m},100\n" for m in range(1, 13))
+RANK = ["rank", "--trials", "t.csv"]
+COMPRESS = ["compress", "--baseline", "b.csv", "--trials", "t.csv"]
+ENERGY = ["energy", "--profile", "p.cfg", "--irradiance", "sun.csv"]
+
+
+def mels_bytes(frames: int) -> bytes:
+    sink = io.BytesIO()
+    write_spectrogram(random_spec(0, shape=(64, frames)), sink)
+    return sink.getvalue()
+
+
+def contract_case(name, argv, message, files=None):
+    """One input error: argv runs in a directory holding files (name: text
+    or bytes; "in/a.mels" makes the directory), and must exit 1 with
+    message in its `birdedge <cmd>: ` line."""
+    return pytest.param(argv, files or {}, message, id=name)
+
+
+def text_inputs(name=None, content=None):
+    """The valid text inputs, the file name holding content instead."""
+    files = {"t.csv": TRIALS_CSV, "b.csv": BASELINE_CSV, "p.cfg": PROFILE_CFG,
+             "sun.csv": FLAT_IRRADIANCE}
+    if name is not None:
+        files[name] = content
+    return files
+
+
+CONTRACT_CASES = [
+    # a file that is not UTF-8, a value out of range, a number that
+    # overflows or underflows
+    contract_case("trials-not-utf8", RANK, "codec can't decode",
+                  text_inputs("t.csv", TRIALS_CSV.encode() + b"\xff,0.5,1,1,1\n")),
+    contract_case("trials-not-a-number", RANK,
+                  "line 4: could not convert string to float: 'abc'",
+                  text_inputs("t.csv", TRIALS_CSV + "c,0.5,abc,1,1\n")),
+    contract_case("compress-pareto-mean-id", COMPRESS, "reserved for the summary row",
+                  text_inputs("t.csv", TRIALS_CSV + "pareto_mean,0.5,1,1,1\n")),
+    contract_case("zero-active-time", ENERGY, "t_infer_ms + t_dsp_ms must be > 0",
+                  text_inputs("p.cfg", PROFILE_CFG.replace("237", "0").replace("170", "0"))),
+    contract_case("irradiance-underflow", ENERGY, "sizing underflows",
+                  text_inputs("sun.csv", FLAT_IRRADIANCE.replace("1,100", "jan,5e-324", 1))),
+    contract_case("profile-not-utf8", ENERGY, "codec can't decode",
+                  text_inputs("p.cfg", b"\xff" + PROFILE_CFG.encode())),
+    contract_case("gen-fixture-negative-seed",
+                  ["gen-fixture", "--classes", "3", "--seed", "-1", "--out", "m.enm"],
+                  "seed must be >= 0, got -1"),
+    contract_case("augment-negative-seed",
+                  ["augment", "--seed", "-1", "--in", "in", "--out", "out"],
+                  "seed must be >= 0, got -1", {"in/a.mels": mels_bytes(249)}),
+    contract_case("gen-fixture-no-class",
+                  ["gen-fixture", "--classes", "0", "--seed", "1", "--out", "m.enm"],
+                  "class_count must be in [1, 1048576], got 0"),
+    contract_case("augment-short-spectrogram",
+                  ["augment", "--seed", "1", "--in", "in", "--out", "out"],
+                  "warp limit 12 too large for 20 frames", {"in/a.mels": mels_bytes(20)}),
+    contract_case("augment-p-apply-above-1",
+                  ["augment", "--seed", "1", "--in", "in", "--out", "out", "--p-apply", "2"],
+                  "p_apply must be in [0, 1], got 2.0", {"in/a.mels": mels_bytes(249)}),
+    contract_case("bench-no-repetition",
+                  ["bench", "--model", "m.enm", "--spec-dir", "in", "--repetitions", "0"],
+                  "repetitions must be >= 1, got 0"),
+    contract_case("preprocess-silence-threshold-2",
+                  ["preprocess", "--in", "a.wav", "--out", "out", "--silence-threshold", "2"],
+                  "threshold must be in (0, 1), got 2.0",
+                  {"a.wav": pcm16_wav(np.resize([0, 9000, 0, -9000], 3 * 48000), 48000)}),
+    contract_case("gen-fixture-classes-over-the-container-limit",
+                  ["gen-fixture", "--classes", "1048577", "--seed", "1", "--out", "m.enm"],
+                  "class_count must be in [1, 1048576], got 1048577"),
+    contract_case("compress-rate-overflow", COMPRESS, "trial a: cr_ram overflows to -inf",
+                  text_inputs("b.csv", BASELINE_CSV.replace("400", "5e-324"))),
+    contract_case("irradiance-not-utf8", ENERGY, "codec can't decode",
+                  text_inputs("sun.csv", FLAT_IRRADIANCE.encode() + b"\xff")),
+    # the structure of each text input: a BOM, a NUL byte, a duplicate key
+    # and a missing key
+    *[
+        contract_case(f"{kind}-{edit}", argv, message, text_inputs(name, text))
+        for kind, argv, name, cases in [
+            ("trials", RANK, "t.csv", [
+                ("bom", "\ufeff" + TRIALS_CSV, "expected header"),
+                ("nul", TRIALS_CSV.replace("0.8", "0.8\0"), "line 3: "),
+                ("duplicate", TRIALS_CSV + "a,0.5,1,1,1\n", "duplicate trial ids: a"),
+                ("missing", TRIALS_CSV.replace(",flops", ""), "expected header"),
+            ]),
+            ("baseline", COMPRESS, "b.csv", [
+                ("bom", "\ufeff" + BASELINE_CSV, "expected header"),
+                ("nul", BASELINE_CSV.replace("400", "400\0"), "line 2: "),
+                ("duplicate", BASELINE_CSV + "full,0.93,400,1000,1000\n",
+                 "exactly one row, got 2"),
+                ("missing", BASELINE_CSV.splitlines()[0], "exactly one row, got 0"),
+            ]),
+            ("profile", ENERGY, "p.cfg", [
+                ("bom", "\ufeff" + PROFILE_CFG, "unknown key"),
+                ("nul", PROFILE_CFG.replace("83", "83\0"), "line 1: bad number"),
+                ("duplicate", PROFILE_CFG + "e_dsp_mj = 55\n", "duplicate key 'e_dsp_mj'"),
+                ("missing", PROFILE_CFG.replace("p_sleep_mw = 116\n", ""),
+                 "missing required keys: p_sleep_mw"),
+            ]),
+            ("irradiance", ENERGY, "sun.csv", [
+                ("bom", "\ufeff" + FLAT_IRRADIANCE, "expected a month,s_rad_w_m2 header"),
+                ("nul", FLAT_IRRADIANCE.replace("3,100", "3,100\0"), "bad irradiance value"),
+                ("duplicate", FLAT_IRRADIANCE.replace("3,", "2,"), "duplicate month '2'"),
+                ("missing", FLAT_IRRADIANCE.replace("12,100\n", ""),
+                 "irradiance table has 11 months"),
+            ]),
+        ]
+        for edit, text, message in cases
+    ],
+]
+
+
+class TestErrorContract:
+    """An input error exits 1 with one `birdedge <cmd>: ` line; anything
+    else is a bug and propagates out of main."""
+
+    @staticmethod
+    def write(directory, files):
+        for name, content in files.items():
+            path = directory / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                path.write_bytes(content)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, files, message", CONTRACT_CASES)
+    def test_input_error_exits_1(self, tmp_path, monkeypatch, capsys, argv, files, message):
+        self.write(tmp_path, files)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"birdedge {argv[0]}: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [RANK, COMPRESS, ENERGY], ids=lambda argv: argv[0])
+    def test_crlf_reads_as_lf(self, tmp_path, monkeypatch, capsys, argv):
+        files = text_inputs()
+        for directory, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            self.write(tmp_path / directory, {
+                name: text.replace("\n", newline) for name, text in files.items()
+            })
+        outputs = []
+        for directory in ("lf", "crlf"):
+            monkeypatch.chdir(tmp_path / directory)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, error):
+        def broken(trials):
+            raise error("not an input error")
+
+        (tmp_path / "t.csv").write_text(TRIALS_CSV)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(birdedge.trials, "score_table", broken)
+        with pytest.raises(error, match="not an input error"):
+            main(RANK)

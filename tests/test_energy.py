@@ -20,6 +20,8 @@ from birdedge.energy import (
     average_power,
     battery_capacity,
     charge_power,
+    load_irradiance,
+    load_profile,
     monthly_report,
     panel_area,
     parse_irradiance,
@@ -192,6 +194,12 @@ class TestMonthlyReport:
         with pytest.raises(ConfigError, match="overflows"):
             monthly_report(profile, self.irradiance())
 
+    def test_underflowed_denominator_rejected(self):
+        # 0.2 * 0.9 * 5e-324 rounds to 0, which panel_area would divide by
+        table = {**self.irradiance(), 1: 5e-324}
+        with pytest.raises(ConfigError, match="sizing underflows"):
+            monthly_report(MCU, table)
+
     def test_december_is_worst(self):
         report = monthly_report(MCU, self.irradiance())
         assert len(report) == 12
@@ -279,11 +287,21 @@ class TestParsers:
             "e_infer_mj = 10\ne_infer_mj = 11\n",       # duplicate
             "e_infer_mj 10\n",                          # no equals sign
             "e_infer_mj=nan\nt_infer_ms=1\ne_dsp_mj=1\nt_dsp_ms=1\np_sleep_mw=1\n",
+            # zero active time, the second once in seconds
+            "e_infer_mj=1\nt_infer_ms=0\ne_dsp_mj=1\nt_dsp_ms=0\np_sleep_mw=1\n",
+            "e_infer_mj=1\nt_infer_ms=5e-324\ne_dsp_mj=1\nt_dsp_ms=0\np_sleep_mw=1\n",
         ],
     )
     def test_profile_errors(self, text):
         with pytest.raises(ConfigError):
             parse_profile(text)
+
+    @pytest.mark.parametrize("load", [load_profile, load_irradiance])
+    def test_bytes_that_are_not_utf8_are_a_config_error(self, tmp_path, load):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("# müller\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="codec can't decode"):
+            load(path)
 
     def test_irradiance_by_name_and_number(self):
         names = bundled("irradiance_de.csv")

@@ -20,6 +20,7 @@ import birdedge.nnrt.resources
 import birdedge.nnrt.serialize
 from birdedge.exceptions import (
     BirdEdgeError,
+    ConfigError,
     FormatError,
     GraphError,
     ShapeError,
@@ -112,6 +113,17 @@ def chain_model(hw=(4, 4), classes=2):
         ],
         class_count=classes,
         input_shape=(1, *hw),
+        input_scale=0.5,
+        input_zero_point=0,
+    )
+
+
+def wide_head_model(classes, input_shape=(1, 1, 1)):
+    """pool -> linear 1 -> classes: a head with one int8 weight per class."""
+    return ModelGraph(
+        layers=[pool(), linear(1, classes, weight=np.ones((classes, 1), dtype=np.int8))],
+        class_count=classes,
+        input_shape=input_shape,
         input_scale=0.5,
         input_zero_point=0,
     )
@@ -232,6 +244,14 @@ class TestSerialization:
         blob[12:16] = (1 << 30).to_bytes(4, "little")  # layer_count? no: class_count
         with pytest.raises((FormatError, GraphError)):
             load_model(bytes(blob))
+
+    def test_save_applies_the_loader_limits(self):
+        # 2**20 classes is the widest head the container holds
+        assert load_model(save_model(wide_head_model(1 << 20))).class_count == 1 << 20
+        with pytest.raises(FormatError, match="implausible layer dimension 1048577"):
+            save_model(wide_head_model((1 << 20) + 1))
+        with pytest.raises(FormatError, match="implausible input dimension 1048577"):
+            save_model(wide_head_model(2, input_shape=(1, 1, (1 << 20) + 1)))
 
     def test_nan_scale_rejected_on_load(self):
         blob = bytearray(save_model(chain_model()))
@@ -1012,6 +1032,16 @@ class TestFixtureModel:
         head = fixture_model.layers[-1]
         assert (head.kind, head.out_ch) == ("linear", FIXTURE_CLASSES)
         assert fixture_model.input_shape == (1, 64, 249)
+
+    @pytest.mark.parametrize("classes, seed, message", [
+        pytest.param(0, 1, r"class_count must be in \[1, 1048576\], got 0", id="no-class"),
+        # checked before any of its ~17 M weights is drawn
+        pytest.param((1 << 20) + 1, 1, "got 1048577", id="too-many-classes"),
+        pytest.param(3, -1, "seed must be >= 0, got -1", id="negative-seed"),
+    ])
+    def test_bad_arguments_are_config_errors(self, classes, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            generate_fixture_model(classes, seed)
 
     def test_quantization_constants(self, fixture_model):
         assert fixture_model.input_scale == pytest.approx(80 / 255, rel=1e-6)

@@ -383,6 +383,26 @@ class TestCompression:
         assert all(row[4] for row in rows.values())
         assert mean == (a + b + c) / 3 != (c + b + a) / 3
 
+    @pytest.mark.parametrize("base, costs, message", [
+        # edge/baseline overflows to inf, so the rate is -inf
+        ((1e-300, 1.0, 1.0), (1e10, 1.0, 1.0), "trial t: cr_ram overflows to -inf"),
+        ((1.0, 1.0, 1e-300), (1.0, 1.0, 1e10), "trial t: cr_flops overflows to -inf"),
+        # each rate is -1e308, their sum is not finite
+        ((1e-300,) * 3, (1e8,) * 3, "trial t: cr_overall overflows to -inf"),
+    ])
+    def test_rate_overflow_is_rejected(self, base, costs, message):
+        baseline = BaselineRecord(1.0, *base)
+        ts = [trial("a", 0.5, 1.0, 1.0, 1.0), trial("t", 0.9, *costs)]
+        with pytest.raises(DegenerateInputError, match=re.escape(message)):
+            compression_table(baseline, ts)
+
+    def test_front_mean_overflow_is_rejected(self):
+        # every cr_overall is -5.9e307; four of them sum past the float range
+        baseline = BaselineRecord(acc=1.0, ram=1e-300, rom=1e-300, flops=1e-300)
+        ts = [trial(f"t{i}", 0.1 * (i + 1), *[5.9e7 + i] * 3) for i in range(4)]
+        with pytest.raises(DegenerateInputError, match="pareto_mean: cr_overall overflows"):
+            compression_table(baseline, ts)
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -422,6 +442,19 @@ class TestCsv:
         path.write_text("id,acc,ram,rom,flops\nx,zero,1,1,1\n")
         with pytest.raises(ValueError):
             read_trials_csv(path)
+
+    def test_non_numeric_field_is_a_format_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,acc,ram,rom,flops\nx,0.5,1,1,1\n\ny,0.5,1,x,1\n")
+        with pytest.raises(FormatError, match="line 4: could not convert string to float: 'x'"):
+            read_trials_csv(path)
+
+    @pytest.mark.parametrize("reader", [read_trials_csv, read_baseline_csv])
+    def test_bytes_that_are_not_utf8_are_a_format_error(self, tmp_path, reader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,acc,ram,rom,flops\nmüller,0.5,1,1,1\n".encode("latin-1"))
+        with pytest.raises(FormatError, match="codec can't decode"):
+            reader(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "trials.csv"
