@@ -195,9 +195,12 @@ def augment_chunk(
     order, after the schedule is settled. If add_noise is scheduled but the
     pool is empty, it is skipped and recorded with skipped=True; no draws
     are consumed for it. The returned log always has at most max_augs
-    entries. Output values stay inside [-80, 0] dB.
+    entries. Output values stay inside [-80, 0] dB. The spectrogram must
+    have more than 2 * WARP_LIMIT frames (25 or more) unless p_apply or
+    max_augs is 0, when no augmentation can run.
     """
-    cfg.validate(n_frames=spec.n_frames)
+    can_run = cfg.p_apply > 0 and cfg.max_augs > 0
+    cfg.validate(n_frames=spec.n_frames if can_run else None)
     schedule = draw_schedule(cfg, rng)
     out = spec
     log: list[AppliedAugmentation] = []

@@ -6,8 +6,9 @@ terminal-linear rule (the last layer yields logits, not an activation).
 A numerics is two plain functions, one for a layer's output and one for
 the logits. Weighted layers of both run on the same correlation kernel
 over a zero-padded buffer: one strided im2col view, then one BLAS product
-per layer, stacked per channel for depthwise. A stride-1 1x1 conv or a
-linear layer unfolds without a copy.
+per layer, stacked per channel for depthwise. A stride-1 unpadded 1x1
+conv or a linear layer skips the padded buffer: its patches are the
+centered (C, H*W) input itself.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
@@ -16,10 +17,23 @@ their zero point: |q - zp_in| <= 128 + |zp_in| and |w| <= 128 bound every
 partial sum by B = fan_in * 128 * (128 + |zp_in|). A layer accumulates in
 float32 when B < 2**24 and in float64 (exact to 2**53) otherwise, so sums
 are exact integers in any order; bias and requantize run in float64, and
-the dtype never shows in the output. relu6 and residual_add are 256-entry
-tables indexed by the int8 code, memoized on scalar (scale, zero point)
-values; a residual table holds (q - zp) * f32(s / s_out), as the
-per-element formula does.
+the dtype never shows in the output.
+
+The other int8 layers are defined per element, on a code q with its
+affine (s, zp) and the layer's output affine (s_out, zp_out); rint rounds
+half to even, clamp is to [-128, 127], and f32(v) is v rounded to float32:
+  relu6:    r = min(max(f32(q - zp) * f32(s), 0), 6), then
+            clamp(rint(r * f32(1 / s_out)) + zp_out), all in float32;
+  residual: r = f32(q - zp) * f32(s / s_out)
+                + f32(q_skip - zp_skip) * f32(s_skip / s_out)
+            in float32, then clamp(rint(r) + zp_out);
+  pool:     m = the float64 mean of q - zp over H and W, then
+            clamp(rint(m * f32(s / s_out)) + zp_out) in float64.
+relu6 and residual_add run as lookups, tables memoized on the scalar
+affines (never on the model, which may be edited in place): relu6 maps
+the activation's bytes through a 256-byte table with bytes.translate, and
+residual_add takes one entry per element from a 65536-entry int8 table at
+index (x << 8) | skip of the two uint8 codes.
 
 float (float_reference_infer, and fixture calibration via _float_forward):
 weights and biases are dequantized, weighted layers correlate in float64,
@@ -64,17 +78,24 @@ def _centered(x: np.ndarray, zero_point: int, padding: int, dtype) -> np.ndarray
     c, h, w = x.shape
     out = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=dtype)
     inner = out[:, padding : padding + h, padding : padding + w]
-    inner[...] = x
-    inner -= zero_point
+    # dtype= runs the subtraction in dtype; without it an int8 x would
+    # subtract in int8 and wrap before the cast into out
+    np.subtract(x, zero_point, out=inner, dtype=dtype)
     return out
 
 
 def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
     """Correlation of x - zero_point with the layer's geometry, in the
     weight's dtype: one BLAS product over the im2col patches, stacked per
-    channel for depthwise."""
-    x = _centered(x, zero_point, layer.padding, weight.dtype)
-    patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
+    channel for depthwise. A 1x1 stride-1 unpadded layer's patches are the
+    centered (C, H*W) input itself."""
+    if layer.kernel == (1, 1) and layer.stride == 1 and layer.padding == 0:
+        c, ho, wo = x.shape
+        patches = x.reshape(c, ho * wo).astype(weight.dtype)
+        patches -= zero_point
+    else:
+        x = _centered(x, zero_point, layer.padding, weight.dtype)
+        patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
     if layer.kind == "depthwise_conv2d":
         patches = patches.reshape(layer.out_ch, -1, ho * wo)
         acc = weight.reshape(layer.out_ch, 1, -1) @ patches
@@ -129,6 +150,26 @@ def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarra
     return table
 
 
+# 64 KiB a table, so the cache holds at most 4 MiB
+@lru_cache(maxsize=64)
+def _residual_table(
+    scale: float, zero_point: int, skip_scale: float, skip_zp: int,
+    out_scale: float, out_zp: int,
+) -> np.ndarray:
+    """int8 residual sum of every (x code, skip code) pair, flat at index
+    (x << 8) | skip of the uint8 codes: the two rescale tables added in
+    float32, then round, shift and clamp."""
+    total = (
+        _rescale_table(scale, zero_point, out_scale)[:, None]
+        + _rescale_table(skip_scale, skip_zp, out_scale)
+    )
+    np.rint(total, out=total)
+    total += out_zp
+    table = np.clip(total, -128, 127, out=total).astype(np.int8).reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
 def _int8_acc(layer: LayerSpec, x: np.ndarray, zero_point: int) -> np.ndarray:
     """Exact float64 accumulator of a weighted layer on int8 input x,
     correlated in float32 when the module's bound B is below 2**24."""
@@ -146,17 +187,14 @@ def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
         multiplier = scale * layer.weight_scale / out_scale
         return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)
     if layer.kind == "relu6":
-        table = _relu6_table(scale, zero_point, out_scale, out_zp)
-        return np.take(table, x.view(np.uint8))
+        table = _relu6_table(scale, zero_point, out_scale, out_zp).tobytes()
+        return np.frombuffer(x.tobytes().translate(table), np.int8).reshape(x.shape)
     if layer.kind == "residual_add":
         skip_x, skip_scale, skip_zp = skip
-        total = np.take(_rescale_table(scale, zero_point, out_scale), x.view(np.uint8))
-        total += np.take(
-            _rescale_table(skip_scale, skip_zp, out_scale), skip_x.view(np.uint8)
-        )
-        np.rint(total, out=total)
-        total += out_zp
-        return np.clip(total, -128, 127, out=total).astype(np.int8)
+        table = _residual_table(scale, zero_point, skip_scale, skip_zp, out_scale, out_zp)
+        index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)
+        index |= skip_x.view(np.uint8)
+        return np.take(table, index)
     # global_avg_pool
     mean = (x.astype(np.float64) - zero_point).mean(axis=(1, 2))[:, None, None]
     return _requantize(mean, scale / out_scale, out_zp)

@@ -109,6 +109,14 @@ MUTANTS = (
         ("tests/test_augment.py::TestConfig::test_warp_limit_vs_frames",),
     ),
     Mutant(
+        "augment_chunk: frame count checked when nothing can run",
+        "src/birdedge/augment.py",
+        "n_frames=spec.n_frames if can_run else None",
+        "n_frames=spec.n_frames",
+        ("tests/test_augment.py::TestAugmentChunk::"
+         "test_short_spectrogram_passes_when_nothing_can_run",),
+    ),
+    Mutant(
         "int32 bound: graph input zero point for every layer",
         "src/birdedge/nnrt/graph.py",
         "        zero_point = layer.out_zero_point\n",
@@ -129,6 +137,58 @@ MUTANTS = (
         "np.float32 if bound < 2**24 else",
         "np.float32 if bound < 2**25 else",
         ("tests/test_nnrt.py::TestAccumulatorDtype",),
+    ),
+    Mutant(
+        "residual_add: index built with the operands swapped",
+        "src/birdedge/nnrt/engine.py",
+        "index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)\n"
+        "        index |= skip_x.view(np.uint8)",
+        "index = np.left_shift(skip_x.view(np.uint8), 8, dtype=np.uint16)\n"
+        "        index |= x.view(np.uint8)",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
+    ),
+    Mutant(
+        "_residual_table: x and skip affines swapped",
+        "src/birdedge/nnrt/engine.py",
+        "_rescale_table(scale, zero_point, out_scale)[:, None]\n"
+        "        + _rescale_table(skip_scale, skip_zp, out_scale)",
+        "_rescale_table(skip_scale, skip_zp, out_scale)[:, None]\n"
+        "        + _rescale_table(scale, zero_point, out_scale)",
+        ("tests/test_nnrt.py::TestElementwiseTables::"
+         "test_residual_table_matches_the_per_element_sum",),
+    ),
+    Mutant(
+        "_walk: residual skip read one buffer late",
+        "src/birdedge/nnrt/engine.py",
+        "buffers[layer.skip_from - INPUT_BUFFER]",
+        "buffers[layer.skip_from]",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
+    ),
+    Mutant(
+        "pointwise fast path: zero point not subtracted",
+        "src/birdedge/nnrt/engine.py",
+        "        patches -= zero_point\n",
+        "",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
+    ),
+    Mutant(
+        "relu6: table built with the input and output affines swapped",
+        "src/birdedge/nnrt/engine.py",
+        "_relu6_table(scale, zero_point, out_scale, out_zp)",
+        "_relu6_table(out_scale, out_zp, scale, zero_point)",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
+    ),
+    Mutant(
+        "padded conv: centered in the input's int8, wrapping",
+        "src/birdedge/nnrt/engine.py",
+        "np.subtract(x, zero_point, out=inner, dtype=dtype)",
+        "np.subtract(x, zero_point, out=inner)",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
         "estimate_rom: bias counted one byte per channel",

@@ -296,6 +296,21 @@ class TestAugmentChunk:
         assert log == []
         assert np.array_equal(out.values, spec.values)
 
+    @pytest.mark.parametrize("cfg", [AugmentConfig(p_apply=0.0),
+                                     AugmentConfig(p_apply=1.0, max_augs=0)],
+                             ids=["p_apply-0", "max_augs-0"])
+    def test_short_spectrogram_passes_when_nothing_can_run(self, cfg):
+        spec = random_spec(33, shape=(64, 2 * WARP_LIMIT - 4))
+        out, log = augment_chunk(spec, self.pool(), cfg, chunk_rng(0, 0))
+        assert log == []
+        assert out.values.tobytes() == spec.values.tobytes()
+
+    def test_short_spectrogram_is_refused_when_an_augmentation_can_run(self):
+        spec = random_spec(33, shape=(64, 2 * WARP_LIMIT))
+        with pytest.raises(ShapeError, match="warp limit 12 too large for 24 frames"):
+            augment_chunk(spec, self.pool(), AugmentConfig(p_apply=1e-9, max_augs=1),
+                          chunk_rng(0, 0))
+
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             chunk_rng(-1, 0)

@@ -288,6 +288,17 @@ class TestAugment:
             "--noise-pool", str(pipeline["chunks"] / "noise"),
         ])
 
+    @pytest.mark.parametrize("flag", ["--p-apply", "--max-augs"])
+    def test_short_spectrogram_passes_when_nothing_can_run(self, tmp_path, flag):
+        # a 20-frame input is under the warp minimum of 25 frames, but at
+        # 0 no augmentation can run, so it is copied through unchanged
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in/a.mels").write_bytes(mels_bytes(20))
+        argv = ["augment", "--seed", "1", "--in", str(tmp_path / "in"),
+                "--out", str(tmp_path / "out"), flag, "0"]
+        assert main(argv) == 0
+        assert (tmp_path / "out/a.mels").read_bytes() == mels_bytes(20)
+
     def test_golden_digests(self, pipeline, tmp_path):
         out = tmp_path / "aug"
         assert self.run_augment(pipeline, out) == 0

@@ -53,8 +53,10 @@ from birdedge.nnrt.engine import (
     _quantize_input,
     _relu6_table,
     _rescale_table,
+    _residual_table,
     _walk,
 )
+from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
@@ -891,20 +893,26 @@ class TestResources:
             resource_report(model)
 
 
+# int8 zero points, the two ends of the range drawn as often as the rest
+ZERO_POINTS = st.sampled_from((-128, 127)) | st.integers(-128, 127)
+SCALES = st.floats(2**-8, 4.0).map(lambda v: float(np.float32(v)))
+
+
 @st.composite
 def small_graphs(draw):
-    """A small valid ModelGraph on a (1, H, W) input: 1-6 layers of any
-    kind but linear, with 1-3 kernels, strides 1-2, paddings below the
-    kernel and residual sources anywhere the shapes agree, the graph input
-    included; then a pool unless the map is already 1x1, then the head."""
+    """A small valid ModelGraph on a (1, H, W) input with a drawn input
+    affine: 1-6 layers of any kind but linear, with 1-3 kernels, strides
+    1-2, paddings below the kernel and residual sources anywhere the shapes
+    agree, the graph input included, the residual's own input only when no
+    other fits; then a pool unless the map is already 1x1, then the head."""
     seed = draw(st.integers(0, 2**32 - 1))
+    input_affine = dict(input_scale=draw(SCALES), input_zero_point=draw(ZERO_POINTS))
     shapes = [(1, draw(st.integers(1, 7)), draw(st.integers(1, 7)))]
     layers = []
     for i in range(draw(st.integers(1, 6))):
         c, h, w = shapes[-1]
         kind = draw(st.sampled_from(LAYER_KINDS[:-1]))
-        affine = dict(out_scale=float(np.float32(draw(st.floats(2**-8, 4.0)))),
-                      out_zero_point=draw(st.integers(-128, 127)))
+        affine = dict(out_scale=draw(SCALES), out_zero_point=draw(ZERO_POINTS))
         if kind in ("conv2d", "depthwise_conv2d"):
             pad = draw(st.integers(0, 2))
             kernel = (draw(st.integers(pad + 1, min(3, h + 2 * pad))),
@@ -922,7 +930,9 @@ def small_graphs(draw):
         elif kind == "residual_add":
             sources = [k + INPUT_BUFFER for k, shape in enumerate(shapes)
                        if shape == shapes[-1]]
-            layer = residual(draw(st.sampled_from(sources)), **affine)
+            # the last source is the residual's own input: x + x only when
+            # no other buffer fits
+            layer = residual(draw(st.sampled_from(sources[:-1] or sources)), **affine)
         elif kind == "relu6":
             layer = relu6(**affine)
         else:
@@ -934,7 +944,7 @@ def small_graphs(draw):
         layers.append(pool())
     classes = draw(st.integers(1, 3))
     layers.append(linear(c, classes, seed=seed))
-    return ModelGraph(layers, class_count=classes, input_shape=shapes[0])
+    return ModelGraph(layers, class_count=classes, input_shape=shapes[0], **input_affine)
 
 
 def reference_costs(model):
@@ -1069,6 +1079,13 @@ class TestFixtureModel:
                 probs = fn(fixture_model, spec)
                 assert probs.shape == (FIXTURE_CLASSES,)
                 assert abs(probs.sum() - 1.0) < 1e-12
+
+    def test_infer_raises_no_warning(self, fixture_model):
+        specs = [random_spec(seed) for seed in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in specs + edge_specs(fixture_model.input_shape[1:]):
+                infer(fixture_model, spec)
 
     def test_int8_tracks_float_reference(self, fixture_model):
         agree = 0
@@ -1308,11 +1325,42 @@ class TestElementwiseTables:
             assert table.dtype == np.float32
             assert table[self.codes.view(np.uint8)].tobytes() == expect.tobytes()
 
+    def test_relu6_translate_matches_the_table(self):
+        for in_scale, in_zp, out_scale, out_zp in self.affines():
+            got = _int8_layer(relu6(out_scale, out_zp), self.codes.reshape(1, 16, 16),
+                              in_scale, in_zp, None)
+            table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
+            expect = np.take(table, self.codes.view(np.uint8))
+            assert got.dtype == np.int8 and got.shape == (1, 16, 16)
+            assert got.tobytes() == expect.tobytes()
+
+    def test_residual_table_matches_the_per_element_sum(self):
+        # every (x, skip) pair, x the outer code as in the table's index
+        x = np.repeat(self.codes, 256)
+        skip = np.tile(self.codes, 256)
+        ends = [(MIN_SCALE, zp, MAX_SCALE, -1 - zp, MIN_SCALE, zp)
+                for zp in (-128, 127)]
+        ends += [(MAX_SCALE, 127, MIN_SCALE, -128, MAX_SCALE, 0),
+                 (MAX_SCALE, -128, MAX_SCALE, 127, MIN_SCALE, -128)]
+        drawn = list(self.affines(40))
+        affines = [(s, zp, s2, zp2, so, zpo) for (s, zp, so, zpo), (s2, zp2, _, _)
+                   in zip(drawn[::2], drawn[1::2])]
+        for scale, zp, skip_scale, skip_zp, out_scale, out_zp in affines + ends:
+            total = (x.astype(np.float32) - zp) * np.float32(scale / out_scale)
+            total += (skip.astype(np.float32) - skip_zp) * np.float32(skip_scale / out_scale)
+            expect = np.clip(np.rint(total) + out_zp, -128, 127).astype(np.int8)
+            table = _residual_table(scale, zp, skip_scale, skip_zp, out_scale, out_zp)
+            assert table.dtype == np.int8 and table.shape == (65536,)
+            index = (x.view(np.uint8).astype(np.int64) << 8) | skip.view(np.uint8)
+            assert table[index].tobytes() == expect.tobytes()
+
     def test_tables_are_read_only(self):
         with pytest.raises(ValueError):
             _relu6_table(0.5, 0, 0.1, -128)[0] = 1
         with pytest.raises(ValueError):
             _rescale_table(0.5, 0, 0.1)[0] = 1.0
+        with pytest.raises(ValueError):
+            _residual_table(0.5, 0, 0.25, 3, 0.1, -128)[0] = 1
 
     def test_in_place_edit_of_a_model_takes_effect(self):
         # tables are keyed by scalar values, never by model identity
@@ -1393,45 +1441,89 @@ class TestSharedKernel:
                 )
 
 
+def _clamp(value):
+    return min(127, max(-128, int(value)))
+
+
 def int8_reference(model, values):
-    """Slow int8 inference of a graph of weighted layers: nested loops over
-    int64 accumulators, a per-element float32 requantize, and float64
-    logits from the terminal accumulator."""
+    """Slow int8 inference written from the engine module docstring: nested
+    loops over int64 accumulators with a float64 requantize for weighted
+    layers, relu6 and residual_add per element in float32 scalars, the pool
+    from an exact integer sum, and float64 logits from the terminal
+    accumulator. Returns the probabilities."""
+    return int8_reference_layers(model, values)[0]
+
+
+def int8_reference_layers(model, values):
+    """int8_reference's (probabilities, int8 output of every layer but the
+    last)."""
+    f32 = np.float32
     q = np.rint(np.asarray(values, dtype=np.float64) / model.input_scale)
     q = np.clip(q + model.input_zero_point, -128, 127).astype(np.int64)
-    q = q.reshape(model.input_shape)
-    scale, zero_point = model.input_scale, model.input_zero_point
+    buffers = [(q.reshape(model.input_shape), float(model.input_scale),
+                int(model.input_zero_point))]
     for index, layer in enumerate(model.layers):
+        q, scale, zero_point = buffers[-1]
+        out_scale, out_zp = float(layer.out_scale), int(layer.out_zero_point)
         c, h, w = q.shape
-        (kh, kw), pad, stride = layer.kernel, layer.padding, layer.stride
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int64)
-        padded[:, pad:pad + h, pad:pad + w] = q - zero_point
-        ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-        weight = layer.weight.astype(np.int64).reshape(layer.out_ch, -1, kh, kw)
-        acc = np.zeros((layer.out_ch, ho, wo), dtype=np.int64)
-        for o in range(layer.out_ch):
-            channels = [o] if layer.kind == "depthwise_conv2d" else range(c)
-            for r in range(ho):
-                for t in range(wo):
-                    total = 0 if layer.bias is None else int(layer.bias[o])
-                    for k, ch in enumerate(channels):
-                        for i in range(kh):
-                            for j in range(kw):
-                                total += int(weight[o, k, i, j]) * int(
-                                    padded[ch, r * stride + i, t * stride + j]
-                                )
-                    acc[o, r, t] = total
-        if index == len(model.layers) - 1:
-            logits = acc.reshape(-1).astype(np.float64) * (scale * layer.weight_scale)
-            z = logits - logits.max()
-            return np.exp(z) / np.exp(z).sum()
-        multiplier = float(np.float32(scale * layer.weight_scale / layer.out_scale))
-        q = np.array([
-            min(127, max(-128, round(float(a) * multiplier) + layer.out_zero_point))
-            for a in acc.flat
-        ], dtype=np.int64).reshape(acc.shape)
-        scale, zero_point = layer.out_scale, layer.out_zero_point
+        if layer.kind == "relu6":
+            out = np.empty_like(q)
+            for at in np.ndindex(q.shape):
+                real = min(max(f32(q[at] - zero_point) * f32(scale), f32(0)), f32(6))
+                out[at] = _clamp(np.rint(real * f32(1 / out_scale)) + out_zp)
+        elif layer.kind == "residual_add":
+            skip, skip_scale, skip_zp = buffers[layer.skip_from - INPUT_BUFFER]
+            out = np.empty_like(q)
+            for at in np.ndindex(q.shape):
+                real = (f32(q[at] - zero_point) * f32(scale / out_scale)
+                        + f32(skip[at] - skip_zp) * f32(skip_scale / out_scale))
+                out[at] = _clamp(np.rint(real) + out_zp)
+        elif layer.kind == "global_avg_pool":
+            multiplier = float(f32(scale / out_scale))
+            out = np.array([
+                _clamp(round(sum(int(v) - zero_point for v in q[ch].flat) / (h * w)
+                             * multiplier) + out_zp)
+                for ch in range(c)
+            ], dtype=np.int64).reshape(c, 1, 1)
+        else:
+            (kh, kw), pad, stride = layer.kernel, layer.padding, layer.stride
+            padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=np.int64)
+            padded[:, pad:pad + h, pad:pad + w] = q - zero_point
+            ho, wo = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+            weight = layer.weight.astype(np.int64).reshape(layer.out_ch, -1, kh, kw)
+            acc = np.zeros((layer.out_ch, ho, wo), dtype=np.int64)
+            for o in range(layer.out_ch):
+                channels = [o] if layer.kind == "depthwise_conv2d" else range(c)
+                for r in range(ho):
+                    for t in range(wo):
+                        total = 0 if layer.bias is None else int(layer.bias[o])
+                        for k, ch in enumerate(channels):
+                            for i in range(kh):
+                                for j in range(kw):
+                                    total += int(weight[o, k, i, j]) * int(
+                                        padded[ch, r * stride + i, t * stride + j]
+                                    )
+                        acc[o, r, t] = total
+            if index == len(model.layers) - 1:
+                logits = acc.reshape(-1).astype(np.float64) * (scale * layer.weight_scale)
+                z = logits - logits.max()
+                return np.exp(z) / np.exp(z).sum(), [out for out, _, _ in buffers[1:]]
+            multiplier = float(f32(scale * layer.weight_scale / out_scale))
+            out = np.array([
+                _clamp(round(float(a) * multiplier) + out_zp) for a in acc.flat
+            ], dtype=np.int64).reshape(acc.shape)
+        buffers.append((out, out_scale, out_zp))
     raise AssertionError("the last layer returns")
+
+
+def code_spanning_spec(model, seed):
+    """Input values whose codes cover the whole int8 range of the model's
+    input affine, a few saturating at either end."""
+    scale, zero_point = model.input_scale, model.input_zero_point
+    low, high = (-130 - zero_point) * scale, (129 - zero_point) * scale
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(low, high, model.input_shape[1:])
+    return MelSpectrogram(values.astype(np.float32))
 
 
 def wide_fan_in_model(fan_in):
@@ -1492,3 +1584,36 @@ class TestAccumulatorDtype:
             spec = spec_for(model, seed)
             want = int8_reference(model, spec.values)
             assert infer(model, spec).tobytes() == want.tobytes()
+
+
+class TestInt8Oracle:
+    """infer, and every int8 layer output on the way, equal int8_reference
+    byte for byte on every layer kind."""
+
+    @staticmethod
+    def check(model, spec):
+        want, want_layers = int8_reference_layers(model, spec.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = infer(model, spec)
+            x = _quantize_input(model, spec.values)
+            _, got_layers = _walk(model, x, _int8_layer, _int8_logits)
+        for index, ((out, _, _), expect) in enumerate(zip(got_layers, want_layers)):
+            assert out.dtype == np.int8, index
+            np.testing.assert_array_equal(out, expect, err_msg=f"layer {index}")
+        assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(model=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_match_the_reference(self, model, seed):
+        self.check(model, code_spanning_spec(model, seed))
+
+    @pytest.mark.parametrize("input_zero_point", [-128, 127])
+    @pytest.mark.parametrize("build", [
+        chain_model, residual_model, every_record_model, strided_model, input_skip_model,
+    ])
+    def test_hand_built_graphs_match_the_reference(self, build, input_zero_point):
+        model = build()
+        model.input_zero_point = input_zero_point
+        for seed in range(3):
+            self.check(model, code_spanning_spec(model, seed))
