@@ -7,10 +7,9 @@ symmetric per-tensor int8, activations affine per-tensor int8, products
 accumulate as exact integers (in float32 when a layer's shape bounds its
 partial sums below 2**24, else in float64), and requantization multiplies
 the float64 accumulator by a float32 scale before clamping back to int8.
-A stride-1 unpadded 1x1 conv correlates on its centered input with no
-padded copy. relu6 and residual adds are byte-table lookups: relu6 maps
-the activation's bytes through a 256-byte table, and a residual add reads
-one 65536-entry table indexed by the pair of input and skip codes.
+relu6 and residual adds are byte-table lookups: relu6 maps the
+activation's bytes through a 256-byte table, and a residual add reads one
+65536-entry table indexed by the pair of input and skip codes.
 """
 
 from .engine import float_reference_infer, infer

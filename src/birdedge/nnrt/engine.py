@@ -5,10 +5,9 @@ lookup, the scale and zero point of each layer's input and skip, and the
 terminal-linear rule (the last layer yields logits, not an activation).
 A numerics is two plain functions, one for a layer's output and one for
 the logits. Weighted layers of both run on the same correlation kernel
-over a zero-padded buffer: one strided im2col view, then one BLAS product
-per layer, stacked per channel for depthwise. A stride-1 unpadded 1x1
-conv or a linear layer skips the padded buffer: its patches are the
-centered (C, H*W) input itself.
+over the centered input, zero-padded when the layer pads: one strided
+im2col view, then one BLAS product per layer, stacked per channel for
+depthwise. A stride-1 1x1 conv or a linear layer unfolds without a copy.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
@@ -75,11 +74,13 @@ def _im2col(x: np.ndarray, kernel, stride: int):
 
 def _centered(x: np.ndarray, zero_point: int, padding: int, dtype) -> np.ndarray:
     """x - zero_point in dtype, zero-padded by `padding` on H and W."""
+    # dtype= runs the subtraction in dtype; without it an int8 x would
+    # subtract in int8 and wrap before the cast
+    if padding == 0:
+        return np.subtract(x, zero_point, dtype=dtype)
     c, h, w = x.shape
     out = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=dtype)
     inner = out[:, padding : padding + h, padding : padding + w]
-    # dtype= runs the subtraction in dtype; without it an int8 x would
-    # subtract in int8 and wrap before the cast into out
     np.subtract(x, zero_point, out=inner, dtype=dtype)
     return out
 
@@ -87,15 +88,9 @@ def _centered(x: np.ndarray, zero_point: int, padding: int, dtype) -> np.ndarray
 def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
     """Correlation of x - zero_point with the layer's geometry, in the
     weight's dtype: one BLAS product over the im2col patches, stacked per
-    channel for depthwise. A 1x1 stride-1 unpadded layer's patches are the
-    centered (C, H*W) input itself."""
-    if layer.kernel == (1, 1) and layer.stride == 1 and layer.padding == 0:
-        c, ho, wo = x.shape
-        patches = x.reshape(c, ho * wo).astype(weight.dtype)
-        patches -= zero_point
-    else:
-        x = _centered(x, zero_point, layer.padding, weight.dtype)
-        patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
+    channel for depthwise."""
+    x = _centered(x, zero_point, layer.padding, weight.dtype)
+    patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
     if layer.kind == "depthwise_conv2d":
         patches = patches.reshape(layer.out_ch, -1, ho * wo)
         acc = weight.reshape(layer.out_ch, 1, -1) @ patches
@@ -127,7 +122,10 @@ def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarr
     acc *= np.float32(multiplier)
     np.rint(acc, out=acc)
     acc += zero_point
-    np.clip(acc, -128, 127, out=acc)
+    # two ufunc calls dispatch faster than np.clip's Python wrappers on the
+    # many small accumulators of a walk
+    np.maximum(acc, -128, out=acc)
+    np.minimum(acc, 127, out=acc)
     return acc.astype(np.int8)
 
 
@@ -150,7 +148,9 @@ def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarra
     return table
 
 
-# 64 KiB a table, so the cache holds at most 4 MiB
+# 64 KiB a table, so the cache holds at most 4 MiB. This assumes at most
+# 64 residual adds of distinct affines per graph (the fixture has 10): a
+# larger graph evicts on every walk and rebuilds each table, ~0.1 ms apiece.
 @lru_cache(maxsize=64)
 def _residual_table(
     scale: float, zero_point: int, skip_scale: float, skip_zp: int,

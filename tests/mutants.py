@@ -167,10 +167,10 @@ MUTANTS = (
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
-        "pointwise fast path: zero point not subtracted",
+        "unpadded conv: zero point not subtracted",
         "src/birdedge/nnrt/engine.py",
-        "        patches -= zero_point\n",
-        "",
+        "return np.subtract(x, zero_point, dtype=dtype)",
+        "return x.astype(dtype)",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
