@@ -22,8 +22,8 @@ from .graph import (
     ModelGraph,
     validate_graph,
 )
-from .resources import ResourceReport, count_flops, estimate_ram, resource_report
-from .serialize import MODEL_MAGIC, MODEL_VERSION, estimate_rom, load_model, save_model
+from .resources import ResourceReport, resource_report
+from .serialize import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
 __all__ = [
     "INPUT_BUFFER",
@@ -39,9 +39,6 @@ __all__ = [
     "save_model",
     "infer",
     "float_reference_infer",
-    "count_flops",
-    "estimate_ram",
-    "estimate_rom",
     "resource_report",
     "generate_fixture_model",
 ]

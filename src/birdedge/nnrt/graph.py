@@ -248,7 +248,7 @@ def check_int32_accumulators(model: ModelGraph) -> None:
     The worst case of output channel o is sum |w_o| * (128 + |zp_in|) +
     |bias_o|, zp_in being the zero point of the layer's input. This is
     the bound a microcontroller's int32 accumulator must hold. It reads
-    every weight, so it runs once when a model is loaded, after
+    every weight, so it runs once when a model is loaded or saved, after
     validate_graph.
     """
     zero_point = model.input_zero_point

@@ -4,7 +4,7 @@ Conventions:
   * one multiply-accumulate counts as 2 FLOPs;
   * relu6, residual_add, and global_avg_pool count 1 op per output element;
   * activations are int8, so RAM charges 1 byte per live element;
-  * ROM is the serialized model size (serialize.estimate_rom): weight
+  * ROM is the serialized model size (serialize._container_size): weight
     bytes, bias bytes, per-layer scales and zero points, and the metadata.
 """
 
@@ -35,18 +35,7 @@ def _flops_of(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
     return c_out * ho * wo
 
 
-def count_flops(model: ModelGraph) -> int:
-    """Total FLOPs of one inference; additive over the layer list."""
-    return _flops(model, validate_graph(model))
-
-
-def _flops(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
-    return sum(
-        _flops_of(layer, shape) for layer, shape in zip(model.layers, shapes[1:])
-    )
-
-
-def estimate_ram(model: ModelGraph) -> int:
+def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
     """Peak bytes of simultaneously live activation buffers.
 
     Buffers are the graph input and every layer output. While layer i
@@ -54,10 +43,6 @@ def estimate_ram(model: ModelGraph) -> int:
     still awaited by a later residual_add are live. The estimate is the
     maximum over execution steps and is independent of weight values.
     """
-    return _peak_ram(model, validate_graph(model))
-
-
-def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
     sizes = [math.prod(s) for s in shapes]  # 1 byte per int8 element
 
     # buffer b (layer b-1's output) is last read at step b, the layer it
@@ -79,10 +64,10 @@ def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
 
 
 def resource_report(model: ModelGraph) -> ResourceReport:
-    """count_flops, estimate_ram and estimate_rom, on one validation."""
+    """FLOPs of one inference, peak activation RAM and ROM, on one validation."""
     shapes = validate_graph(model)
     return ResourceReport(
-        flops=_flops(model, shapes),
+        flops=sum(map(_flops_of, model.layers, shapes[1:])),
         ram_bytes=_peak_ram(model, shapes),
         rom_bytes=_container_size(model),
     )

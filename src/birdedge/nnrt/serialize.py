@@ -13,7 +13,7 @@ Layout:
 
 A layer record is the kind byte (the kind's index in LAYER_KINDS) and
 then the fields below; the table _RECORDS is this layout, and
-save_model, load_model and estimate_rom read it.
+save_model, load_model and _container_size read it.
 
 Weighted record (conv2d, depthwise_conv2d, pointwise_conv2d, linear):
     kind u8, in_ch u32, out_ch u32, k_h u32, k_w u32, stride u32,
@@ -100,13 +100,15 @@ def save_model(model: ModelGraph) -> bytes:
     """Serialise a validated model graph to bytes.
 
     A graph beyond the container's limits, which load_model would refuse,
-    is a FormatError.
+    is a FormatError, and one whose worst-case accumulator overflows int32
+    a GraphError, so every file it writes loads.
     """
     validate_graph(model)
     _check_header(len(model.layers), model.input_shape)
     for layer in model.layers:
         if layer.kind in WEIGHTED_KINDS:
             _check_layer(layer)
+    check_int32_accumulators(model)
     parts = [
         MODEL_MAGIC,
         struct.pack("<I", MODEL_VERSION),
@@ -133,19 +135,9 @@ def save_model(model: ModelGraph) -> bytes:
     return b"".join(parts)
 
 
-def estimate_rom(model: ModelGraph) -> int:
-    """Bytes of parameters, quantization constants, and graph metadata.
-
-    Equals the size of the serialized container, so it is invariant to
-    activation shapes and grows with every stored constant. The size is
-    summed from the container layout; no byte is packed.
-    """
-    validate_graph(model)
-    return _container_size(model)
-
-
 def _container_size(model: ModelGraph) -> int:
-    """estimate_rom of a graph that has passed validate_graph."""
+    """len(save_model(model)) of a graph that has passed validate_graph,
+    summed from the container layout without packing a byte."""
     # magic, version u32, then the header
     size = len(MODEL_MAGIC) + 4 + struct.calcsize(_HEADER)
     for layer in model.layers:

@@ -183,6 +183,14 @@ MUTANTS = (
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
+        "requantize: float64 multiplier",
+        "src/birdedge/nnrt/engine.py",
+        "    acc *= np.float32(multiplier)\n",
+        "    acc *= multiplier\n",
+        ("tests/test_nnrt.py::TestInt8Oracle::"
+         "test_requantize_multiplier_is_rounded_to_float32",),
+    ),
+    Mutant(
         "padded conv: centered in the input's int8, wrapping",
         "src/birdedge/nnrt/engine.py",
         "np.subtract(x, zero_point, out=inner, dtype=dtype)",
@@ -191,19 +199,12 @@ MUTANTS = (
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
-        "estimate_rom: bias counted one byte per channel",
+        "resource_report: ROM bias counted one byte per channel",
         "src/birdedge/nnrt/serialize.py",
         "size += 4 * layer.out_ch",
         "size += layer.out_ch",
         ("tests/test_nnrt.py::TestResources::"
          "test_rom_is_serialized_size_on_every_record_and_fixture",),
-    ),
-    Mutant(
-        "estimate_rom: no validation",
-        "src/birdedge/nnrt/serialize.py",
-        "    validate_graph(model)\n    return _container_size(model)",
-        "    return _container_size(model)",
-        ("tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",),
     ),
     Mutant(
         "resource_report: shapes taken without validation",
@@ -212,21 +213,18 @@ MUTANTS = (
         "    shapes = [model.input_shape] * (len(model.layers) + 1)\n"
         "    return ResourceReport(",
         ("tests/test_nnrt.py::TestResources::test_report_of_an_invalid_graph_raises",
+         "tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",
          "tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once"),
     ),
     Mutant(
-        "resource_report: the graph validated once per cost",
+        "resource_report: the graph validated again for the RAM",
         "src/birdedge/nnrt/resources.py",
-        "        flops=_flops(model, shapes),\n"
-        "        ram_bytes=_peak_ram(model, shapes),\n"
-        "        rom_bytes=_container_size(model),\n",
-        "        flops=count_flops(model),\n"
-        "        ram_bytes=estimate_ram(model),\n"
-        "        rom_bytes=_container_size(model),\n",
+        "ram_bytes=_peak_ram(model, shapes),",
+        "ram_bytes=_peak_ram(model, validate_graph(model)),",
         ("tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once",),
     ),
     Mutant(
-        "estimate_ram: residual source freed a step early",
+        "resource_report: RAM residual source freed a step early",
         "src/birdedge/nnrt/resources.py",
         "last_read[layer.skip_from - INPUT_BUFFER] = i\n",
         "last_read[layer.skip_from - INPUT_BUFFER] = i - 1\n",
@@ -234,7 +232,7 @@ MUTANTS = (
          "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
     ),
     Mutant(
-        "estimate_ram: sweep starts without the graph input",
+        "resource_report: RAM sweep starts without the graph input",
         "src/birdedge/nnrt/resources.py",
         "live, peak = sizes[0], 0",
         "live, peak = 0, 0",
@@ -242,10 +240,10 @@ MUTANTS = (
          "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
     ),
     Mutant(
-        "count_flops: each layer costed on its input shape",
+        "resource_report: each layer's FLOPs costed on its input shape",
         "src/birdedge/nnrt/resources.py",
-        "zip(model.layers, shapes[1:])",
-        "zip(model.layers, shapes[:-1])",
+        "map(_flops_of, model.layers, shapes[1:])",
+        "map(_flops_of, model.layers, shapes[:-1])",
         ("tests/test_nnrt.py::TestResources::test_flops_hand_count",
          "tests/test_nnrt.py::TestRandomGraphs::test_flops_match_a_brute_force_count"),
     ),
@@ -448,10 +446,17 @@ MUTANTS = (
         "    _check_header(len(model.layers), model.input_shape)\n"
         "    for layer in model.layers:\n"
         "        if layer.kind in WEIGHTED_KINDS:\n"
-        "            _check_layer(layer)\n"
-        "    parts = [",
-        "    parts = [",
+        "            _check_layer(layer)\n",
+        "",
         ("tests/test_nnrt.py::TestSerialization::test_save_applies_the_loader_limits",),
+    ),
+    Mutant(
+        "save_model: an accumulator past int32 written",
+        "src/birdedge/nnrt/serialize.py",
+        "            _check_layer(layer)\n    check_int32_accumulators(model)\n",
+        "            _check_layer(layer)\n",
+        ("tests/test_nnrt.py::TestSerialization::"
+         "test_int32_bound_uses_each_layers_input_zero_point",),
     ),
     Mutant(
         "compression_table: an overflowing rate accepted",

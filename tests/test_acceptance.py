@@ -38,9 +38,9 @@ from birdedge.energy import (
 from birdedge.nnrt import (
     LayerSpec,
     ModelGraph,
-    count_flops,
     float_reference_infer,
     infer,
+    resource_report,
     save_model,
 )
 from birdedge.preprocess import (
@@ -354,7 +354,7 @@ def test_criterion_6_quantized_runtime(fixture_model):
             + 16                               # global average pool
             + 2 * 16 * 31                      # classifier
         )
-        assert count_flops(model) == hand_total == 4023280
+        assert resource_report(model).flops == hand_total == 4023280
 
 
 def test_criterion_7_latency_methodology(tmp_path, capsys):

@@ -5,6 +5,7 @@ and the serialization format; the generated test model is checked against
 frozen structural and resource numbers.
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -34,9 +35,6 @@ from birdedge.nnrt import (
     LayerSpec,
     ModelGraph,
     ResourceReport,
-    count_flops,
-    estimate_ram,
-    estimate_rom,
     float_reference_infer,
     generate_fixture_model,
     infer,
@@ -309,20 +307,23 @@ class TestSerialization:
         head = linear(2, 2, seed=4)
         fan = int(np.abs(head.weight[1].astype(np.int64)).sum())
         bias = 2**31 - 1 - fan * (128 + abs(inner_zp))
-        for excess in (0, 1):
-            head.bias = np.array([0, bias + excess], dtype=np.int32)
-            blob = save_model(ModelGraph(
-                layers=[conv(1, 2, seed=3), pool(out_zero_point=inner_zp), head],
-                class_count=2,
-                input_shape=(1, 4, 4),
-                input_scale=0.5,
-                input_zero_point=input_zp,
-            ))
-            if excess == 0:
-                assert save_model(load_model(blob)) == blob
-            else:
-                with pytest.raises(GraphError, match="layer 2: linear worst-case"):
-                    load_model(blob)
+        model = ModelGraph(
+            layers=[conv(1, 2, seed=3), pool(out_zero_point=inner_zp), head],
+            class_count=2,
+            input_shape=(1, 4, 4),
+            input_scale=0.5,
+            input_zero_point=input_zp,
+        )
+        head.bias = np.array([0, bias], dtype=np.int32)
+        blob = save_model(model)
+        assert save_model(load_model(blob)) == blob
+        head.bias[1] += 1
+        with pytest.raises(GraphError, match="layer 2: linear worst-case"):
+            save_model(model)
+        # the same bias patched into the file: the head's bias ends it
+        patched = blob[:-4] + struct.pack("<i", bias + 1)
+        with pytest.raises(GraphError, match="layer 2: linear worst-case"):
+            load_model(patched)
 
     def test_huge_padding_rejected_on_load(self):
         blob = bytearray(save_model(chain_model()))
@@ -779,7 +780,7 @@ class TestResources:
             + 2 * 16 * 31                  # classifier
         )
         assert expect == 4087280
-        assert count_flops(model) == expect
+        assert resource_report(model).flops == expect
 
     def test_flops_residual_graph(self):
         expect = (
@@ -792,17 +793,17 @@ class TestResources:
             + 2                          # pool
             + 2 * 2 * 2                  # linear
         )
-        assert count_flops(residual_model()) == expect == 1226
+        assert resource_report(residual_model()).flops == expect == 1226
 
     def test_ram_chain_liveness(self):
         # buffers: input 16, conv 32, relu 32, pool 2, linear 2
         # steps:   conv 16+32, relu 32+32, pool 32+2, linear 2+2
-        assert estimate_ram(chain_model()) == 64
+        assert resource_report(chain_model()).ram_bytes == 64
 
     def test_ram_residual_span(self):
         # the relu6 output (32 B) stays live through both pointwise convs;
         # peak is at the second relu6: 64 in + 64 out + 32 skip
-        assert estimate_ram(residual_model()) == 160
+        assert resource_report(residual_model()).ram_bytes == 160
 
     def test_ram_input_skip(self):
         model = ModelGraph(
@@ -818,16 +819,16 @@ class TestResources:
             input_zero_point=0,
         )
         # input 16 stays live through the add: peak 16+16+16 at the add
-        assert estimate_ram(model) == 48
+        assert resource_report(model).ram_bytes == 48
 
     def test_ram_ignores_weight_values(self):
         a, b = chain_model(), chain_model()
         b.layers[0].weight = np.zeros_like(b.layers[0].weight)
-        assert estimate_ram(a) == estimate_ram(b)
+        assert resource_report(a).ram_bytes == resource_report(b).ram_bytes
 
     def test_rom_is_serialized_size(self):
         for model in (chain_model(), residual_model()):
-            assert estimate_rom(model) == len(save_model(model))
+            assert resource_report(model).rom_bytes == len(save_model(model))
 
     def test_rom_is_serialized_size_on_every_record_and_fixture(self):
         models = [every_record_model()] + [
@@ -836,43 +837,33 @@ class TestResources:
             for seed in range(4)
         ]
         for model in models:
-            assert estimate_rom(model) == len(save_model(model))
+            assert resource_report(model).rom_bytes == len(save_model(model))
 
     def test_rom_of_an_invalid_graph_raises(self):
+        # the container size reads out_ch, not the bias, so only the
+        # validation sees the short bias
         model = chain_model()
-        model.layers[0].weight = model.layers[0].weight[:-1]
-        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
-            estimate_rom(model)
-
-    @pytest.mark.parametrize("cost", [count_flops, estimate_ram])
-    def test_cost_of_an_invalid_graph_raises(self, cost):
-        model = chain_model()
-        model.layers[0].weight = model.layers[0].weight[:-1]
-        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
-            cost(model)
+        model.layers[0].bias = np.zeros(1, dtype=np.int32)
+        with pytest.raises(GraphError, match="layer 0: bias must be int32 of length 2"):
+            resource_report(model)
 
     def test_zero_bias_costs_rom_only(self):
         plain = chain_model()
         biased = chain_model()
         biased.layers[0] = conv(1, 2, seed=3, bias=np.zeros(2, dtype=np.int32))
-        assert estimate_rom(biased) == estimate_rom(plain) + 2 * 4
-        assert estimate_ram(biased) == estimate_ram(plain)
-        assert count_flops(biased) == count_flops(plain)
+        cost = resource_report(plain)
+        assert resource_report(biased) == dataclasses.replace(
+            cost, rom_bytes=cost.rom_bytes + 2 * 4
+        )
         spec = spec_for(plain, seed=5)
         assert np.array_equal(infer(plain, spec), infer(biased, spec))
 
     def test_rom_invariant_to_input_size(self):
-        small, large = chain_model(hw=(8, 8)), chain_model(hw=(12, 12))
-        assert estimate_rom(small) == estimate_rom(large)
-        assert count_flops(small) < count_flops(large)
-        assert estimate_ram(small) < estimate_ram(large)
-
-    def test_report_bundles_the_three(self):
-        model = residual_model()
-        report = resource_report(model)
-        assert report.flops == count_flops(model)
-        assert report.ram_bytes == estimate_ram(model)
-        assert report.rom_bytes == estimate_rom(model)
+        small = resource_report(chain_model(hw=(8, 8)))
+        large = resource_report(chain_model(hw=(12, 12)))
+        assert small.rom_bytes == large.rom_bytes
+        assert small.flops < large.flops
+        assert small.ram_bytes < large.ram_bytes
 
     def test_report_validates_the_graph_once(self, fixture_model, monkeypatch):
         calls = []
@@ -978,7 +969,7 @@ def reference_costs(model):
 
 
 def quadratic_ram(model, shapes):
-    """estimate_ram as first written: every buffer scanned at every step."""
+    """Peak RAM as first written: every buffer scanned at every step."""
     sizes = [math.prod(s) for s in shapes]
     last_read = [0] * len(sizes)
     for i, layer in enumerate(model.layers):
@@ -1005,12 +996,19 @@ class TestRandomGraphs:
     @settings(max_examples=200, deadline=None)
     @given(model=small_graphs())
     def test_flops_match_a_brute_force_count(self, model):
-        assert count_flops(model) == reference_costs(model)[0]
+        assert resource_report(model).flops == reference_costs(model)[0]
+
+    @settings(deadline=None)
+    @given(model=small_graphs())
+    def test_save_load_save_is_byte_identical(self, model):
+        blob = save_model(model)
+        assert save_model(load_model(blob)) == blob
 
     @settings(max_examples=200, deadline=None)
     @given(model=small_graphs())
     def test_ram_matches_the_quadratic_scan(self, model):
-        assert estimate_ram(model) == quadratic_ram(model, reference_costs(model)[1])
+        ram = quadratic_ram(model, reference_costs(model)[1])
+        assert resource_report(model).ram_bytes == ram
 
 
 class TestFixtureModel:
@@ -1063,9 +1061,7 @@ class TestFixtureModel:
                 assert layer.out_zero_point == -128
 
     def test_frozen_resource_numbers(self, fixture_model):
-        assert count_flops(fixture_model) == 5315248
-        assert estimate_ram(fixture_model) == 96000
-        assert estimate_rom(fixture_model) == 22803
+        assert resource_report(fixture_model) == ResourceReport(5315248, 96000, 22803)
 
     def test_roundtrip_preserves_predictions(self, fixture_model):
         loaded = load_model(save_model(fixture_model))
@@ -1607,6 +1603,23 @@ class TestInt8Oracle:
     @given(model=small_graphs(), seed=st.integers(0, 2**32 - 1))
     def test_random_graphs_match_the_reference(self, model, seed):
         self.check(model, code_spanning_spec(model, seed))
+
+    def test_requantize_multiplier_is_rounded_to_float32(self):
+        # multiplier 0.5 * 0.25 / 1.25 = 0.1 on an accumulator of 5:
+        # 5 * f32(0.1) = 0.50000001 rounds to 1, 5 * 0.1 = 0.5 rounds to 0
+        conv1x1 = LayerSpec(
+            kind="conv2d", in_ch=1, out_ch=1, kernel=(1, 1), padding=0,
+            weight=np.full((1, 1, 1, 1), 5, dtype=np.int8), weight_scale=0.25,
+            out_scale=1.25,
+        )
+        model = ModelGraph(
+            layers=[conv1x1, linear(1, 2)], class_count=2, input_shape=(1, 1, 1),
+            input_scale=0.5, input_zero_point=0,
+        )
+        spec = MelSpectrogram(np.full((1, 1), 0.5, dtype=np.float32))
+        [conv_out] = int8_reference_layers(model, spec.values)[1]
+        assert conv_out.item() == 1
+        self.check(model, spec)
 
     @pytest.mark.parametrize("input_zero_point", [-128, 127])
     @pytest.mark.parametrize("build", [
