@@ -22,10 +22,18 @@ from pathlib import Path
 
 from .exceptions import ConfigError
 
-MONTH_NAMES = (
-    "jan", "feb", "mar", "apr", "may", "jun",
-    "jul", "aug", "sep", "oct", "nov", "dec",
+_FULL_MONTH_NAMES = (
+    "january", "february", "march", "april", "may", "june", "july",
+    "august", "september", "october", "november", "december",
 )
+MONTH_NAMES = tuple(name[:3] for name in _FULL_MONTH_NAMES)
+# Every accepted irradiance month label: 1..12, or at least three letters
+# of the English month name, up to the whole name ("sep", "sept", ...).
+_MONTH_LABELS = {
+    label: month
+    for month, name in enumerate(_FULL_MONTH_NAMES, start=1)
+    for label in (str(month), *(name[:n] for n in range(3, len(name) + 1)))
+}
 
 # Deployment constants: two days of autonomy, recharged within one day,
 # 10 percent recording duty cycle, 20 percent panel and 90 percent charge
@@ -231,7 +239,8 @@ def load_profile(path) -> DeploymentProfile:
 
 
 def parse_irradiance(text: str) -> dict[int, float]:
-    """Parse the 12 row month,s_rad CSV; months may be names or 1..12.
+    """Parse the 12 row month,s_rad CSV; a month is 1..12 or at least the
+    first three letters of its English name, any case ("sep", "Sept").
 
     Every irradiance must be finite and positive. A malformed row, an
     over-long field included, raises ConfigError.
@@ -250,16 +259,9 @@ def parse_irradiance(text: str) -> dict[int, float]:
             continue
         if len(row) != 2:
             raise ConfigError(f"bad irradiance row {row}")
-        label = row[0].strip().lower()
-        if label[:3] in MONTH_NAMES:
-            month = MONTH_NAMES.index(label[:3]) + 1
-        else:
-            try:
-                month = int(label)
-            except ValueError:
-                raise ConfigError(f"unknown month {row[0]!r}") from None
-        if not 1 <= month <= 12:
-            raise ConfigError(f"month {month} out of range")
+        month = _MONTH_LABELS.get(row[0].strip().lower())
+        if month is None:
+            raise ConfigError(f"unknown month {row[0]!r}")
         if month in table:
             raise ConfigError(f"duplicate month {row[0]!r}")
         try:

@@ -3,13 +3,13 @@
 Models are linear layer lists in the style of mobile inverted-residual
 nets: regular, depthwise, and pointwise convolutions, relu6, residual
 adds, one global average pool, and a final linear classifier. Weights are
-symmetric per-tensor int8, activations affine per-tensor int8, products
-accumulate as exact integers (in float32 when a layer's shape bounds its
-partial sums below 2**24, else in float64), and requantization multiplies
-the float64 accumulator by a float32 scale before clamping back to int8.
-relu6 and residual adds are byte-table lookups: relu6 maps the
-activation's bytes through a 256-byte table, and a residual add reads one
-65536-entry table indexed by the pair of input and skip codes.
+symmetric per-tensor int8 (zero point 0), activations affine per-tensor
+int8, and products accumulate as exact integers (in float32 when a layer's
+shape bounds its partial sums below 2**24, else in float64). One requantize
+step (float32 multiplier, round, zero point, clamp to int8) quantizes the
+input, requantizes each weighted or pool output but the logits, and fills
+the byte tables of relu6 (256 bytes, for bytes.translate) and residual adds
+(65536 entries, indexed by the pair of input and skip codes).
 """
 
 from .engine import float_reference_infer, infer

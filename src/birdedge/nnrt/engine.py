@@ -28,11 +28,12 @@ half to even, clamp is to [-128, 127], and f32(v) is v rounded to float32:
             in float32, then clamp(rint(r) + zp_out);
   pool:     m = the float64 mean of q - zp over H and W, then
             clamp(rint(m * f32(s / s_out)) + zp_out) in float64.
-relu6 and residual_add run as lookups, tables memoized on the scalar
-affines (never on the model, which may be edited in place): relu6 maps
-the activation's bytes through a 256-byte table with bytes.translate, and
-residual_add takes one entry per element from a 65536-entry int8 table at
-index (x << 8) | skip of the two uint8 codes.
+Every int8 rounding is _requantize, with multiplier 1.0 for the input
+and the residual table. relu6 and residual_add run as lookups, tables
+memoized on the scalar affines (never on the model, which may be edited
+in place): relu6 maps the activation's bytes with bytes.translate by a
+256-byte table, and residual_add takes one entry per element from a
+65536-entry int8 table at index (x << 8) | skip of the two uint8 codes.
 
 float (float_reference_infer, and fixture calibration via _float_forward):
 weights and biases are dequantized, weighted layers correlate in float64,
@@ -52,9 +53,9 @@ from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
 from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
 
-# Every int8 code, ordered so that table[codes.view(np.uint8)] looks up
-# the entry of each code.
-_CODES = np.arange(256, dtype=np.uint8).view(np.int8)
+# Every int8 code in float32, ordered so that table[codes.view(np.uint8)]
+# looks up the entry of each code.
+_CODES = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.float32)
 
 
 def _im2col(x: np.ndarray, kernel, stride: int):
@@ -132,20 +133,10 @@ def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarr
 @lru_cache(maxsize=1024)
 def _relu6_table(
     in_scale: float, in_zp: int, out_scale: float, out_zp: int
-) -> np.ndarray:
-    """int8 relu6 output of every input code."""
-    real = (_CODES.astype(np.float32) - in_zp) * np.float32(in_scale)
-    table = _requantize(np.clip(real, 0.0, 6.0), 1.0 / out_scale, out_zp)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=1024)
-def _rescale_table(scale: float, zero_point: int, out_scale: float) -> np.ndarray:
-    """float32 (q - zero_point) * f32(scale / out_scale) of every code q."""
-    table = (_CODES.astype(np.float32) - zero_point) * np.float32(scale / out_scale)
-    table.flags.writeable = False
-    return table
+) -> bytes:
+    """int8 relu6 output of every input code, as the bytes.translate table."""
+    real = (_CODES - in_zp) * np.float32(in_scale)
+    return _requantize(np.clip(real, 0.0, 6.0), 1.0 / out_scale, out_zp).tobytes()
 
 
 # 64 KiB a table, so the cache holds at most 4 MiB. This assumes at most
@@ -157,15 +148,10 @@ def _residual_table(
     out_scale: float, out_zp: int,
 ) -> np.ndarray:
     """int8 residual sum of every (x code, skip code) pair, flat at index
-    (x << 8) | skip of the uint8 codes: the two rescale tables added in
-    float32, then round, shift and clamp."""
-    total = (
-        _rescale_table(scale, zero_point, out_scale)[:, None]
-        + _rescale_table(skip_scale, skip_zp, out_scale)
-    )
-    np.rint(total, out=total)
-    total += out_zp
-    table = np.clip(total, -128, 127, out=total).astype(np.int8).reshape(-1)
+    (x << 8) | skip of the uint8 codes, added in float32 on the out scale."""
+    x_rescaled = (_CODES - zero_point) * np.float32(scale / out_scale)
+    skip_rescaled = (_CODES - skip_zp) * np.float32(skip_scale / out_scale)
+    table = _requantize(x_rescaled[:, None] + skip_rescaled, 1.0, out_zp).reshape(-1)
     table.flags.writeable = False
     return table
 
@@ -187,7 +173,7 @@ def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
         multiplier = scale * layer.weight_scale / out_scale
         return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)
     if layer.kind == "relu6":
-        table = _relu6_table(scale, zero_point, out_scale, out_zp).tobytes()
+        table = _relu6_table(scale, zero_point, out_scale, out_zp)
         return np.frombuffer(x.tobytes().translate(table), np.int8).reshape(x.shape)
     if layer.kind == "residual_add":
         skip_x, skip_scale, skip_zp = skip
@@ -234,11 +220,8 @@ def _float_logits(layer: LayerSpec, x, scale: float, zero_point: int) -> np.ndar
 
 
 def _quantize_input(model: ModelGraph, values: np.ndarray) -> np.ndarray:
-    q = (
-        np.rint(np.asarray(values, dtype=np.float64) / model.input_scale)
-        + model.input_zero_point
-    )
-    return np.clip(q, -128, 127).astype(np.int8).reshape(model.input_shape)
+    q = np.asarray(values, dtype=np.float64) / model.input_scale
+    return _requantize(q, 1.0, model.input_zero_point).reshape(model.input_shape)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -249,6 +232,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
+    """Both inference entries' checks: the graph, then the spectrogram."""
+    validate_graph(model)
     expected = model.input_shape[1:]
     if spec.values.shape != expected:
         raise ShapeError(
@@ -266,7 +251,6 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     are clamped to the nearest int8 code, so +500 dB classifies exactly
     like 0 dB and -1e6 dB exactly like -80 dB.
     """
-    validate_graph(model)
     _check_input(model, spec)
     x = _quantize_input(model, spec.values)
     logits, _ = _walk(model, x, _int8_layer, _int8_logits)
@@ -283,7 +267,6 @@ def _float_forward(model: ModelGraph, values: np.ndarray):
 
 def float_reference_infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     """Run the dequantized float path; returns class probabilities."""
-    validate_graph(model)
     _check_input(model, spec)
     logits, _ = _float_forward(model, spec.values)
     return _softmax(logits)

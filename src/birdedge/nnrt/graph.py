@@ -34,13 +34,15 @@ MAX_SCALE = 2.0**32
 # float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
 MAX_BUFFER_ELEMENTS = 1 << 24
 
+_INT8, _INT32 = np.dtype(np.int8), np.dtype(np.int32)  # faster to compare than types
+
 
 @dataclass
 class LayerSpec:
     """One layer of a model graph.
 
     Weighted kinds carry an int8 weight tensor with a symmetric per-tensor
-    scale (weight_zero_point is kept in the record but is always 0) and an
+    scale (its zero point is 0, so no field holds it) and an
     optional per-output-channel int32 bias expressed in units of
     input_scale * weight_scale. Every kind carries the affine quantization
     of its output activation.
@@ -54,7 +56,6 @@ class LayerSpec:
     padding: int = 0
     weight: np.ndarray | None = None        # int8
     weight_scale: float = 1.0
-    weight_zero_point: int = 0
     bias: np.ndarray | None = None          # int32, length out_ch
     out_scale: float = 1.0
     out_zero_point: int = 0
@@ -139,6 +140,21 @@ def output_shape(
     raise GraphError(f"unknown layer kind {kind!r}")
 
 
+def _check_scale(value: float, what: str, i: int | None = None) -> None:
+    """GraphError unless MIN_SCALE <= value <= MAX_SCALE, formatted only on failure."""
+    # a NaN scale fails every comparison, so the range test rejects it
+    if not MIN_SCALE <= value <= MAX_SCALE:
+        where = "" if i is None else f"layer {i}: "
+        raise GraphError(f"{where}{what} scale must be in [2**-32, 2**32], got {value}")
+
+
+def _check_zero_point(value: int, what: str, i: int | None = None) -> None:
+    """GraphError unless -128 <= value <= 127, formatted only on failure."""
+    if not -128 <= value <= 127:
+        where = "" if i is None else f"layer {i}: "
+        raise GraphError(f"{where}{what} zero point must be in [-128, 127], got {value}")
+
+
 def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
     """Check the whole graph; raise GraphError on the first violation.
 
@@ -159,37 +175,23 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
             f"input shape {model.input_shape} exceeds the buffer cap of "
             f"{MAX_BUFFER_ELEMENTS} elements"
         )
-    # a NaN scale fails every comparison, so the range tests reject it
-    if not MIN_SCALE <= model.input_scale <= MAX_SCALE:
-        raise GraphError(
-            f"input scale must be in [2**-32, 2**32], got {model.input_scale}"
-        )
-    if not -128 <= model.input_zero_point <= 127:
-        raise GraphError(
-            f"input zero point must be in [-128, 127], got {model.input_zero_point}"
-        )
+    _check_scale(model.input_scale, "input")
+    _check_zero_point(model.input_zero_point, "input")
     if model.class_count < 1:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
-    shapes = [model.input_shape]
+    shapes, terminal = [model.input_shape], len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         if layer.kind not in LAYER_KINDS:
             raise GraphError(f"layer {i}: unknown kind {layer.kind!r}")
-        if not MIN_SCALE <= layer.out_scale <= MAX_SCALE:
-            raise GraphError(
-                f"layer {i}: output scale must be in [2**-32, 2**32], "
-                f"got {layer.out_scale}"
-            )
+        _check_scale(layer.out_scale, "output", i)
         # the last layer's output affine is never applied: it yields logits
-        if i < len(model.layers) - 1 and not -128 <= layer.out_zero_point <= 127:
-            raise GraphError(
-                f"layer {i}: output zero point must be in [-128, 127], "
-                f"got {layer.out_zero_point}"
-            )
+        if i < terminal:
+            _check_zero_point(layer.out_zero_point, "output", i)
         if layer.kind in WEIGHTED_KINDS:
             if layer.weight is None:
                 raise GraphError(f"layer {i}: {layer.kind} has no weights")
-            if layer.weight.dtype != np.int8:
+            if layer.weight.dtype != _INT8:
                 raise GraphError(
                     f"layer {i}: weights must be int8, got {layer.weight.dtype}"
                 )
@@ -198,18 +200,9 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                     f"layer {i}: expected {layer.weight_count()} weights, "
                     f"got {layer.weight.size}"
                 )
-            if not MIN_SCALE <= layer.weight_scale <= MAX_SCALE:
-                raise GraphError(
-                    f"layer {i}: weight scale must be in [2**-32, 2**32], "
-                    f"got {layer.weight_scale}"
-                )
-            if layer.weight_zero_point != 0:
-                raise GraphError(
-                    f"layer {i}: symmetric weights require zero point 0, "
-                    f"got {layer.weight_zero_point}"
-                )
+            _check_scale(layer.weight_scale, "weight", i)
             if layer.bias is not None:
-                if layer.bias.dtype != np.int32 or layer.bias.size != layer.out_ch:
+                if layer.bias.dtype != _INT32 or layer.bias.size != layer.out_ch:
                     raise GraphError(
                         f"layer {i}: bias must be int32 of length {layer.out_ch}"
                     )

@@ -17,7 +17,7 @@ save_model, load_model and _container_size read it.
 
 Weighted record (conv2d, depthwise_conv2d, pointwise_conv2d, linear):
     kind u8, in_ch u32, out_ch u32, k_h u32, k_w u32, stride u32,
-    padding u32, weight_scale f32, weight_zp i32, out_scale f32,
+    padding u32, weight_scale f32, weight_zp i32 (always 0), out_scale f32,
     out_zp i32, has_bias u8, weights int8[n], bias i32[out_ch] if has_bias
 
 relu6 / global_avg_pool record:
@@ -54,13 +54,13 @@ MODEL_VERSION = 1
 _HEADER = "<IIIIIfi"
 
 # Per layer kind, the struct format of its record after the kind byte and
-# the fields that format holds, in file order. k_h and k_w are the two
-# entries of LayerSpec.kernel. A weighted record is followed by
-# weight_count() int8 weights and, if has_bias, out_ch int32 biases.
+# the fields that format holds, in file order: k_h and k_w are the entries
+# of LayerSpec.kernel, and weight_zp is always 0. A weighted record is
+# followed by weight_count() int8 weights and, if has_bias, out_ch int32 biases.
 _WEIGHTED_RECORD = (
     "<IIIIIIfifiB",
     ("in_ch", "out_ch", "k_h", "k_w", "stride", "padding", "weight_scale",
-     "weight_zero_point", "out_scale", "out_zero_point", "has_bias"),
+     "weight_zp", "out_scale", "out_zero_point", "has_bias"),
 )
 _AFFINE_RECORD = ("<fi", ("out_scale", "out_zero_point"))
 _RECORDS = {
@@ -125,7 +125,7 @@ def save_model(model: ModelGraph) -> bytes:
         fmt, fields = _RECORDS[layer.kind]
         has_bias = layer.bias is not None
         kh, kw = layer.kernel
-        values = dict(vars(layer), k_h=kh, k_w=kw, has_bias=int(has_bias))
+        values = dict(vars(layer), k_h=kh, k_w=kw, weight_zp=0, has_bias=int(has_bias))
         parts.append(bytes([_KIND_CODE[layer.kind]]))
         parts.append(struct.pack(fmt, *[values[name] for name in fields]))
         if layer.kind in WEIGHTED_KINDS:
@@ -179,6 +179,8 @@ def _read_layer(reader: _Reader) -> LayerSpec:
     values = dict(zip(fields, reader.unpack(fmt)))
     if kind not in WEIGHTED_KINDS:
         return LayerSpec(kind=kind, **values)
+    if (weight_zp := values.pop("weight_zp")) != 0:
+        raise FormatError(f"symmetric weights require zero point 0, got {weight_zp}")
     kernel = (values.pop("k_h"), values.pop("k_w"))
     has_bias = values.pop("has_bias")
     layer = LayerSpec(kind=kind, kernel=kernel, **values)
@@ -196,7 +198,7 @@ def load_model(data: bytes) -> ModelGraph:
 
     Raises:
         FormatError: bad magic, truncation, unknown layer codes, trailing
-            bytes, or absurd dimensions.
+            bytes, absurd dimensions, or a weight zero point other than 0.
         UnsupportedError: a container version this build does not read.
         GraphError: the file parses but the graph is structurally invalid,
             exceeds the buffer cap, or has a layer whose worst-case

@@ -79,24 +79,37 @@ def remove_silence(clip: AudioClip, threshold: float = SILENCE_THRESHOLD) -> Aud
     is modified.
     """
     _check_threshold(threshold)
-    abs_samples = np.abs(clip.samples, dtype=np.float32)
-    if len(abs_samples) == 0:
+    if len(clip.samples) == 0:
         return AudioClip(samples=clip.samples.copy(), sample_rate=clip.sample_rate)
-    peak = float(abs_samples.max())
+    # max |s| in float32 is the larger |extreme|: no |s| copy of the clip
+    extremes = [clip.samples.min(), clip.samples.max()]
+    peak = float(np.abs(extremes, dtype=np.float32).max())
     if not peak > 0.0:  # all zero, or NaN, which no sample reaches
         return AudioClip(
             samples=np.empty(0, dtype=np.float32), sample_rate=clip.sample_rate
         )
     half = int(round(clip.sample_rate * ENVELOPE_WINDOW_SECONDS / 2.0))
-    # The envelope of sample i reaches the threshold iff a loud sample lies
-    # within +-half of i. Loud samples at most 2*half + 1 apart share a run,
-    # so the runs, widened by half on each side, neither overlap nor touch.
-    loud = np.flatnonzero(abs_samples >= threshold * peak)
-    gaps = np.flatnonzero(np.diff(loud) > 2 * half + 1)
-    starts = np.maximum(loud[np.r_[0, gaps + 1]] - half, 0)
-    stops = loud[np.r_[gaps, len(loud) - 1]] + half + 1
+    starts, stops = _voiced_runs(clip.samples, np.float32(threshold * peak), half)
     samples = np.concatenate([clip.samples[a:b] for a, b in zip(starts, stops)])
     return AudioClip(samples=samples, sample_rate=clip.sample_rate)
+
+
+def _voiced_runs(samples: np.ndarray, level: np.float32, half: int):
+    """(starts, stops) of the slices remove_silence keeps, from one boolean
+    mask of the samples with |s| >= level, compared in float32."""
+    f32 = (np.float32, np.float32, np.bool_)
+    loud = np.greater_equal(samples, level, signature=f32)
+    loud |= np.less_equal(samples, -level, signature=f32)
+    # loud runs [start, stop): the mask turns on at a start, off at a stop
+    edges = np.flatnonzero(np.diff(loud, prepend=False, append=False))
+    del loud
+    starts, stops = edges[::2], edges[1::2]
+    # The envelope of sample i reaches the level iff a loud sample lies
+    # within +-half of i. Runs whose quiet gap is at most 2*half merge, so
+    # the merged runs, widened by half on each side, neither overlap nor touch.
+    split = np.flatnonzero(starts[1:] - stops[:-1] > 2 * half)
+    return (np.maximum(starts[np.r_[0, split + 1]] - half, 0),
+            stops[np.r_[split, -1]] + half)
 
 
 def _window_maxima(chunk: np.ndarray, window: int) -> np.ndarray:

@@ -151,10 +151,8 @@ MUTANTS = (
     Mutant(
         "_residual_table: x and skip affines swapped",
         "src/birdedge/nnrt/engine.py",
-        "_rescale_table(scale, zero_point, out_scale)[:, None]\n"
-        "        + _rescale_table(skip_scale, skip_zp, out_scale)",
-        "_rescale_table(skip_scale, skip_zp, out_scale)[:, None]\n"
-        "        + _rescale_table(scale, zero_point, out_scale)",
+        "x_rescaled[:, None] + skip_rescaled",
+        "skip_rescaled[:, None] + x_rescaled",
         ("tests/test_nnrt.py::TestElementwiseTables::"
          "test_residual_table_matches_the_per_element_sum",),
     ),
@@ -189,6 +187,14 @@ MUTANTS = (
         "    acc *= multiplier\n",
         ("tests/test_nnrt.py::TestInt8Oracle::"
          "test_requantize_multiplier_is_rounded_to_float32",),
+    ),
+    Mutant(
+        "_quantize_input: the input quantized with zero point 0",
+        "src/birdedge/nnrt/engine.py",
+        "_requantize(q, 1.0, model.input_zero_point)",
+        "_requantize(q, 1.0, 0)",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
         "padded conv: centered in the input's int8, wrapping",
@@ -255,6 +261,36 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestValidation::test_residual_shape_mismatch",
          "tests/test_nnrt.py::TestRandomGraphs::"
          "test_validate_graph_returns_every_buffer_shape"),
+    ),
+    Mutant(
+        "_check_scale: a scale of exactly MIN_SCALE rejected",
+        "src/birdedge/nnrt/graph.py",
+        "    if not MIN_SCALE <= value <= MAX_SCALE:\n",
+        "    if not MIN_SCALE < value <= MAX_SCALE:\n",
+        ("tests/test_nnrt.py::TestValidation::test_scale_range_ends_infer_finite",),
+    ),
+    Mutant(
+        "_read_layer: a weight zero point other than 0 accepted",
+        "src/birdedge/nnrt/serialize.py",
+        "    if (weight_zp := values.pop(\"weight_zp\")) != 0:\n"
+        "        raise FormatError(f\"symmetric weights require zero point 0, got {weight_zp}\")\n",
+        "    values.pop(\"weight_zp\")\n",
+        ("tests/test_nnrt.py::TestValidation::test_nonzero_weight_zero_point",),
+    ),
+    Mutant(
+        "remove_silence: runs a quiet gap of 2*half - 1 apart split, overlapping",
+        "src/birdedge/preprocess.py",
+        "starts[1:] - stops[:-1] > 2 * half",
+        "starts[1:] - stops[:-1] > 2 * half - 2",
+        ("tests/test_preprocess.py::TestRemoveSilenceAgainstFilter::test_run_split_boundary",),
+    ),
+    Mutant(
+        "parse_irradiance: any label starting like a month accepted",
+        "src/birdedge/energy.py",
+        "_MONTH_LABELS.get(row[0].strip().lower())",
+        "_MONTH_LABELS.get(row[0].strip().lower()[:3])",
+        ("tests/test_energy.py::TestParsers::test_irradiance_errors[junk]",
+         "tests/test_energy.py::TestParsers::test_irradiance_errors[mayhem]"),
     ),
     Mutant(
         "has_peak: |x| taken in the integer dtype",
@@ -480,6 +516,16 @@ EQUIVALENT = (
         "for member in reversed(front)",
         "for member in front",
         ("tests/test_trials.py::TestParetoFront::test_matches_oracle_on_grids",),
+    ),
+    Mutant(
+        "remove_silence: runs a quiet gap of exactly 2*half apart split",  # the
+        # two runs, widened by half, then touch: [.., stop + half) and
+        # [stop + half, ..) concatenate to the samples of the merged run
+        "src/birdedge/preprocess.py",
+        "starts[1:] - stops[:-1] > 2 * half",
+        "starts[1:] - stops[:-1] >= 2 * half",
+        ("tests/test_preprocess.py::TestRemoveSilenceAgainstFilter::test_run_split_boundary",
+         "tests/test_preprocess.py::TestRemoveSilenceAgainstFilter::test_matches_filter"),
     ),
     Mutant(
         "has_peak: the two median indices swapped",  # low + high is

@@ -235,6 +235,13 @@ class TestMonthlyReport:
         assert row.s_rad_w_m2 == 28.0
 
 
+def table_with_label(label, month):
+    """A 12-row irradiance table of 50s, months by number, with `month`'s
+    row labelled `label`."""
+    return "month,s_rad_w_m2\n" + "".join(
+        f"{label if m == month else m},50\n" for m in range(1, 13))
+
+
 class TestParsers:
     def test_bundled_mcu_profile(self):
         profile = parse_profile(bundled("profile_m7.cfg"))
@@ -312,6 +319,13 @@ class TestParsers:
         table = parse_irradiance(numbered)
         assert table[3] == 43.0
 
+    @pytest.mark.parametrize("label, month", [
+        ("sep", 9), ("Sept", 9), ("SEPTEMBER", 9), ("janu", 1), (" may ", 5),
+        ("12", 12),
+    ])
+    def test_month_label_forms(self, label, month):
+        assert parse_irradiance(table_with_label(label, month))[month] == 50
+
     def test_bundled_irradiance_values(self):
         table = parse_irradiance(bundled("irradiance_de.csv"))
         assert table[12] == 22.8
@@ -337,6 +351,12 @@ class TestParsers:
             "month,s_rad_w_m2\n" + "".join(
                 f"{i},{'inf' if i == 6 else 50}\n" for i in range(1, 13)
             ),                                                     # infinite
+            # one label that is not a month, in a table that is otherwise
+            # whole; the first four only start like one
+            *(pytest.param(table_with_label(label, month), id=label)
+              for label, month in [("junk", 6), ("mayhem", 5), ("ma", 3),
+                                   ("septem-ber", 9), ("0", 1), ("13", 12),
+                                   ("03", 3), ("+3", 3)]),
         ],
     )
     def test_irradiance_errors(self, text):

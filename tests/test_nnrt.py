@@ -6,6 +6,7 @@ frozen structural and resource numbers.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import re
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import birdedge.nnrt.resources
 import birdedge.nnrt.serialize
@@ -50,7 +52,6 @@ from birdedge.nnrt.engine import (
     _int8_logits,
     _quantize_input,
     _relu6_table,
-    _rescale_table,
     _residual_table,
     _walk,
 )
@@ -68,11 +69,11 @@ def rand_weight(rng, *shape):
 
 
 def conv(in_ch, out_ch, kernel=(3, 3), stride=1, padding=1, *, seed=0, bias=None,
-         kind="conv2d", out_scale=0.5, out_zero_point=0):
+         kind="conv2d", out_scale=0.5, out_zero_point=0, weight=None):
     rng = np.random.default_rng(seed)
-    if kind == "depthwise_conv2d":
+    if weight is None and kind == "depthwise_conv2d":
         weight = rand_weight(rng, out_ch, *kernel)
-    else:
+    elif weight is None:
         weight = rand_weight(rng, out_ch, in_ch, *kernel)
     return LayerSpec(
         kind=kind, in_ch=in_ch, out_ch=out_ch, kernel=kernel, stride=stride,
@@ -179,6 +180,23 @@ def spec_for(model, seed=0):
     rng = np.random.default_rng(seed)
     values = rng.uniform(-80, 0, model.input_shape[1:]).astype(np.float32)
     return MelSpectrogram(values)
+
+
+def check_total(blob, max_elements=None):
+    """An edited file either fails with a BirdEdgeError, on load or in
+    infer, or classifies into finite probabilities, without a warning. A
+    graph with a buffer over max_elements elements is only loaded."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            model = load_model(blob)
+            if max_elements and max(map(math.prod, validate_graph(model))) > max_elements:
+                return
+            probabilities = infer(model, spec_for(model))
+        except BirdEdgeError:
+            return
+    assert np.isfinite(probabilities).all()
+    assert math.isclose(probabilities.sum(), 1.0)
 
 
 class TestSerialization:
@@ -401,23 +419,13 @@ class TestSerialization:
             load_model(bytes(blob))
 
     def test_multi_byte_edits_load_and_infer_totally(self):
-        # every edited file either fails with a BirdEdgeError, on load or in
-        # infer, or classifies into finite probabilities, without a warning
         rng = np.random.default_rng(1)
         for blob in map(save_model, (chain_model(), residual_model(), strided_model())):
             for _ in range(500):
                 edited = bytearray(blob)
                 for _ in range(int(rng.integers(1, 4))):
                     edited[int(rng.integers(len(edited)))] = int(rng.integers(256))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        model = load_model(bytes(edited))
-                        probabilities = infer(model, spec_for(model))
-                    except BirdEdgeError:
-                        continue
-                assert np.isfinite(probabilities).all()
-                assert math.isclose(probabilities.sum(), 1.0)
+                check_total(bytes(edited))
 
 
 class TestValidation:
@@ -499,9 +507,14 @@ class TestValidation:
         self.err(m)
 
     def test_nonzero_weight_zero_point(self):
-        m = chain_model()
-        m.layers[0].weight_zero_point = 3
-        self.err(m)
+        # weights are symmetric, so the weight zero point slot of the first
+        # record (after its kind byte, six u32 dims and weight scale) is 0
+        blob = bytearray(save_model(chain_model()))
+        offset = 36 + struct.calcsize("<BIIIIIIf")
+        assert struct.unpack_from("<i", blob, offset) == (0,)
+        blob[offset:offset + 4] = struct.pack("<i", 3)
+        with pytest.raises(FormatError, match="zero point 0, got 3"):
+            load_model(bytes(blob))
 
     def test_negative_out_scale(self):
         m = chain_model()
@@ -884,23 +897,40 @@ class TestResources:
             resource_report(model)
 
 
-# int8 zero points, the two ends of the range drawn as often as the rest
+# int8 zero points and weights, the two ends of the range drawn as often
+# as the rest; biases likewise up to +-2**20
 ZERO_POINTS = st.sampled_from((-128, 127)) | st.integers(-128, 127)
+BIASES = st.sampled_from((-(2**20), 2**20)) | st.integers(-(2**20), 2**20)
 SCALES = st.floats(2**-8, 4.0).map(lambda v: float(np.float32(v)))
 
 
+@functools.cache
+def weighted_strategy(weight_shape, out_ch):
+    """Drawn int8 weights of weight_shape and, half the time, a drawn int32
+    bias of out_ch entries, as LayerSpec keywords. Built once per shape:
+    building the strategy costs more than drawing from it."""
+    return st.fixed_dictionaries({
+        "weight": arrays(np.int8, weight_shape, elements=ZERO_POINTS),
+        "bias": st.none() | arrays(np.int32, out_ch, elements=BIASES),
+    })
+
+
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, drawn_weights=True):
     """A small valid ModelGraph on a (1, H, W) input with a drawn input
     affine: 1-6 layers of any kind but linear, with 1-3 kernels, strides
     1-2, paddings below the kernel and residual sources anywhere the shapes
     agree, the graph input included, the residual's own input only when no
-    other fits; then a pool unless the map is already 1x1, then the head."""
-    seed = draw(st.integers(0, 2**32 - 1))
+    other fits; then a pool unless the map is already 1x1, then the head.
+    Every weight and bias is drawn, or with drawn_weights=False the weights
+    are seeded and there are no biases, for tests that never read them."""
+    def drawn(strategy):
+        return draw(strategy) if drawn_weights else {}
+
     input_affine = dict(input_scale=draw(SCALES), input_zero_point=draw(ZERO_POINTS))
     shapes = [(1, draw(st.integers(1, 7)), draw(st.integers(1, 7)))]
     layers = []
-    for i in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 6))):
         c, h, w = shapes[-1]
         kind = draw(st.sampled_from(LAYER_KINDS[:-1]))
         affine = dict(out_scale=draw(SCALES), out_zero_point=draw(ZERO_POINTS))
@@ -912,12 +942,10 @@ def small_graphs(draw):
             pad, kernel = 0, (1, 1)
         if kind in ("conv2d", "depthwise_conv2d", "pointwise_conv2d"):
             out_ch = c if kind == "depthwise_conv2d" else draw(st.integers(1, 4))
-            bias = None
-            if draw(st.booleans()):
-                bias = np.random.default_rng(seed + i).integers(
-                    -1000, 1000, out_ch).astype(np.int32)
-            layer = conv(c, out_ch, kernel, draw(st.integers(1, 2)), pad,
-                         seed=seed + i, bias=bias, kind=kind, **affine)
+            weight_shape = (out_ch, *kernel) if kind == "depthwise_conv2d" else (
+                out_ch, c, *kernel)
+            layer = conv(c, out_ch, kernel, draw(st.integers(1, 2)), pad, kind=kind,
+                         **drawn(weighted_strategy(weight_shape, out_ch)), **affine)
         elif kind == "residual_add":
             sources = [k + INPUT_BUFFER for k, shape in enumerate(shapes)
                        if shape == shapes[-1]]
@@ -934,7 +962,7 @@ def small_graphs(draw):
     if (h, w) != (1, 1):
         layers.append(pool())
     classes = draw(st.integers(1, 3))
-    layers.append(linear(c, classes, seed=seed))
+    layers.append(linear(c, classes, **drawn(weighted_strategy((classes, c), classes))))
     return ModelGraph(layers, class_count=classes, input_shape=shapes[0], **input_affine)
 
 
@@ -988,13 +1016,14 @@ def quadratic_ram(model, shapes):
 
 
 class TestRandomGraphs:
+    # shapes, FLOPs and RAM never read a weight or bias value
     @settings(max_examples=200, deadline=None)
-    @given(model=small_graphs())
+    @given(model=small_graphs(drawn_weights=False))
     def test_validate_graph_returns_every_buffer_shape(self, model):
         assert validate_graph(model) == reference_costs(model)[1]
 
     @settings(max_examples=200, deadline=None)
-    @given(model=small_graphs())
+    @given(model=small_graphs(drawn_weights=False))
     def test_flops_match_a_brute_force_count(self, model):
         assert resource_report(model).flops == reference_costs(model)[0]
 
@@ -1005,10 +1034,23 @@ class TestRandomGraphs:
         assert save_model(load_model(blob)) == blob
 
     @settings(max_examples=200, deadline=None)
-    @given(model=small_graphs())
+    @given(model=small_graphs(drawn_weights=False))
     def test_ram_matches_the_quadratic_scan(self, model):
         ram = quadratic_ram(model, reference_costs(model)[1])
         assert resource_report(model).ram_bytes == ram
+
+    @settings(max_examples=50, deadline=None)
+    @given(model=small_graphs(), data=st.data())
+    def test_byte_edits_load_and_infer_totally(self, model, data):
+        # an edited input dimension or padding may ask for buffers of up to
+        # 2**24 elements, which are loaded but not run, to keep this test small
+        blob = save_model(model)
+        edit = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+        for _ in range(10):
+            edited = bytearray(blob)
+            for at, value in data.draw(st.lists(edit, min_size=1, max_size=3)):
+                edited[at] = value
+            check_total(bytes(edited), max_elements=4096)
 
 
 class TestFixtureModel:
@@ -1309,16 +1351,8 @@ class TestElementwiseTables:
             real = (self.codes.astype(np.float32) - in_zp) * np.float32(in_scale)
             scaled = np.rint(np.clip(real, 0.0, 6.0) * np.float32(1.0 / out_scale))
             expect = np.clip(scaled + out_zp, -128, 127).astype(np.int8)
-            table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
-            assert table[self.codes.view(np.uint8)].tobytes() == expect.tobytes()
-
-    def test_rescale_table(self):
-        for scale, zp, out_scale, _ in self.affines():
-            expect = (self.codes.astype(np.float32) - zp) * np.float32(
-                scale / out_scale
-            )
-            table = _rescale_table(scale, zp, out_scale)
-            assert table.dtype == np.float32
+            table = np.frombuffer(_relu6_table(in_scale, in_zp, out_scale, out_zp),
+                                  np.int8)
             assert table[self.codes.view(np.uint8)].tobytes() == expect.tobytes()
 
     def test_relu6_translate_matches_the_table(self):
@@ -1326,9 +1360,9 @@ class TestElementwiseTables:
             got = _int8_layer(relu6(out_scale, out_zp), self.codes.reshape(1, 16, 16),
                               in_scale, in_zp, None)
             table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
-            expect = np.take(table, self.codes.view(np.uint8))
+            expect = bytes(table[code] for code in self.codes.view(np.uint8))
             assert got.dtype == np.int8 and got.shape == (1, 16, 16)
-            assert got.tobytes() == expect.tobytes()
+            assert got.tobytes() == expect
 
     def test_residual_table_matches_the_per_element_sum(self):
         # every (x, skip) pair, x the outer code as in the table's index
@@ -1351,10 +1385,11 @@ class TestElementwiseTables:
             assert table[index].tobytes() == expect.tobytes()
 
     def test_tables_are_read_only(self):
-        with pytest.raises(ValueError):
-            _relu6_table(0.5, 0, 0.1, -128)[0] = 1
-        with pytest.raises(ValueError):
-            _rescale_table(0.5, 0, 0.1)[0] = 1.0
+        # the relu6 table is the immutable bytes that bytes.translate takes
+        table = _relu6_table(0.5, 0, 0.1, -128)
+        assert type(table) is bytes and len(table) == 256
+        with pytest.raises(TypeError):
+            table[0] = 1
         with pytest.raises(ValueError):
             _residual_table(0.5, 0, 0.25, 3, 0.1, -128)[0] = 1
 

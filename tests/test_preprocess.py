@@ -153,6 +153,25 @@ class TestRemoveSilence:
         out = remove_silence(clip_of(np.full(100, 0.2), rate=8000))
         assert out.sample_rate == 8000
 
+    def test_peak_memory_stays_near_one_clip(self):
+        # 20 s at 48 kHz, 32 % of it loud in 100 ms bursts of +-0.5 over
+        # +-0.001 noise: no float32 |s| copy of the clip and no int64 index
+        # of its loud samples, only a boolean mask and the kept samples
+        rng = np.random.default_rng(5)
+        samples = rng.uniform(-0.001, 0.001, 20 * RATE).astype(np.float32)
+        for burst in rng.choice(200, size=64, replace=False):
+            samples[burst * 4800:(burst + 1) * 4800] = np.where(
+                rng.random(4800) < 0.5, -0.5, 0.5)
+        clip = clip_of(samples)
+        tracemalloc.start()
+        try:
+            out = remove_silence(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.32 <= len(out.samples) / len(samples) < 0.5
+        assert peak <= 1.5 * samples.nbytes
+
 
 def filter_remove_silence(clip, threshold=SILENCE_THRESHOLD):
     """The sliding-max formula remove_silence had before it cut by runs."""
