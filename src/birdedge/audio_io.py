@@ -48,10 +48,15 @@ class AudioClip:
     """Mono waveform with its sample rate.
 
     samples: 1-D float32, every value in [-1.0, 1.0].
+    sample_rate: at least 1 Hz, else a ConfigError when the clip is built.
     """
 
     samples: np.ndarray
     sample_rate: int
+
+    def __post_init__(self):
+        if not self.sample_rate >= 1:  # NaN too
+            raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
 
     @property
     def duration(self) -> float:

@@ -85,61 +85,6 @@ class ModelGraph:
     input_zero_point: int = 127
 
 
-def output_shape(
-    layer: LayerSpec, in_shape: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    """Shape of the layer output given its input shape (C, H, W).
-
-    Raises GraphError on any incompatibility.
-    """
-    c, h, w = in_shape
-    kind = layer.kind
-    if kind in ("conv2d", "pointwise_conv2d", "depthwise_conv2d"):
-        kh, kw = layer.kernel
-        if layer.in_ch != c:
-            raise GraphError(f"{kind} expects {layer.in_ch} channels, input has {c}")
-        if kind == "depthwise_conv2d" and layer.out_ch != c:
-            raise GraphError(
-                f"depthwise conv must preserve channels, got {c} -> {layer.out_ch}"
-            )
-        if kind == "pointwise_conv2d" and (kh, kw) != (1, 1):
-            raise GraphError(f"pointwise conv must use a 1x1 kernel, got {kh}x{kw}")
-        ho = (h + 2 * layer.padding - kh) // layer.stride + 1
-        wo = (w + 2 * layer.padding - kw) // layer.stride + 1
-        if ho < 1 or wo < 1:
-            raise GraphError(
-                f"{kind} kernel {kh}x{kw} stride {layer.stride} does not fit "
-                f"input {h}x{w}"
-            )
-        for what, size in (
-            ("padded input", c * (h + 2 * layer.padding) * (w + 2 * layer.padding)),
-            ("im2col patch matrix", c * kh * kw * ho * wo),
-            ("output", layer.out_ch * ho * wo),
-        ):
-            if size > MAX_BUFFER_ELEMENTS:
-                raise GraphError(
-                    f"{kind} {what} of {size} elements exceeds the buffer cap "
-                    f"of {MAX_BUFFER_ELEMENTS}"
-                )
-        return (layer.out_ch, ho, wo)
-    if kind in ("relu6", "residual_add"):
-        return (c, h, w)
-    if kind == "global_avg_pool":
-        return (c, 1, 1)
-    if kind == "linear":
-        if (*layer.kernel, layer.stride, layer.padding) != (1, 1, 1, 0):
-            raise GraphError(
-                f"linear needs kernel 1x1, stride 1 and padding 0, got kernel "
-                f"{layer.kernel}, stride {layer.stride}, padding {layer.padding}"
-            )
-        if (h, w) != (1, 1):
-            raise GraphError(f"linear layer needs a pooled (C,1,1) input, got {in_shape}")
-        if layer.in_ch != c:
-            raise GraphError(f"linear expects {layer.in_ch} features, input has {c}")
-        return (layer.out_ch, 1, 1)
-    raise GraphError(f"unknown layer kind {kind!r}")
-
-
 def _check_scale(value: float, what: str, i: int | None = None) -> None:
     """GraphError unless MIN_SCALE <= value <= MAX_SCALE, formatted only on failure."""
     # a NaN scale fails every comparison, so the range test rejects it
@@ -182,15 +127,31 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
 
     shapes, terminal = [model.input_shape], len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        if layer.kind not in LAYER_KINDS:
-            raise GraphError(f"layer {i}: unknown kind {layer.kind!r}")
+        kind = layer.kind
+        if kind not in LAYER_KINDS:
+            raise GraphError(f"layer {i}: unknown kind {kind!r}")
         _check_scale(layer.out_scale, "output", i)
         # the last layer's output affine is never applied: it yields logits
         if i < terminal:
             _check_zero_point(layer.out_zero_point, "output", i)
-        if layer.kind in WEIGHTED_KINDS:
+        c, h, w = shape = shapes[-1]  # relu6 keeps its input's shape
+        if kind == "global_avg_pool":
+            shape = (c, 1, 1)
+        elif kind == "residual_add":
+            if layer.skip_from is None:
+                raise GraphError(f"layer {i}: residual_add without a skip source")
+            if not INPUT_BUFFER <= layer.skip_from < i:
+                raise GraphError(
+                    f"layer {i}: skip source {layer.skip_from} out of range"
+                )
+            skip_shape = shapes[layer.skip_from - INPUT_BUFFER]
+            if skip_shape != shape:
+                raise GraphError(
+                    f"layer {i}: residual operands differ, {shape} vs {skip_shape}"
+                )
+        elif kind in WEIGHTED_KINDS:
             if layer.weight is None:
-                raise GraphError(f"layer {i}: {layer.kind} has no weights")
+                raise GraphError(f"layer {i}: {kind} has no weights")
             if layer.weight.dtype != _INT8:
                 raise GraphError(
                     f"layer {i}: weights must be int8, got {layer.weight.dtype}"
@@ -206,24 +167,54 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                     raise GraphError(
                         f"layer {i}: bias must be int32 of length {layer.out_ch}"
                     )
+            if layer.out_ch < 1:
+                raise GraphError(f"layer {i}: {kind} has no output channels")
             if min(layer.kernel) < 1 or layer.stride < 1 or layer.padding < 0:
                 raise GraphError(f"layer {i}: bad kernel geometry")
-        if layer.kind == "residual_add":
-            if layer.skip_from is None:
-                raise GraphError(f"layer {i}: residual_add without a skip source")
-            if not INPUT_BUFFER <= layer.skip_from < i:
+            if layer.in_ch != c:
                 raise GraphError(
-                    f"layer {i}: skip source {layer.skip_from} out of range"
+                    f"layer {i}: {kind} expects {layer.in_ch} channels, input has {c}"
                 )
-            skip_shape = shapes[layer.skip_from - INPUT_BUFFER]
-            if skip_shape != shapes[-1]:
+            (kh, kw), stride, padding = layer.kernel, layer.stride, layer.padding
+            if kind == "linear":
+                if (kh, kw, stride, padding) != (1, 1, 1, 0):
+                    raise GraphError(
+                        f"layer {i}: linear needs kernel 1x1, stride 1 and padding 0, "
+                        f"got kernel {layer.kernel}, stride {stride}, padding {padding}"
+                    )
+                if (h, w) != (1, 1):
+                    raise GraphError(
+                        f"layer {i}: linear layer needs a pooled (C,1,1) input, "
+                        f"got {shape}"
+                    )
+            elif kind == "depthwise_conv2d" and layer.out_ch != c:
                 raise GraphError(
-                    f"layer {i}: residual operands differ, {shapes[-1]} vs {skip_shape}"
+                    f"layer {i}: depthwise conv must preserve channels, "
+                    f"got {c} -> {layer.out_ch}"
                 )
-        try:
-            shapes.append(output_shape(layer, shapes[-1]))
-        except GraphError as err:
-            raise GraphError(f"layer {i}: {err}") from None
+            elif kind == "pointwise_conv2d" and (kh, kw) != (1, 1):
+                raise GraphError(
+                    f"layer {i}: pointwise conv must use a 1x1 kernel, got {kh}x{kw}"
+                )
+            ho = (h + 2 * padding - kh) // stride + 1
+            wo = (w + 2 * padding - kw) // stride + 1
+            if ho < 1 or wo < 1:
+                raise GraphError(
+                    f"layer {i}: {kind} kernel {kh}x{kw} stride {stride} does not "
+                    f"fit input {h}x{w}"
+                )
+            for what, size in (
+                ("padded input", c * (h + 2 * padding) * (w + 2 * padding)),
+                ("im2col patch matrix", c * kh * kw * ho * wo),
+                ("output", layer.out_ch * ho * wo),
+            ):
+                if size > MAX_BUFFER_ELEMENTS:
+                    raise GraphError(
+                        f"layer {i}: {kind} {what} of {size} elements exceeds the "
+                        f"buffer cap of {MAX_BUFFER_ELEMENTS}"
+                    )
+            shape = (layer.out_ch, ho, wo)
+        shapes.append(shape)
 
     last = model.layers[-1]
     if last.kind != "linear":

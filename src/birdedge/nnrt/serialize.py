@@ -71,8 +71,8 @@ _RECORDS = {
 }
 _KIND_CODE = {name: code for code, name in enumerate(LAYER_KINDS)}
 
-# Guard rails against absurd headers when parsing untrusted bytes. save_model
-# applies them too, so every file it writes loads.
+# Upper limits of untrusted headers; validate_graph owns every lower bound.
+# save_model applies them too, so every file it writes loads.
 _MAX_LAYERS = 1 << 16
 _MAX_DIM = 1 << 20
 _MAX_WEIGHTS = 1 << 26
@@ -81,18 +81,15 @@ _MAX_WEIGHTS = 1 << 26
 def _check_header(layer_count: int, input_shape) -> None:
     if layer_count > _MAX_LAYERS:
         raise FormatError(f"implausible layer count {layer_count}")
-    for dim in input_shape:
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(f"implausible input dimension {dim}")
+    if (dim := max(input_shape)) > _MAX_DIM:
+        raise FormatError(f"implausible input dimension {dim}")
 
 
 def _check_layer(layer: LayerSpec) -> None:
     """The limits of a weighted layer, checked before its weights are read."""
-    for dim in (layer.in_ch, layer.out_ch, *layer.kernel):
-        if dim == 0 or dim > _MAX_DIM:
-            raise FormatError(f"implausible layer dimension {dim}")
-    count = layer.weight_count()
-    if count > _MAX_WEIGHTS:
+    if (dim := max(layer.in_ch, layer.out_ch, *layer.kernel)) > _MAX_DIM:
+        raise FormatError(f"implausible layer dimension {dim}")
+    if (count := layer.weight_count()) > _MAX_WEIGHTS:
         raise FormatError(f"implausible weight count {count}")
 
 
@@ -198,11 +195,11 @@ def load_model(data: bytes) -> ModelGraph:
 
     Raises:
         FormatError: bad magic, truncation, unknown layer codes, trailing
-            bytes, absurd dimensions, or a weight zero point other than 0.
+            bytes, sizes above the limits, or a weight zero point other than 0.
         UnsupportedError: a container version this build does not read.
-        GraphError: the file parses but the graph is structurally invalid,
-            exceeds the buffer cap, or has a layer whose worst-case
-            accumulator overflows int32.
+        GraphError: the file parses but the graph is structurally invalid
+            (a 0 size too), exceeds the buffer cap, or has a layer whose
+            worst-case accumulator overflows int32.
     """
     reader = _Reader(data)
     if reader.raw(4) != MODEL_MAGIC:

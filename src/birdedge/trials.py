@@ -45,22 +45,31 @@ class TrialRecord:
             raise FormatError(
                 f"trial id {self.id!r} must be non-empty and hold no comma, quote, CR or LF"
             )
-        if not 0.0 <= self.acc <= 1.0:
-            raise FormatError(f"trial {self.id}: acc {self.acc} outside [0, 1]")
-        for name in _COSTS:
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise FormatError(f"trial {self.id}: {name} {value} must be finite and positive")
+        _check_measures(self, f"trial {self.id}")
 
 
 @dataclass(frozen=True)
 class BaselineRecord:
-    """The uncompressed reference point for compression rates."""
+    """The uncompressed reference point for compression rates, under the
+    trial rule: accuracy in [0, 1], finite positive costs."""
 
     acc: float
     ram: float
     rom: float
     flops: float
+
+    def __post_init__(self):
+        _check_measures(self, "baseline")
+
+
+def _check_measures(record, where: str) -> None:
+    """The rule of a trial and of the baseline, or a FormatError naming where."""
+    if not 0.0 <= record.acc <= 1.0:
+        raise FormatError(f"{where}: acc {record.acc} outside [0, 1]")
+    for name in _COSTS:
+        value = getattr(record, name)
+        if not 0.0 < value < math.inf:
+            raise FormatError(f"{where}: {name} {value} must be finite and positive")
 
 
 def _require(trials) -> list[TrialRecord]:

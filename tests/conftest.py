@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from birdedge.melspec import MelSpectrogram
 from birdedge.nnrt import generate_fixture_model, load_model
@@ -10,6 +11,10 @@ from wavgen import make_fixture_recordings
 
 FIXTURE_CLASSES = 31
 FIXTURE_SEED = 7
+
+# tests/mutants.py runs under this profile: a mutant is killed by the first
+# failing example, so the shrink phase, most of a kill's time, is skipped
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 @pytest.fixture(scope="session")

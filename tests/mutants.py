@@ -6,6 +6,8 @@ entry names the tests that must catch it. The script copies `src/`,
 `tests/`, `pyproject.toml` and `README.md` to a temporary directory,
 runs every named test there once unmutated (they must pass), then applies
 each mutant in turn and runs its tests again (one of them must fail).
+Tests run under the hypothesis profile "mutants" (tests/conftest.py),
+which does not shrink a failing example.
 
 It fails if a mutant survives, if its old text does not occur exactly
 once in its file, or if a test errors in any other way. A survivor is
@@ -502,6 +504,35 @@ MUTANTS = (
         ("tests/test_trials.py::TestCompression::test_rate_overflow_is_rejected",
          "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[compress-rate-overflow]"),
     ),
+    Mutant(
+        "validate_graph: a weighted layer without output channels accepted",
+        "src/birdedge/nnrt/graph.py",
+        "            if layer.out_ch < 1:\n"
+        "                raise GraphError(f\"layer {i}: {kind} has no output channels\")\n",
+        "",
+        ("tests/test_nnrt.py::TestZeroChannels::test_every_entry_raises[conv2d-infer]",),
+    ),
+    Mutant(
+        "validate_graph: a stride of 0 accepted",
+        "src/birdedge/nnrt/graph.py",
+        "layer.stride < 1",
+        "layer.stride < 0",
+        ("tests/test_nnrt.py::TestValidation::test_bad_kernel_geometry[stride]",),
+    ),
+    Mutant(
+        "BaselineRecord: the trial rule not applied",
+        "src/birdedge/trials.py",
+        "    def __post_init__(self):\n        _check_measures(self, \"baseline\")\n",
+        "",
+        ("tests/test_trials.py::TestCompression::test_baseline_takes_the_trial_rule[ram-0]",),
+    ),
+    Mutant(
+        "AudioClip: a sample rate below 1 accepted",
+        "src/birdedge/audio_io.py",
+        "        if not self.sample_rate >= 1:  # NaN too\n",
+        "        if False:\n",
+        ("tests/test_audio_io.py::TestAudioClip::test_sample_rate_below_1_rejected[0]",),
+    ),
 )
 
 
@@ -546,7 +577,7 @@ def run_tests(tree: Path, node_ids) -> int:
     env.pop("PYTHONPATH", None)  # pyproject.toml puts the copy's src first
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *node_ids],
+         "--hypothesis-profile=mutants", *node_ids],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     return result.returncode

@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from birdedge.audio_io import AudioClip, decode_wav, read_spectrogram, resample, write_spectrogram
-from birdedge.exceptions import BirdEdgeError, FormatError, UnsupportedError
+from birdedge.exceptions import (
+    BirdEdgeError,
+    ConfigError,
+    FormatError,
+    ShapeError,
+    UnsupportedError,
+)
 from birdedge.melspec import MelSpectrogram
 from birdedge.preprocess import MAX_CHUNKS, preprocess_recording
 
@@ -138,6 +144,13 @@ class TestDecode:
     def test_zero_sample_rate(self):
         with pytest.raises(FormatError):
             decode_wav(wav_container(1, 1, 0, 16, b"\x00\x00"))
+
+    def test_short_fmt_chunk(self):
+        fmt = struct.pack("<HHIIH", 1, 1, 48000, 96000, 2)  # no bits field
+        chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data\x00\x00\x00\x00"
+        blob = b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+        with pytest.raises(FormatError, match="fmt chunk too short: 14 bytes"):
+            decode_wav(blob)
 
     def test_extra_chunks_are_skipped(self):
         fmt = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
@@ -312,6 +325,16 @@ class TestDecodeThenPreprocess:
             assert chunk.shape == (96000,) and np.isfinite(chunk).all()
 
 
+class TestAudioClip:
+    @pytest.mark.parametrize("rate", [0, -48000, float("nan")])
+    def test_sample_rate_below_1_rejected(self, rate):
+        # unchecked, 0 made resample, split_chunks and preprocess_recording
+        # divide by zero, -48000 ran through all three, and NaN made
+        # resample raise a ValueError outside BirdEdgeError
+        with pytest.raises(ConfigError, match=f"sample_rate must be >= 1, got {rate}"):
+            AudioClip(np.zeros(10, dtype=np.float32), rate)
+
+
 class TestResample:
     def test_441_to_48k_length(self):
         clip = AudioClip(np.zeros(44100, dtype=np.float32), 44100)
@@ -332,6 +355,12 @@ class TestResample:
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
             resample(AudioClip(np.empty(0, dtype=np.float32), 48000), 44100)
+
+    def test_output_that_rounds_to_no_samples_keeps_one(self):
+        # 1 sample at 48 kHz is 1/6 of a sample at 8 kHz, which rounds to 0
+        out = resample(AudioClip(np.full(1, 0.5, dtype=np.float32), 48000), 8000)
+        assert out.samples.tolist() == [0.5]
+        assert out.sample_rate == 8000
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
@@ -452,6 +481,12 @@ class TestSpectrogramContainer:
     def test_zero_dimension_rejected(self):
         with pytest.raises(FormatError):
             read_spectrogram(b"MELS" + struct.pack("<II", 0, 5))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_write_rejects_values_that_are_not_2d(self, shape):
+        values = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ShapeError, match="spectrogram must be 2-D"):
+            write_spectrogram(MelSpectrogram(values), io.BytesIO())
 
     def test_nonfinite_write_rejected(self):
         values = np.array([[np.nan, 0.0]], dtype=np.float32)

@@ -852,6 +852,18 @@ class TestGenFixture:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestAtomicWrite:
+    def test_failed_replace_removes_the_temp_file_and_reraises(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "out" / "report.csv"
+        with pytest.raises(PermissionError, match="cannot replace"):
+            birdedge.cli._atomic_write(target, b"id\n")
+        assert list(target.parent.iterdir()) == []
+
+
 class TestRepeatedCalls:
     """main called again and again in one process shares one parser, and
     each call behaves as it would in a process of its own."""

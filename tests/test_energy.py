@@ -326,6 +326,10 @@ class TestParsers:
     def test_month_label_forms(self, label, month):
         assert parse_irradiance(table_with_label(label, month))[month] == 50
 
+    def test_blank_irradiance_rows_skipped(self):
+        text = "month,s_rad_w_m2\n\n" + "".join(f"{i},{40 + i}\n\n" for i in range(1, 13))
+        assert parse_irradiance(text) == {i: 40.0 + i for i in range(1, 13)}
+
     def test_bundled_irradiance_values(self):
         table = parse_irradiance(bundled("irradiance_de.csv"))
         assert table[12] == 22.8
@@ -336,6 +340,9 @@ class TestParsers:
         "text",
         [
             "month,s_rad_w_m2\njan,28\n",                          # incomplete
+            "month,s_rad_w_m2\n" + "".join(
+                f"{i},50{',1' if i == 6 else ''}\n" for i in range(1, 13)
+            ),                                                     # 3 fields
             "wrong,s\njan,28\n",                                   # bad header
             "month,s_rad_w_m2\n" + "jan,1\n" * 12,                 # duplicates
             "month,s_rad_w_m2\nsmarch,10\n",                       # unknown month

@@ -514,6 +514,11 @@ class TestNormalize:
 
 
 class TestMelSpectrogram:
+    @pytest.mark.parametrize("ref", [0.0, -1.0])
+    def test_power_to_db_needs_a_positive_reference(self, ref):
+        with pytest.raises(DegenerateInputError, match="reference power must be positive"):
+            power_to_db(np.ones((2, 2)), ref)
+
     def test_canonical_shape(self):
         spec = mel_spectrogram(np.random.default_rng(0).uniform(-1, 1, RATE * 2).astype(np.float32))
         assert spec.values.shape == (64, 249)

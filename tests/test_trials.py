@@ -330,6 +330,19 @@ class TestCompression:
         with pytest.raises(ZeroDivisionError):
             compression_rate(0.0, 10.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("ram", 0.0, "baseline: ram 0.0 must be finite and positive"),
+        ("rom", -5.0, "baseline: rom -5.0 must be finite and positive"),
+        ("flops", float("inf"), "baseline: flops inf must be finite and positive"),
+        ("acc", 1.5, "baseline: acc 1.5 outside [0, 1]"),
+    ], ids=["ram-0", "rom-negative", "flops-inf", "acc-1.5"])
+    def test_baseline_takes_the_trial_rule(self, field, value, message):
+        # unchecked, a ram of 0 made compression_table divide by zero, and
+        # -5 or inf gave a cr_ram of 3.0 or 1.0
+        values = {"acc": 1.0, "ram": 400.0, "rom": 1000.0, "flops": 1000.0, field: value}
+        with pytest.raises(FormatError, match=re.escape(message)):
+            BaselineRecord(**values)
+
     def test_overall_is_mean_of_three(self):
         baseline = BaselineRecord(acc=1.0, ram=400.0, rom=1000.0, flops=1000.0)
         t = trial("t", 0.9, 100.0, 100.0, 400.0)
