@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, ShapeError
+from .exceptions import ConfigError, DegenerateInputError, ShapeError
 from .melspec import FLOOR_DB, MelSpectrogram, db_to_power, power_to_db
 
 # Canonical order in which selection coins are flipped. Fixed so a seed
@@ -142,7 +142,9 @@ def add_noise(
 
     Powers add as P_out = P_spec + alpha * P_noise with P = 10^(dB/10);
     the sum is re-referenced so its maximum is 0 dB and floored at -80.
-    Raises ShapeError when the two matrices disagree in shape.
+    Raises ShapeError when the two matrices disagree in shape, and
+    DegenerateInputError when a power overflows float64, which takes a
+    value above about +3000 dB.
     """
     if spec.values.shape != noise.values.shape:
         raise ShapeError(
@@ -150,8 +152,12 @@ def add_noise(
         )
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    power = db_to_power(spec.values) + alpha * db_to_power(noise.values)
-    db = power_to_db(power, ref=float(power.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = db_to_power(spec.values) + alpha * db_to_power(noise.values)
+    ref = float(power.max())
+    if not ref < np.inf:  # inf, or NaN from 0 * inf
+        raise DegenerateInputError("linear power overflows float64: a dB value is too large")
+    db = power_to_db(power, ref=ref)
     return MelSpectrogram(db.astype(np.float32))
 
 

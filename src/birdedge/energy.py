@@ -16,6 +16,7 @@ monthly mean solar radiation in W/m^2.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -246,7 +247,9 @@ def parse_irradiance(text: str) -> dict[int, float]:
     over-long field included, raises ConfigError.
     """
     table: dict[int, float] = {}
-    reader = csv.reader(text.splitlines())
+    # rows end only where the csv module ends them, as in read_trials_csv:
+    # str.splitlines would also break at a form feed, \x85 or U+2028
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as err:

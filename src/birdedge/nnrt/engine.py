@@ -233,8 +233,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
     """Both inference entries' checks: the graph, then the spectrogram."""
-    validate_graph(model)
-    expected = model.input_shape[1:]
+    expected = validate_graph(model)[0][1:]  # the input shape, as a tuple
     if spec.values.shape != expected:
         raise ShapeError(
             f"model expects a {expected} spectrogram, got {spec.values.shape}"

@@ -36,7 +36,6 @@ _STAGES = (
     (3, 16, 1, 1),
 )
 _STEM_CHANNELS = 8
-_INPUT_SHAPE = (1, 64, 249)
 _PROBE_COUNT = 4
 _RANGE_MARGIN = 0.15
 _RELU6_SCALE = float(np.float32(6.0 / 255.0))
@@ -130,24 +129,10 @@ def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:
         _weighted_layer(rng, "linear", channels, class_count, (1, 1), 1, 0)
     )
 
-    model = ModelGraph(
-        layers=layers,
-        class_count=class_count,
-        input_shape=_INPUT_SHAPE,
-        input_scale=_f32(80.0 / 255.0),
-        input_zero_point=127,
-    )
-
-    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT,) + _INPUT_SHAPE[1:])
-    float_biases = [
-        rng.normal(0.0, _BIAS_SIGMA, size=layer.out_ch)
-        if layer.weight is not None
-        else None
-        for layer in layers
-    ]
-
-    _calibrate(model, probes)
-    _attach_biases(model, float_biases)
+    model = ModelGraph(layers=layers, class_count=class_count)
+    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))
+    _calibrate(model, probes)  # draws nothing: the biases come next from rng
+    _attach_biases(model, rng)
     validate_graph(model)
     return model
 
@@ -175,12 +160,12 @@ def _calibrate(model: ModelGraph, probes: np.ndarray) -> None:
         layer.out_zero_point = int(-128 - np.rint(lo / layer.out_scale))
 
 
-def _attach_biases(model: ModelGraph, float_biases: list) -> None:
-    """Quantize biases in units of input_scale * weight_scale per layer."""
+def _attach_biases(model: ModelGraph, rng: np.random.Generator) -> None:
+    """Draw each weighted layer's bias and quantize it in units of
+    input_scale * weight_scale, walking the layers in order."""
     in_scale = model.input_scale
-    for layer, bias in zip(model.layers, float_biases):
-        if bias is not None:
-            layer.bias = (
-                np.rint(bias / (in_scale * layer.weight_scale)).astype(np.int32)
-            )
+    for layer in model.layers:
+        if layer.weight is not None:
+            bias = rng.normal(0.0, _BIAS_SIGMA, size=layer.out_ch)
+            layer.bias = np.rint(bias / (in_scale * layer.weight_scale)).astype(np.int32)
         in_scale = layer.out_scale

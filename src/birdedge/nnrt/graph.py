@@ -35,6 +35,8 @@ MAX_SCALE = 2.0**32
 MAX_BUFFER_ELEMENTS = 1 << 24
 
 _INT8, _INT32 = np.dtype(np.int8), np.dtype(np.int32)  # faster to compare than types
+# What a count, size or zero point field may hold; a float 1.0 is not one.
+_INTEGER = (int, np.integer)
 
 
 @dataclass
@@ -76,12 +78,17 @@ class LayerSpec:
 
 @dataclass
 class ModelGraph:
-    """An ordered layer list plus input quantization and class count."""
+    """An ordered layer list plus input quantization and class count.
+
+    The default input affine maps -80..0 dB onto the int8 codes; its scale
+    is the float32 value the .enm container stores, so a graph built on it
+    classifies the same after save_model and load_model.
+    """
 
     layers: list[LayerSpec] = field(default_factory=list)
     class_count: int = 2
     input_shape: tuple[int, int, int] = (1, 64, 249)
-    input_scale: float = 80.0 / 255.0
+    input_scale: float = float(np.float32(80.0 / 255.0))
     input_zero_point: int = 127
 
 
@@ -93,9 +100,18 @@ def _check_scale(value: float, what: str, i: int | None = None) -> None:
         raise GraphError(f"{where}{what} scale must be in [2**-32, 2**32], got {value}")
 
 
+def _check_integer(value: int, what: str, i: int | None = None) -> None:
+    """GraphError unless value is an int or a numpy integer."""
+    if not isinstance(value, _INTEGER):
+        where = "" if i is None else f"layer {i}: "
+        raise GraphError(f"{where}{what} must be an integer, got {value!r}")
+
+
 def _check_zero_point(value: int, what: str, i: int | None = None) -> None:
-    """GraphError unless -128 <= value <= 127, formatted only on failure."""
-    if not -128 <= value <= 127:
+    """GraphError unless value is an integer in [-128, 127], formatted only
+    on failure."""
+    if not (-128 <= value <= 127 and isinstance(value, _INTEGER)):
+        _check_integer(value, f"{what} zero point", i)
         where = "" if i is None else f"layer {i}: "
         raise GraphError(f"{where}{what} zero point must be in [-128, 127], got {value}")
 
@@ -109,37 +125,43 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
     """
     if not model.layers:
         raise GraphError("model has no layers")
-    if len(model.input_shape) != 3 or any(d < 1 for d in model.input_shape):
-        raise GraphError(f"bad input shape {model.input_shape}")
-    if model.input_shape[0] != 1:
+    input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple
+    for dim in input_shape:
+        _check_integer(dim, "input dimension")
+    if len(input_shape) != 3 or any(d < 1 for d in input_shape):
+        raise GraphError(f"bad input shape {input_shape}")
+    if input_shape[0] != 1:
+        raise GraphError(f"input must have exactly 1 channel, got {input_shape[0]}")
+    if math.prod(input_shape) > MAX_BUFFER_ELEMENTS:
         raise GraphError(
-            f"input must have exactly 1 channel, got {model.input_shape[0]}"
-        )
-    if math.prod(model.input_shape) > MAX_BUFFER_ELEMENTS:
-        raise GraphError(
-            f"input shape {model.input_shape} exceeds the buffer cap of "
+            f"input shape {input_shape} exceeds the buffer cap of "
             f"{MAX_BUFFER_ELEMENTS} elements"
         )
     _check_scale(model.input_scale, "input")
     _check_zero_point(model.input_zero_point, "input")
+    _check_integer(model.class_count, "class count")
     if model.class_count < 1:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
-    shapes, terminal = [model.input_shape], len(model.layers) - 1
+    shapes, terminal = [input_shape], len(model.layers) - 1
     for i, layer in enumerate(model.layers):
         kind = layer.kind
         if kind not in LAYER_KINDS:
             raise GraphError(f"layer {i}: unknown kind {kind!r}")
         _check_scale(layer.out_scale, "output", i)
-        # the last layer's output affine is never applied: it yields logits
+        # the last layer's output affine is never applied: it yields logits,
+        # but the .enm record still stores its zero point as an i32
         if i < terminal:
             _check_zero_point(layer.out_zero_point, "output", i)
+        else:
+            _check_integer(layer.out_zero_point, "output zero point", i)
         c, h, w = shape = shapes[-1]  # relu6 keeps its input's shape
         if kind == "global_avg_pool":
             shape = (c, 1, 1)
         elif kind == "residual_add":
             if layer.skip_from is None:
                 raise GraphError(f"layer {i}: residual_add without a skip source")
+            _check_integer(layer.skip_from, "skip source", i)
             if not INPUT_BUFFER <= layer.skip_from < i:
                 raise GraphError(
                     f"layer {i}: skip source {layer.skip_from} out of range"
@@ -150,6 +172,14 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                     f"layer {i}: residual operands differ, {shape} vs {skip_shape}"
                 )
         elif kind in WEIGHTED_KINDS:
+            (kh, kw), stride, padding = layer.kernel, layer.stride, layer.padding
+            # one test for the common case; numpy integers take the slow path
+            if not (type(layer.in_ch) is type(layer.out_ch) is type(kh) is type(kw)
+                    is type(stride) is type(padding) is int):
+                for what, value in (("in_ch", layer.in_ch), ("out_ch", layer.out_ch),
+                                    ("kernel height", kh), ("kernel width", kw),
+                                    ("stride", stride), ("padding", padding)):
+                    _check_integer(value, what, i)
             if layer.weight is None:
                 raise GraphError(f"layer {i}: {kind} has no weights")
             if layer.weight.dtype != _INT8:
@@ -175,7 +205,6 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                 raise GraphError(
                     f"layer {i}: {kind} expects {layer.in_ch} channels, input has {c}"
                 )
-            (kh, kw), stride, padding = layer.kernel, layer.stride, layer.padding
             if kind == "linear":
                 if (kh, kw, stride, padding) != (1, 1, 1, 0):
                     raise GraphError(

@@ -228,26 +228,18 @@ def normalize(chunk: np.ndarray) -> np.ndarray:
 def _hz_to_mel(freq: np.ndarray) -> np.ndarray:
     """Perceptual scale: linear below 1 kHz, logarithmic above."""
     freq = np.asarray(freq, dtype=np.float64)
-    mel = 3.0 * freq / 200.0
-    log_region = freq >= 1000.0
-    if np.any(log_region):
-        mel = np.where(
-            log_region,
-            15.0 + 27.0 * np.log(np.maximum(freq, 1e-12) / 1000.0) / np.log(6.4),
-            mel,
-        )
-    return mel
+    return np.where(
+        freq >= 1000.0,
+        15.0 + 27.0 * np.log(np.maximum(freq, 1e-12) / 1000.0) / np.log(6.4),
+        3.0 * freq / 200.0,
+    )
 
 
 def _mel_to_hz(mel: np.ndarray) -> np.ndarray:
     mel = np.asarray(mel, dtype=np.float64)
-    freq = 200.0 * mel / 3.0
-    log_region = mel >= 15.0
-    if np.any(log_region):
-        freq = np.where(
-            log_region, 1000.0 * np.exp(np.log(6.4) / 27.0 * (mel - 15.0)), freq
-        )
-    return freq
+    return np.where(
+        mel >= 15.0, 1000.0 * np.exp(np.log(6.4) / 27.0 * (mel - 15.0)), 200.0 * mel / 3.0
+    )
 
 
 @cache
@@ -284,18 +276,14 @@ def mel_filterbank() -> np.ndarray:
 
 
 @cache
-def _used_bins() -> int:
-    """1 + the last FFT bin any band of mel_filterbank() weights."""
-    return int(np.flatnonzero(mel_filterbank().any(axis=0))[-1]) + 1
-
-
-@cache
-def _hann_window() -> np.ndarray:
-    """Periodic Hann window of FFT_SIZE samples, cached and read-only."""
+def _frame_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(The periodic Hann window of FFT_SIZE samples, mel_filterbank() cut after
+    its last weighted FFT bin and transposed), built once and read-only."""
     n = np.arange(FFT_SIZE)
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * n / FFT_SIZE))
     window.flags.writeable = False
-    return window
+    used = int(np.flatnonzero(mel_filterbank().any(axis=0))[-1]) + 1
+    return window, mel_filterbank()[:, :used].T
 
 
 def mel_spectrogram(chunk: np.ndarray) -> MelSpectrogram:
@@ -327,10 +315,10 @@ def mel_spectrogram(chunk: np.ndarray) -> MelSpectrogram:
             f"chunk samples must be finite and at most {limit:.3g} in magnitude"
         )
     frames = np.lib.stride_tricks.sliding_window_view(chunk, FFT_SIZE)[::HOP]
-    used = _used_bins()
-    spectra = np.fft.rfft(frames * _hann_window(), axis=1)[:, :used]
+    window, bank = _frame_tables()
+    spectra = np.fft.rfft(frames * window, axis=1)[:, : len(bank)]
     power = spectra.real**2 + spectra.imag**2
-    mel_power = power @ mel_filterbank()[:, :used].T  # (n_frames, N_MELS)
+    mel_power = power @ bank  # (n_frames, N_MELS)
     ref = float(mel_power.max())
     if ref <= 0.0:
         raise DegenerateInputError("chunk has no spectral energy")

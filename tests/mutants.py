@@ -520,6 +520,125 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestValidation::test_bad_kernel_geometry[stride]",),
     ),
     Mutant(
+        "ModelGraph: default input scale left unrounded",
+        "src/birdedge/nnrt/graph.py",
+        "input_scale: float = float(np.float32(80.0 / 255.0))",
+        "input_scale: float = 80.0 / 255.0",
+        ("tests/test_nnrt.py::TestSerialization::"
+         "test_default_input_scale_classifies_the_same_after_load",),
+    ),
+    Mutant(
+        "generate_fixture_model: biases drawn before the probes",
+        "src/birdedge/nnrt/fixture.py",
+        "    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))\n"
+        "    _calibrate(model, probes)  # draws nothing: the biases come next from rng\n"
+        "    _attach_biases(model, rng)\n",
+        "    _attach_biases(model, rng)\n"
+        "    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))\n"
+        "    _calibrate(model, probes)  # draws nothing: the biases come next from rng\n",
+        ("tests/test_cli.py::TestInfer::test_model_digest",
+         "tests/test_nnrt.py::TestPinnedOutputs::test_fixture_model_bytes"),
+    ),
+    Mutant(
+        "generate_fixture_model: class bound lifted by one",
+        "src/birdedge/nnrt/fixture.py",
+        "    if not 1 <= class_count <= _MAX_DIM:\n",
+        "    if not 1 <= class_count <= _MAX_DIM + 1:\n",
+        ("tests/test_nnrt.py::TestFixtureModel::"
+         "test_class_bound_is_checked_before_any_weight_is_drawn",),
+    ),
+    Mutant(
+        "validate_graph: a weighted layer's geometry not checked for integers",
+        "src/birdedge/nnrt/graph.py",
+        "                    _check_integer(value, what, i)\n",
+        "                    pass\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[padding-validate_graph]",
+         "tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[out_ch-infer]"),
+    ),
+    Mutant(
+        "validate_graph: padding left out of the integer fast path",
+        "src/birdedge/nnrt/graph.py",
+        "is type(stride) is type(padding) is int",
+        "is type(stride) is int",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[padding-validate_graph]",),
+    ),
+    Mutant(
+        "validate_graph: a numpy integer field rejected",
+        "src/birdedge/nnrt/graph.py",
+        "    if not isinstance(value, _INTEGER):\n",
+        "    if type(value) is not int:\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_numpy_integers_are_integers",),
+    ),
+    Mutant(
+        "_check_zero_point: a zero point that is not an integer accepted",
+        "src/birdedge/nnrt/graph.py",
+        "    if not (-128 <= value <= 127 and isinstance(value, _INTEGER)):\n",
+        "    if not -128 <= value <= 127:\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[depthwise-zero-point-validate_graph]",
+         "tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[input-zero-point-save_model]"),
+    ),
+    Mutant(
+        "validate_graph: the last layer's zero point not checked for an integer",
+        "src/birdedge/nnrt/graph.py",
+        "        else:\n"
+        "            _check_integer(layer.out_zero_point, \"output zero point\", i)\n",
+        "",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[terminal-zero-point-save_model]",),
+    ),
+    Mutant(
+        "validate_graph: a skip source that is not an integer accepted",
+        "src/birdedge/nnrt/graph.py",
+        "            _check_integer(layer.skip_from, \"skip source\", i)\n",
+        "",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[skip_from-validate_graph]",),
+    ),
+    Mutant(
+        "validate_graph: a class count that is not an integer accepted",
+        "src/birdedge/nnrt/graph.py",
+        "    _check_integer(model.class_count, \"class count\")\n",
+        "",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[class-count-save_model]",),
+    ),
+    Mutant(
+        "validate_graph: an input dimension that is not an integer accepted",
+        "src/birdedge/nnrt/graph.py",
+        "    for dim in input_shape:\n"
+        "        _check_integer(dim, \"input dimension\")\n",
+        "",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[input-dimension-infer]",),
+    ),
+    Mutant(
+        "validate_graph: a list input shape compared as a list",
+        "src/birdedge/nnrt/graph.py",
+        "    input_shape = tuple(model.input_shape)",
+        "    input_shape = model.input_shape",
+        ("tests/test_nnrt.py::TestIntegerFields::test_input_shape_as_a_list_is_the_tuple",),
+    ),
+    Mutant(
+        "_check_input: the spectrogram compared with a list input shape",
+        "src/birdedge/nnrt/engine.py",
+        "    expected = validate_graph(model)[0][1:]  # the input shape, as a tuple\n",
+        "    validate_graph(model)\n    expected = model.input_shape[1:]\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_input_shape_as_a_list_is_the_tuple",),
+    ),
+    Mutant(
+        "parse_irradiance: rows split by str.splitlines",
+        "src/birdedge/energy.py",
+        'csv.reader(io.StringIO(text, newline=""))',
+        "csv.reader(text.splitlines())",
+        ("tests/test_energy.py::TestParsers::"
+         "test_rows_break_only_where_the_csv_module_breaks_them[ff]",
+         "tests/test_cli.py::TestErrorContract::test_form_feeds_do_not_end_rows[energy]"),
+    ),
+    Mutant(
+        "add_noise: an overflowed power not rejected",
+        "src/birdedge/augment.py",
+        "    if not ref < np.inf:  # inf, or NaN from 0 * inf\n",
+        "    if False:\n",
+        ("tests/test_augment.py::TestAddNoise",
+         "tests/test_fuzz.py::test_every_mutant_keeps_the_error_contract[mels-mels]"),
+    ),
+    Mutant(
         "BaselineRecord: the trial rule not applied",
         "src/birdedge/trials.py",
         "    def __post_init__(self):\n        _check_measures(self, \"baseline\")\n",

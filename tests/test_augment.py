@@ -27,7 +27,7 @@ from birdedge.augment import (
     time_roll,
     time_warp,
 )
-from birdedge.exceptions import ConfigError, ShapeError
+from birdedge.exceptions import ConfigError, DegenerateInputError, ShapeError
 from birdedge.melspec import MelSpectrogram
 
 from conftest import random_spec
@@ -162,6 +162,20 @@ class TestAddNoise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             add_noise(random_spec(1), MelSpectrogram(np.zeros((64, 100), np.float32)), 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("loud", ["spec", "noise"])
+    def test_power_overflow_is_a_degenerate_input(self, loud, alpha):
+        # 10 ** (4000 / 10) is past the float64 maximum; numpy used to warn
+        # and the result was NaN
+        quiet = random_spec(1)
+        values = quiet.values.copy()
+        values[3, 7] = 4000.0
+        spec, noise = (MelSpectrogram(values), quiet) if loud == "spec" else (
+            quiet, MelSpectrogram(values))
+        with pytest.raises(DegenerateInputError, match="overflows float64"):
+            add_noise(spec, noise, alpha)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1080,6 +1080,15 @@ class TestErrorContract:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != ""
 
+    @pytest.mark.parametrize("argv, name", [(RANK, "t.csv"), (ENERGY, "sun.csv")],
+                             ids=["rank", "energy"])
+    def test_form_feeds_do_not_end_rows(self, tmp_path, monkeypatch, capsys, argv, name):
+        files = text_inputs()
+        self.write(tmp_path, {**files, name: files[name].replace("\n", "\f")})
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"birdedge {argv[0]}: ")
+
     @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
     def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch, error):
         def broken(trials):

@@ -376,6 +376,16 @@ class TestParsers:
         with pytest.raises(ConfigError, match="line 2: field larger than field limit"):
             parse_irradiance(text)
 
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"],
+                             ids=["ff", "vt", "fs", "gs", "rs", "nel", "ls", "ps"])
+    def test_rows_break_only_where_the_csv_module_breaks_them(self, separator):
+        # str.splitlines ends a line at each of these; trials CSVs never did
+        text = table_with_label("1", 1)
+        assert len(parse_irradiance(text.replace("\n", "\r\n"))) == 12
+        with pytest.raises(ConfigError, match="irradiance table has 0 months"):
+            parse_irradiance(text.replace("\n", separator))
+
     def test_month_names_are_calendar_order(self):
         assert MONTH_NAMES[0] == "jan" and MONTH_NAMES[11] == "dec"
         assert len(MONTH_NAMES) == 12

@@ -5,6 +5,7 @@ and the serialization format; the generated test model is checked against
 frozen structural and resource numbers.
 """
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import birdedge.nnrt.fixture
 import birdedge.nnrt.resources
 import birdedge.nnrt.serialize
 from birdedge.exceptions import (
@@ -368,6 +370,18 @@ class TestSerialization:
         patched = blob[:-4] + struct.pack("<i", bias + 1)
         with pytest.raises(GraphError, match="layer 2: linear worst-case"):
             load_model(patched)
+
+    def test_default_input_scale_classifies_the_same_after_load(self, fixture_model):
+        # the container stores the input scale as a float32; an unrounded
+        # default quantized inputs on half-steps of its grid differently
+        graph = ModelGraph(layers=fixture_model.layers, class_count=FIXTURE_CLASSES)
+        loaded = load_model(save_model(graph))
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            steps = rng.integers(-255, 0, size=graph.input_shape[1:]) + 0.5
+            spec = MelSpectrogram((steps * graph.input_scale).astype(np.float32))
+            assert infer(loaded, spec).tobytes() == infer(graph, spec).tobytes()
+        assert graph.input_scale == loaded.input_scale == float(np.float32(80.0 / 255.0))
 
     def test_huge_padding_rejected_on_load(self):
         blob = bytearray(save_model(chain_model()))
@@ -738,6 +752,99 @@ class TestZeroChannels:
     def test_every_entry_raises(self, kind, where, entry):
         with pytest.raises(GraphError, match=f"{where} has no output channels"):
             entry(zero_channel_model(kind))
+
+
+@functools.cache
+def depthwise_fixture():
+    """Fixture (3, 0), whose layer 2 is a depthwise conv; built once."""
+    model = generate_fixture_model(3, 0)
+    assert model.layers[2].kind == "depthwise_conv2d"
+    return model
+
+
+def edited(build, index, **fields):
+    """A copy of build()'s model whose layer index (None: the graph)
+    carries the given field values."""
+    model = copy.deepcopy(build())
+    target = model if index is None else model.layers[index]
+    for name, value in fields.items():
+        setattr(target, name, value)
+    return model
+
+
+# (build, layer index or None for the graph, field values, expected message)
+NON_INTEGER_CASES = {
+    "in_ch": (chain_model, 0, {"in_ch": 1.0}, "layer 0: in_ch must be an integer"),
+    "out_ch": (chain_model, 0, {"out_ch": 2.0}, "layer 0: out_ch must be an integer"),
+    "kernel-height": (chain_model, 0, {"kernel": (3.0, 3)},
+                      "layer 0: kernel height must be an integer"),
+    "kernel-width": (chain_model, 0, {"kernel": (3, np.float64(3))},
+                     "layer 0: kernel width must be an integer"),
+    "stride": (chain_model, 0, {"stride": 1.0}, "layer 0: stride must be an integer"),
+    "padding": (chain_model, 0, {"padding": 1.0}, "layer 0: padding must be an integer"),
+    "linear-in_ch": (chain_model, 3, {"in_ch": 2.0}, "layer 3: in_ch must be an integer"),
+    "skip_from": (residual_model, 5, {"skip_from": 1.0},
+                  "layer 5: skip source must be an integer"),
+    "output-zero-point": (chain_model, 1, {"out_zero_point": -128.0},
+                          "layer 1: output zero point must be an integer"),
+    "depthwise-zero-point": (depthwise_fixture, 2, {"out_zero_point": -8.5},
+                             "layer 2: output zero point must be an integer"),
+    "terminal-zero-point": (chain_model, 3, {"out_zero_point": 0.0},
+                            "layer 3: output zero point must be an integer"),
+    "input-zero-point": (chain_model, None, {"input_zero_point": 0.0},
+                         "input zero point must be an integer"),
+    "class-count": (chain_model, None, {"class_count": 2.0},
+                    "class count must be an integer, got 2.0"),
+    "input-dimension": (chain_model, None, {"input_shape": (1, 4.0, 4)},
+                        "input dimension must be an integer, got 4.0"),
+}
+
+
+class TestIntegerFields:
+    """A count, size or zero point that is not an int or a numpy integer is
+    a GraphError naming the field on every entry. A float used to pass
+    validate_graph and then fail in numpy or struct with a TypeError, or
+    run silently truncated."""
+
+    ENTRIES = {
+        "validate_graph": validate_graph,
+        "resource_report": resource_report,
+        "save_model": save_model,
+        "infer": infer,
+        "float_reference_infer": float_reference_infer,
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    @pytest.mark.parametrize("case", list(NON_INTEGER_CASES))
+    def test_every_entry_raises(self, case, entry):
+        build, index, fields, message = NON_INTEGER_CASES[case]
+        spec = spec_for(build())  # drawn on the unedited, integer shape
+        model = edited(build, index, **fields)
+        run = self.ENTRIES[entry]
+        with pytest.raises(GraphError, match=message):
+            run(model, spec) if entry.endswith("infer") else run(model)
+
+    def test_numpy_integers_are_integers(self):
+        model = edited(chain_model, 0, in_ch=np.int64(1), out_ch=np.int32(2),
+                       kernel=(np.uint8(3), np.int16(3)), stride=np.int64(1),
+                       padding=np.uint32(1), out_zero_point=np.int8(0))
+        model.class_count, model.input_zero_point = np.int64(2), np.int32(0)
+        model.input_shape = tuple(np.array(model.input_shape))
+        spec = spec_for(chain_model())
+        assert validate_graph(model) == validate_graph(chain_model())
+        assert np.array_equal(infer(model, spec), infer(chain_model(), spec))
+
+    @pytest.mark.parametrize("build", [chain_model, residual_model, every_record_model],
+                             ids=["chain", "residual", "every_record"])
+    def test_input_shape_as_a_list_is_the_tuple(self, build):
+        model, listed = build(), build()
+        listed.input_shape = list(listed.input_shape)
+        spec = spec_for(model)
+        assert validate_graph(listed) == validate_graph(model)
+        assert resource_report(listed) == resource_report(model)
+        assert save_model(listed) == save_model(model)
+        for run in (infer, float_reference_infer):
+            assert run(listed, spec).tobytes() == run(model, spec).tobytes()
 
 
 class TestInference:
@@ -1200,6 +1307,13 @@ class TestFixtureModel:
     def test_bad_arguments_are_config_errors(self, classes, seed, message):
         with pytest.raises(ConfigError, match=message):
             generate_fixture_model(classes, seed)
+
+    def test_class_bound_is_checked_before_any_weight_is_drawn(self, monkeypatch):
+        # the real bound, 2**20, would cost ~17 M weights on a mutant that lifts it
+        monkeypatch.setattr(birdedge.nnrt.fixture, "_MAX_DIM", 4)
+        generate_fixture_model(4, 0)
+        with pytest.raises(ConfigError, match=r"class_count must be in \[1, 4\], got 5"):
+            generate_fixture_model(5, 0)
 
     def test_quantization_constants(self, fixture_model):
         assert fixture_model.input_scale == pytest.approx(80 / 255, rel=1e-6)
