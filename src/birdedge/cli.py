@@ -76,14 +76,15 @@ def _emit(data: str | bytes, args: argparse.Namespace) -> None:
 
 # The report dialect, one field template per column code: s text, g a float
 # as %.10g, d an integer or a 0/1 flag, and "" an empty field.
-_FIELDS = {"s": "{}", "g": "{:.10g}", "d": "{:d}", "": ""}
+_FIELDS = {"s": "%s", "g": "%.10g", "d": "%d", "": ""}
 
 
 def _table(header: str | None, row_format: str, rows) -> str:
-    """The header line (unless None), then each row rendered by one
-    str.format of row_format: one _FIELDS code per column, comma separated."""
+    """The header line (unless None), then each row, a tuple, rendered by
+    one % of row_format's template: one _FIELDS code per column, comma
+    separated."""
     line = ",".join(_FIELDS[code] for code in row_format.split(",")) + "\n"
-    body = "".join(line.format(*row) for row in rows)
+    body = "".join([line % row for row in rows])
     return body if header is None else header + "\n" + body
 
 

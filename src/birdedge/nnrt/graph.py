@@ -125,7 +125,12 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
     """
     if not model.layers:
         raise GraphError("model has no layers")
-    input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple
+    try:
+        input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple
+    except TypeError:
+        raise GraphError(
+            f"input shape must be a sequence of 3 integers, got {model.input_shape!r}"
+        ) from None
     for dim in input_shape:
         _check_integer(dim, "input dimension")
     if len(input_shape) != 3 or any(d < 1 for d in input_shape):
@@ -172,7 +177,13 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                     f"layer {i}: residual operands differ, {shape} vs {skip_shape}"
                 )
         elif kind in WEIGHTED_KINDS:
-            (kh, kw), stride, padding = layer.kernel, layer.stride, layer.padding
+            try:
+                kh, kw = layer.kernel
+            except (TypeError, ValueError):
+                raise GraphError(
+                    f"layer {i}: kernel must be a pair of integers, got {layer.kernel!r}"
+                ) from None
+            stride, padding = layer.stride, layer.padding
             # one test for the common case; numpy integers take the slow path
             if not (type(layer.in_ch) is type(layer.out_ch) is type(kh) is type(kw)
                     is type(stride) is type(padding) is int):

@@ -63,7 +63,14 @@ class BaselineRecord:
 
 
 def _check_measures(record, where: str) -> None:
-    """The rule of a trial and of the baseline, or a FormatError naming where."""
+    """The rule of a trial and of the baseline, or a FormatError naming where.
+
+    A valid record passes one test of all four fields; the failing field
+    is looked for only on failure. NaN fails every comparison.
+    """
+    if (0.0 <= record.acc <= 1.0 and 0.0 < record.ram < math.inf
+            and 0.0 < record.rom < math.inf and 0.0 < record.flops < math.inf):
+        return
     if not 0.0 <= record.acc <= 1.0:
         raise FormatError(f"{where}: acc {record.acc} outside [0, 1]")
     for name in _COSTS:
@@ -84,14 +91,15 @@ def _require(trials) -> list[TrialRecord]:
 
 
 def _mem_scores(trials: list[TrialRecord]) -> dict[str, float]:
-    worst = [max(getattr(t, name) for t in trials) for name in _COSTS]
-    scores = {}
-    for t in trials:
-        total = 0.0
-        for name, cost in zip(_COSTS, worst):
-            total += 1.0 - getattr(t, name) / cost
-        scores[t.id] = total / 3.0
-    return scores
+    """Each trial's mem_score, its three terms summed ram, rom, flops."""
+    worst_ram = max(t.ram for t in trials)
+    worst_rom = max(t.rom for t in trials)
+    worst_flops = max(t.flops for t in trials)
+    return {
+        t.id: ((1.0 - t.ram / worst_ram) + (1.0 - t.rom / worst_rom)
+               + (1.0 - t.flops / worst_flops)) / 3.0
+        for t in trials
+    }
 
 
 def score_table(trials) -> dict[str, tuple[float, float, float, bool]]:
@@ -133,14 +141,18 @@ def select_best(trials) -> str:
     return next(trial_id for trial_id, row in score_table(trials).items() if row[3])
 
 
-def _dominates(a: TrialRecord, b: TrialRecord, include_accuracy: bool) -> bool:
-    """True iff a is at least as good everywhere and strictly better once."""
-    at_least = a.ram <= b.ram and a.rom <= b.rom and a.flops <= b.flops
-    strictly = a.ram < b.ram or a.rom < b.rom or a.flops < b.flops
+def _dominates(a: tuple, b: tuple, include_accuracy: bool) -> bool:
+    """True iff objectives a = (ram, rom, flops, acc) dominate b: at least
+    as good everywhere and strictly better once.
+
+    Precondition: a sorts no later than b by (ram, rom, flops, -acc), so
+    a's ram is already at most b's. Given the other at-least tests,
+    "strictly better once" is then "the tuples differ", with accuracy
+    excluded their first three entries.
+    """
     if include_accuracy:
-        at_least = at_least and a.acc >= b.acc
-        strictly = strictly or a.acc > b.acc
-    return at_least and strictly
+        return a[1] <= b[1] and a[2] <= b[2] and a[3] >= b[3] and a != b
+    return a[1] <= b[1] and a[2] <= b[2] and a[:3] != b[:3]
 
 
 def pareto_front(trials, include_accuracy: bool = True) -> set[str]:
@@ -159,13 +171,17 @@ def pareto_front(trials, include_accuracy: bool = True) -> set[str]:
     n * (n - 1). The front is scanned newest first: its latest members are
     the nearest in cost, and so the likeliest to dominate the candidate.
     """
-    front: list[TrialRecord] = []
-    for candidate in sorted(_require(trials), key=lambda t: (t.ram, t.rom, t.flops, -t.acc)):
-        if not any(
-            _dominates(member, candidate, include_accuracy) for member in reversed(front)
-        ):
+    front: list[tuple] = []  # the members' objective tuples, in sort order
+    ids = set()
+    for t in sorted(_require(trials), key=lambda t: (t.ram, t.rom, t.flops, -t.acc)):
+        candidate = (t.ram, t.rom, t.flops, t.acc)
+        for member in reversed(front):
+            if _dominates(member, candidate, include_accuracy):
+                break
+        else:
             front.append(candidate)
-    return {t.id for t in front}
+            ids.add(t.id)
+    return ids
 
 
 def compression_rate(baseline_value: float, edge_value: float) -> float:
@@ -247,11 +263,12 @@ def read_trials_csv(path) -> list[TrialRecord]:
             continue
         if len(row) != 5:
             raise FormatError(f"bad row {row}")
+        trial_id, acc, ram, rom, flops = row
         try:
-            values = [float(field) for field in row[1:]]
+            acc, ram, rom, flops = float(acc), float(ram), float(rom), float(flops)
         except ValueError as err:
             raise FormatError(f"line {line}: {err}") from None
-        trials.append(TrialRecord(row[0].strip(), *values))
+        trials.append(TrialRecord(trial_id.strip(), acc, ram, rom, flops))
     return trials
 
 

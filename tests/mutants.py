@@ -356,8 +356,8 @@ MUTANTS = (
     Mutant(
         "_table: a flag rendered as True or False",
         "src/birdedge/cli.py",
-        '"d": "{:d}"',
-        '"d": "{}"',
+        '"d": "%d"',
+        '"d": "%s"',
         ("tests/test_cli.py::TestEnergy::test_report_golden",
          "tests/test_cli.py::TestTrialTools::test_rank_output"),
     ),
@@ -646,6 +646,73 @@ MUTANTS = (
         ("tests/test_trials.py::TestCompression::test_baseline_takes_the_trial_rule[ram-0]",),
     ),
     Mutant(
+        "_dominates: exact duplicates dominate each other",
+        "src/birdedge/trials.py",
+        "and a[3] >= b[3] and a != b",
+        "and a[3] >= b[3] and True",
+        ("tests/test_trials.py::TestTieBreaking::test_duplicates_share_the_front",
+         "tests/test_trials.py::TestParetoFront::test_dominates_table[duplicate]"),
+    ),
+    Mutant(
+        "_dominates: equal costs dominate without accuracy",
+        "src/birdedge/trials.py",
+        "and a[:3] != b[:3]",
+        "and True",
+        ("tests/test_trials.py::TestParetoFront::test_dominates_table[acc-tie-ignored]",
+         "tests/test_trials.py::TestParetoFront::test_matches_oracle_on_grids"),
+    ),
+    Mutant(
+        "pareto_front: dominance tested inline, not through _dominates",
+        "src/birdedge/trials.py",
+        "            if _dominates(member, candidate, include_accuracy):\n",
+        "            if (member[1] <= candidate[1] and member[2] <= candidate[2]\n"
+        "                    and member[3] >= candidate[3] and member != candidate):\n",
+        ("tests/test_trials.py::TestParetoFront::test_dominance_tests_bounded_by_front",
+         "tests/test_trials.py::TestParetoFront::test_front_is_scanned_newest_first"),
+    ),
+    Mutant(
+        "_check_measures: flops left out of the fast path",
+        "src/birdedge/trials.py",
+        "\n            and 0.0 < record.rom < math.inf and 0.0 < record.flops < math.inf):",
+        "\n            and 0.0 < record.rom < math.inf):",
+        ("tests/test_trials.py::TestScores::test_nonfinite_costs_rejected[nan-flops]",),
+    ),
+    Mutant(
+        "read_trials_csv: a row of the wrong width not checked",
+        "src/birdedge/trials.py",
+        "        if len(row) != 5:\n"
+        '            raise FormatError(f"bad row {row}")\n',
+        "",
+        ("tests/test_trials.py::TestCsv::test_bad_row_width",
+         "tests/test_fuzz.py::test_every_text_mutant_keeps_the_error_contract[trials]"),
+    ),
+    Mutant(
+        "validate_graph: a kernel that is not a pair escapes as a ValueError",
+        "src/birdedge/nnrt/graph.py",
+        "            try:\n"
+        "                kh, kw = layer.kernel\n"
+        "            except (TypeError, ValueError):\n"
+        "                raise GraphError(\n"
+        '                    f"layer {i}: kernel must be a pair of integers, got {layer.kernel!r}"\n'
+        "                ) from None\n",
+        "            kh, kw = layer.kernel\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[kernel-one-side-infer]",
+         "tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[kernel-int-save_model]"),
+    ),
+    Mutant(
+        "validate_graph: an input shape that is not a sequence escapes as a TypeError",
+        "src/birdedge/nnrt/graph.py",
+        "    try:\n"
+        "        input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple\n"
+        "    except TypeError:\n"
+        "        raise GraphError(\n"
+        '            f"input shape must be a sequence of 3 integers, got {model.input_shape!r}"\n'
+        "        ) from None\n",
+        "    input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple\n",
+        ("tests/test_nnrt.py::TestIntegerFields::"
+         "test_every_entry_raises[input-shape-int-validate_graph]",),
+    ),
+    Mutant(
         "AudioClip: a sample rate below 1 accepted",
         "src/birdedge/audio_io.py",
         "        if not self.sample_rate >= 1:  # NaN too\n",
@@ -659,7 +726,7 @@ MUTANTS = (
 # the reason. The script applies them too, and there their tests must pass.
 EQUIVALENT = (
     Mutant(
-        "pareto_front: front scanned oldest first",  # the same any() over
+        "pareto_front: front scanned oldest first",  # the same for/else over
         # the same members: the order changes the count of dominance tests
         # (pinned by test_front_is_scanned_newest_first), never the front
         "src/birdedge/trials.py",

@@ -797,6 +797,16 @@ NON_INTEGER_CASES = {
                     "class count must be an integer, got 2.0"),
     "input-dimension": (chain_model, None, {"input_shape": (1, 4.0, 4)},
                         "input dimension must be an integer, got 4.0"),
+    # a kernel that is not a pair of sides, an input shape that is not a sequence
+    "kernel-one-side": (chain_model, 0, {"kernel": (3,)},
+                        re.escape("layer 0: kernel must be a pair of integers, got (3,)")),
+    "kernel-int": (chain_model, 0, {"kernel": 3},
+                   "layer 0: kernel must be a pair of integers, got 3"),
+    "kernel-three-sides": (chain_model, 0, {"kernel": (3, 3, 3)},
+                           re.escape("layer 0: kernel must be a pair of integers, "
+                                     "got (3, 3, 3)")),
+    "input-shape-int": (chain_model, None, {"input_shape": 5},
+                        "input shape must be a sequence of 3 integers, got 5"),
 }
 
 
@@ -804,7 +814,8 @@ class TestIntegerFields:
     """A count, size or zero point that is not an int or a numpy integer is
     a GraphError naming the field on every entry. A float used to pass
     validate_graph and then fail in numpy or struct with a TypeError, or
-    run silently truncated."""
+    run silently truncated. So is a kernel that is not a pair of sides and
+    an input shape that is not a sequence."""
 
     ENTRIES = {
         "validate_graph": validate_graph,

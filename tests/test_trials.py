@@ -280,8 +280,9 @@ class TestParetoFront:
         front = pareto_front(ts)
         assert front == oracle_front(ts)
         assert 1 < len(front) < len(ts)
-        # each trial is tested against the front members found before it
-        assert len(calls) <= len(ts) * len(front)
+        # each trial is tested against the front members found before it,
+        # and each dominated trial needs at least one test
+        assert len(ts) - len(front) <= len(calls) <= len(ts) * len(front)
 
     def test_front_is_scanned_newest_first(self, tmp_path, monkeypatch):
         # the latest front members are the nearest in cost, so they find a
@@ -297,8 +298,30 @@ class TestParetoFront:
             return dominates(a, b, include_accuracy)
 
         monkeypatch.setattr(birdedge.trials, "_dominates", counting)
-        assert pareto_front(ts) == oracle_front(ts)
-        assert len(calls) <= 2331
+        front = pareto_front(ts)
+        assert front == oracle_front(ts)
+        assert len(ts) - len(front) <= len(calls) <= 2331
+
+    # (a, b, include_accuracy, a dominates b) over (ram, rom, flops, acc)
+    # tuples, a sorting no later than b by (ram, rom, flops, -acc)
+    @pytest.mark.parametrize("a, b, include_accuracy, expected", [
+        ((1.0, 2.0, 3.0, 0.5), (1.0, 2.0, 3.0, 0.5), True, False),
+        ((1.0, 2.0, 3.0, 0.5), (1.0, 2.0, 3.0, 0.5), False, False),
+        ((1.0, 2.0, 3.0, 0.6), (1.0, 2.0, 3.0, 0.5), True, True),
+        ((1.0, 2.0, 3.0, 0.6), (1.0, 2.0, 3.0, 0.5), False, False),
+        ((1.0, 2.0, 3.0, -0.0), (1.0, 2.0, 3.0, 0.0), True, False),
+        ((1.0, 2.0, 3.0, 0.0), (1.0, 2.0, 3.0, -0.0), True, False),
+        ((1.0, 2.0, 3.0, 0.5), (1.0, 2.0, 4.0, 0.5), True, True),
+        ((1.0, 2.0, 3.0, 0.4), (1.0, 2.0, 4.0, 0.5), True, False),
+        ((1.0, 2.0, 3.0, 0.4), (1.0, 2.0, 4.0, 0.5), False, True),
+        ((1.0, 2.0, 3.0, 0.5), (2.0, 2.0, 3.0, 0.5), True, True),
+        ((1.0, 3.0, 3.0, 0.5), (2.0, 2.0, 3.0, 0.5), False, False),
+        ((1.0, 2.0, 4.0, 0.5), (2.0, 2.0, 3.0, 0.5), False, False),
+    ], ids=["duplicate", "duplicate-costs", "acc-tie-break", "acc-tie-ignored",
+            "acc-negative-zero", "acc-zero", "flops", "flops-less-accurate",
+            "flops-acc-ignored", "ram", "rom-worse", "flops-worse"])
+    def test_dominates_table(self, a, b, include_accuracy, expected):
+        assert birdedge.trials._dominates(a, b, include_accuracy) is expected
 
     def test_select_best_matches_oracle(self):
         rng = np.random.default_rng(4321)
@@ -441,19 +464,19 @@ class TestCsv:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,acc,ram,rom,flops\nx,0.5,1,1,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="expected header id,acc,ram,rom,flops"):
             read_trials_csv(path)
 
     def test_bad_row_width(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,acc,ram,rom,flops\nx,0.5,1,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="bad row"):
             read_trials_csv(path)
 
     def test_non_numeric_field(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,acc,ram,rom,flops\nx,zero,1,1,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="line 2: could not convert"):
             read_trials_csv(path)
 
     def test_non_numeric_field_is_a_format_error_naming_its_line(self, tmp_path):
