@@ -62,18 +62,10 @@ class AppliedAugmentation:
 
 def _rolled(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
     """Shift along axis, vacated entries set to the dB floor."""
-    out = np.full_like(values, np.float32(FLOOR_DB))
-    if shift == 0:
-        return values.copy()
-    src = [slice(None), slice(None)]
-    dst = [slice(None), slice(None)]
-    if shift > 0:
-        src[axis] = slice(0, -shift)
-        dst[axis] = slice(shift, None)
-    else:
-        src[axis] = slice(-shift, None)
-        dst[axis] = slice(0, shift)
-    out[tuple(dst)] = values[tuple(src)]
+    out = np.roll(values, shift, axis=axis)
+    vacated = [slice(None), slice(None)]
+    vacated[axis] = slice(0, shift) if shift >= 0 else slice(shift, None)
+    out[tuple(vacated)] = FLOOR_DB
     return out
 
 
@@ -181,11 +173,8 @@ def draw_schedule(cfg: AugmentConfig, rng: np.random.Generator) -> Schedule:
     selected = tuple(
         name for name, hit in zip(AUGMENTATION_NAMES, coins) if hit
     )
-    if selected:
-        perm = rng.permutation(len(selected))
-        order = tuple(selected[i] for i in perm[: cfg.max_augs])
-    else:
-        order = ()
+    perm = rng.permutation(len(selected))
+    order = tuple(selected[i] for i in perm[: cfg.max_augs])
     return Schedule(selected=selected, order=order)
 
 

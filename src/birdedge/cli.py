@@ -88,10 +88,27 @@ def _table(header: str | None, row_format: str, rows) -> str:
     return body if header is None else header + "\n" + body
 
 
-def _spectrogram_bytes(spec) -> bytes:
+def _write_mels(path: Path, spec) -> str:
+    """Write one spectrogram atomically and return its manifest entry."""
     sink = io.BytesIO()
     write_spectrogram(spec, sink)
-    return sink.getvalue()
+    _atomic_write(path, sink.getvalue())
+    return str(path)
+
+
+def _log_entry(entry: augment.AppliedAugmentation, pool_paths: list[Path]) -> str:
+    """One augment_log.txt entry: the noise named by its file, floats to 4 places."""
+    if entry.skipped:
+        return f"{entry.name}(skipped: empty noise pool)"
+    rendered = []
+    for key, value in entry.params.items():
+        if key == "noise_index":
+            rendered.append(f"noise={pool_paths[value].name}")
+        elif isinstance(value, float):
+            rendered.append(f"{key}={value:.4f}")
+        else:
+            rendered.append(f"{key}={value}")
+    return f"{entry.name}({', '.join(rendered)})"
 
 
 def _wav_inputs(path: Path) -> list[Path]:
@@ -134,17 +151,14 @@ def cmd_preprocess(args) -> int:
         )
         stem = wav_path.stem
         for i, spec in enumerate(specs):
-            path = out_dir / f"{stem}_chunk{i:03d}.mels"
-            _atomic_write(path, _spectrogram_bytes(spec))
-            outputs.append(str(path))
-        kept_noise = 0
-        for spec in preprocess.noise_spectrograms(noise_chunks):
-            path = noise_dir / f"{stem}_noise{kept_noise:03d}.mels"
-            _atomic_write(path, _spectrogram_bytes(spec))
-            outputs.append(str(path))
-            kept_noise += 1
+            outputs.append(_write_mels(out_dir / f"{stem}_chunk{i:03d}.mels", spec))
+        noise = [
+            _write_mels(noise_dir / f"{stem}_noise{i:03d}.mels", spec)
+            for i, spec in enumerate(preprocess.noise_spectrograms(noise_chunks))
+        ]
+        outputs += noise
         print(
-            f"{wav_path.name}: {len(specs)} chunks, {kept_noise} noise windows",
+            f"{wav_path.name}: {len(specs)} chunks, {len(noise)} noise windows",
             file=sys.stderr,
         )
     _write_manifest(out_dir / "manifest.json", args, outputs)
@@ -154,15 +168,13 @@ def cmd_preprocess(args) -> int:
 def cmd_augment(args) -> int:
     in_dir = Path(getattr(args, "in"))
     out_dir = Path(args.out)
-    pool: list = []
-    pool_names: list[str] = []
+    pool_paths: list[Path] = []
     if args.noise_pool:
         pool_dir = Path(args.noise_pool)
         if not pool_dir.is_dir():
             raise BirdEdgeError(f"noise pool {pool_dir} is not a directory")
-        for path in sorted(pool_dir.glob("*.mels")):
-            pool.append(read_spectrogram(path))
-            pool_names.append(path.name)
+        pool_paths = sorted(pool_dir.glob("*.mels"))
+    pool = [read_spectrogram(path) for path in pool_paths]
     cfg = augment.AugmentConfig(p_apply=args.p_apply, max_augs=args.max_augs)
     outputs: list[str] = []
     log_lines: list[str] = []
@@ -170,27 +182,9 @@ def cmd_augment(args) -> int:
         spec = read_spectrogram(path)
         rng = augment.chunk_rng(args.seed, index)
         augmented, applied = augment.augment_chunk(spec, pool, cfg, rng)
-        out_path = out_dir / path.name
-        _atomic_write(out_path, _spectrogram_bytes(augmented))
-        outputs.append(str(out_path))
-        if applied:
-            parts = []
-            for entry in applied:
-                if entry.skipped:
-                    parts.append(f"{entry.name}(skipped: empty noise pool)")
-                    continue
-                rendered = []
-                for key, value in entry.params.items():
-                    if key == "noise_index":
-                        rendered.append(f"noise={pool_names[value]}")
-                    elif isinstance(value, float):
-                        rendered.append(f"{key}={value:.4f}")
-                    else:
-                        rendered.append(f"{key}={value}")
-                parts.append(f"{entry.name}({', '.join(rendered)})")
-            log_lines.append(f"{path.name}: {' '.join(parts)}")
-        else:
-            log_lines.append(f"{path.name}: none")
+        outputs.append(_write_mels(out_dir / path.name, augmented))
+        entries = " ".join(_log_entry(entry, pool_paths) for entry in applied)
+        log_lines.append(f"{path.name}: {entries or 'none'}")
     log_path = out_dir / "augment_log.txt"
     _atomic_write(log_path, ("\n".join(log_lines) + "\n").encode())
     outputs.append(str(log_path))

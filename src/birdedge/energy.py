@@ -240,8 +240,9 @@ def load_profile(path) -> DeploymentProfile:
 
 
 def parse_irradiance(text: str) -> dict[int, float]:
-    """Parse the 12 row month,s_rad CSV; a month is 1..12 or at least the
-    first three letters of its English name, any case ("sep", "Sept").
+    """Parse the 12 row CSV under the header month,s_rad_w_m2 (each field
+    stripped, any case); a month is 1..12 or at least the first three
+    letters of its English name, any case ("sep", "Sept").
 
     Every irradiance must be finite and positive. A malformed row, an
     over-long field included, raises ConfigError.
@@ -255,7 +256,7 @@ def parse_irradiance(text: str) -> dict[int, float]:
     except csv.Error as err:
         raise ConfigError(f"irradiance line {reader.line_num}: {err}") from None
     header = rows[0] if rows else None
-    if header is None or [h.strip().lower() for h in header][:1] != ["month"]:
+    if header is None or [h.strip().lower() for h in header] != ["month", "s_rad_w_m2"]:
         raise ConfigError(f"expected a month,s_rad_w_m2 header, got {header}")
     for row in rows[1:]:
         if not row:

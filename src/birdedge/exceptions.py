@@ -12,7 +12,9 @@ class BirdEdgeError(ValueError):
 
 
 class FormatError(BirdEdgeError):
-    """A file is malformed: bad magic, truncated payload, garbage fields, an unreadable CSV row."""
+    """A file is malformed: bad magic, truncated payload, garbage fields, or an
+    unreadable row of a trials or baseline CSV. A malformed profile or
+    irradiance file raises ConfigError instead."""
 
 
 class UnsupportedError(BirdEdgeError):

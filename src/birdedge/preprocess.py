@@ -2,7 +2,9 @@
 
 A recording passes through five stages before it reaches the classifier:
 
-1. length gate: clips shorter than 2.0 s are rejected outright.
+1. length gate: clips sampled below 8 kHz raise UnsupportedError, because
+   the resample to 48 kHz would grow them more than 6-fold; clips shorter
+   than 2.0 s are rejected outright.
 2. silence removal: regions whose 50 ms sliding-max envelope falls below
    20 % of the clip's global peak are cut out and the remainder is
    concatenated. Nothing is cross-faded; excision is hard.
@@ -28,12 +30,13 @@ from functools import cache
 import numpy as np
 
 from .audio_io import AudioClip, resample
-from .exceptions import ConfigError, DegenerateInputError
+from .exceptions import ConfigError, DegenerateInputError, UnsupportedError
 from .melspec import MelSpectrogram, power_to_db
 
 # Pipeline constants; the CLI overrides SILENCE_THRESHOLD, PEAK_RATIO and
 # MAX_CHUNKS.
 MIN_CLIP_SECONDS = 2.0
+MIN_SAMPLE_RATE = 8000  # Hz: the resample to SAMPLE_RATE grows a clip at most 6x
 SILENCE_THRESHOLD = 0.2
 ENVELOPE_WINDOW_SECONDS = 0.05
 CHUNK_SECONDS = 2.0
@@ -264,13 +267,10 @@ def mel_filterbank() -> np.ndarray:
     """
     edges = mel_band_edges()
     bin_freqs = np.arange(FFT_SIZE // 2 + 1) * (SAMPLE_RATE / FFT_SIZE)
-    weights = np.zeros((N_MELS, len(bin_freqs)), dtype=np.float64)
-    for k in range(N_MELS):
-        lower, center, upper = edges[k], edges[k + 1], edges[k + 2]
-        rising = (bin_freqs - lower) / (center - lower)
-        falling = (upper - bin_freqs) / (upper - center)
-        tri = np.maximum(0.0, np.minimum(rising, falling))
-        weights[k] = tri * (2.0 / (upper - lower))
+    lower, center, upper = (e[:, None] for e in (edges[:-2], edges[1:-1], edges[2:]))
+    rising = (bin_freqs - lower) / (center - lower)
+    falling = (upper - bin_freqs) / (upper - center)
+    weights = np.maximum(0.0, np.minimum(rising, falling)) * (2.0 / (upper - lower))
     weights.flags.writeable = False
     return weights
 
@@ -338,10 +338,15 @@ def preprocess_recording(
     to SAMPLE_RATE -> chunk + peak screen -> normalize -> mel convert.
     Returns (spectrograms, noise_chunks). A too-short clip, or one whose
     voiced part shrinks below one chunk, yields ([], noise_chunks). A bad
-    setting raises ValueError whatever the clip.
+    setting raises ValueError whatever the clip, and a clip sampled below
+    MIN_SAMPLE_RATE raises UnsupportedError whatever its length.
     """
     _check_threshold(silence_threshold)
     _check_screen(peak_ratio, max_chunks)
+    if clip.sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedError(
+            f"sample rate {clip.sample_rate} Hz is below the {MIN_SAMPLE_RATE} Hz minimum"
+        )
     if not length_filter(clip):
         return [], []
     voiced = remove_silence(clip, threshold=silence_threshold)

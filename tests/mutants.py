@@ -719,6 +719,36 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_audio_io.py::TestAudioClip::test_sample_rate_below_1_rejected[0]",),
     ),
+    Mutant(
+        "preprocess_recording: a clip below 8 kHz resampled",
+        "src/birdedge/preprocess.py",
+        "    if clip.sample_rate < MIN_SAMPLE_RATE:\n",
+        "    if clip.sample_rate < 1:\n",
+        # not the 1 Hz case: resampling it takes about a gigabyte
+        ("tests/test_preprocess.py::TestPipeline::"
+         "test_rate_below_the_floor_is_unsupported_whatever_the_length[short]",),
+    ),
+    Mutant(
+        "parse_irradiance: only the header's first field checked",
+        "src/birdedge/energy.py",
+        '[h.strip().lower() for h in header] != ["month", "s_rad_w_m2"]',
+        '[h.strip().lower() for h in header][:1] != ["month"]',
+        ("tests/test_energy.py::TestParsers::test_irradiance_errors[header-month]",),
+    ),
+    Mutant(
+        "_rolled: vacated band not floored",
+        "src/birdedge/augment.py",
+        "    out[tuple(vacated)] = FLOOR_DB\n",
+        "",
+        ("tests/test_augment.py::TestRolls",),
+    ),
+    Mutant(
+        "_rolled: vacated band taken from the wrong end",
+        "src/birdedge/augment.py",
+        "slice(0, shift) if shift >= 0 else slice(shift, None)",
+        "slice(-shift, None) if shift >= 0 else slice(0, -shift)",
+        ("tests/test_augment.py::TestRolls",),
+    ),
 )
 
 

@@ -89,6 +89,13 @@ class TestRolls:
         else:
             assert np.array_equal(back.values, spec.values)
 
+    @pytest.mark.parametrize("u", [1.0, -1.0, 1.5, -1.5])
+    @pytest.mark.parametrize("roll", [freq_roll, time_roll])
+    def test_roll_by_the_full_size_or_more_floors_every_cell(self, roll, u):
+        out = roll(random_spec(9), u)
+        assert out.values.shape == (64, 249)
+        assert np.all(out.values == -80.0)
+
     def test_shape_preserved(self):
         spec = random_spec(8)
         assert freq_roll(spec, 0.03).values.shape == (64, 249)
@@ -247,6 +254,12 @@ class TestScheduler:
         cfg = AugmentConfig(p_apply=0.0)
         s = draw_schedule(cfg, np.random.default_rng(1))
         assert s.selected == () and s.order == ()
+
+    def test_nothing_selected_draws_nothing_past_the_coins(self):
+        rng, coins_only = np.random.default_rng(1), np.random.default_rng(1)
+        assert draw_schedule(AugmentConfig(p_apply=0.0), rng).order == ()
+        coins_only.random(len(AUGMENTATION_NAMES))
+        assert rng.bit_generator.state == coins_only.bit_generator.state
 
     def test_selection_rates(self):
         cfg = AugmentConfig()

@@ -995,6 +995,12 @@ CONTRACT_CASES = [
                   ["preprocess", "--in", "a.wav", "--out", "out", "--silence-threshold", "2"],
                   "threshold must be in (0, 1), got 2.0",
                   {"a.wav": pcm16_wav(np.resize([0, 9000, 0, -9000], 3 * 48000), 48000)}),
+    # 10 KB of samples under a 1 Hz header, which a resample to 48 kHz would
+    # grow to up to 0.9 GB
+    contract_case("preprocess-1-hz-header",
+                  ["preprocess", "--in", "a.wav", "--out", "out"],
+                  "sample rate 1 Hz is below the 8000 Hz minimum",
+                  {"a.wav": pcm16_wav(np.resize([0, 9000, 0, -9000], 5000), 1)}),
     contract_case("gen-fixture-classes-over-the-container-limit",
                   ["gen-fixture", "--classes", "1048577", "--seed", "1", "--out", "m.enm"],
                   "class_count must be in [1, 1048576], got 1048577"),

@@ -344,6 +344,10 @@ class TestParsers:
                 f"{i},50{',1' if i == 6 else ''}\n" for i in range(1, 13)
             ),                                                     # 3 fields
             "wrong,s\njan,28\n",                                   # bad header
+            # a header that only starts like the documented one
+            *(pytest.param(table_with_label("1", 1).replace("month,s_rad_w_m2", header),
+                           id=f"header-{header}")
+              for header in ["month", "Month,anything,extra", "month,s_rad"]),
             "month,s_rad_w_m2\n" + "jan,1\n" * 12,                 # duplicates
             "month,s_rad_w_m2\nsmarch,10\n",                       # unknown month
             "month,s_rad_w_m2\n" + "".join(
@@ -383,8 +387,12 @@ class TestParsers:
         # str.splitlines ends a line at each of these; trials CSVs never did
         text = table_with_label("1", 1)
         assert len(parse_irradiance(text.replace("\n", "\r\n"))) == 12
-        with pytest.raises(ConfigError, match="irradiance table has 0 months"):
+        with pytest.raises(ConfigError, match="expected a month,s_rad_w_m2 header"):
             parse_irradiance(text.replace("\n", separator))
+
+    def test_header_is_read_stripped_and_in_any_case(self):
+        text = table_with_label("1", 1).replace("month,s_rad_w_m2", " Month , S_RAD_W_M2 ")
+        assert parse_irradiance(text) == {i: 50.0 for i in range(1, 13)}
 
     def test_month_names_are_calendar_order(self):
         assert MONTH_NAMES[0] == "jan" and MONTH_NAMES[11] == "dec"

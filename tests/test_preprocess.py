@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import maximum_filter1d
 
 from birdedge.audio_io import AudioClip
-from birdedge.exceptions import DegenerateInputError
+from birdedge.exceptions import ConfigError, DegenerateInputError, UnsupportedError
 from birdedge.melspec import power_to_db
 from birdedge.preprocess import (
     CHUNK_SECONDS,
@@ -28,6 +28,7 @@ from birdedge.preprocess import (
     HOP,
     MAX_CHUNKS,
     MIN_CLIP_SECONDS,
+    MIN_SAMPLE_RATE,
     N_MELS,
     PEAK_NEIGHBORHOOD_SECONDS,
     PEAK_RATIO,
@@ -683,6 +684,31 @@ class TestPipeline:
         name = "threshold" if setting == "silence_threshold" else setting
         with pytest.raises(ValueError, match=name):
             preprocess_recording(clip_of(samples), **{setting: value})
+
+    @pytest.mark.parametrize("rate, seconds", [(1, 5000), (MIN_SAMPLE_RATE - 1, 1.0),
+                                               (MIN_SAMPLE_RATE - 1, 4.0)],
+                             ids=["1-hz", "short", "long"])
+    def test_rate_below_the_floor_is_unsupported_whatever_the_length(self, rate, seconds):
+        # resampling a clip at 1 Hz to 48 kHz would grow it 48000-fold
+        samples = np.resize(np.float32([0.0, 0.5, 0.0, -0.5]), int(rate * seconds))
+        with pytest.raises(UnsupportedError, match=f"sample rate {rate} Hz is below"):
+            preprocess_recording(clip_of(samples, rate=rate))
+
+    def test_bad_setting_is_reported_before_the_rate(self):
+        clip = clip_of(np.zeros(100), rate=MIN_SAMPLE_RATE - 1)
+        with pytest.raises(ConfigError, match="max_chunks"):
+            preprocess_recording(clip, max_chunks=0)
+
+    def test_rate_at_the_floor_is_resampled(self):
+        rng = np.random.default_rng(12)
+        base = 0.3 * rng.uniform(-1, 1, MIN_SAMPLE_RATE * 5).astype(np.float32)
+        for k in range(5):
+            at = MIN_SAMPLE_RATE * k + MIN_SAMPLE_RATE // 2
+            base[at:at + 100] = np.float32(1.0)
+        specs, noise = preprocess_recording(clip_of(base, rate=MIN_SAMPLE_RATE))
+        assert len(specs) >= 1
+        assert all(s.values.shape == (64, 249) for s in specs)
+        assert all(n.shape == (RATE * 2,) for n in noise)
 
     def test_peaked_recording(self):
         samples = np.concatenate([loud_peaked_chunk(i) for i in range(3)])
