@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -150,6 +151,12 @@ def cmd_preprocess(args) -> int:
             max_chunks=args.max_chunks,
         )
         stem = wav_path.stem
+        for directory, kind in ((out_dir, "chunk"), (noise_dir, "noise")):
+            # an earlier run's outputs; \d+ keeps stem x off stem x_chunk5's files
+            stale = re.compile(re.escape(f"{stem}_{kind}") + r"\d+\.mels")
+            for path in directory.glob("*.mels"):
+                if stale.fullmatch(path.name):
+                    path.unlink()
         for i, spec in enumerate(specs):
             outputs.append(_write_mels(out_dir / f"{stem}_chunk{i:03d}.mels", spec))
         noise = [

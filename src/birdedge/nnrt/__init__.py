@@ -20,7 +20,6 @@ from .graph import (
     WEIGHTED_KINDS,
     LayerSpec,
     ModelGraph,
-    validate_graph,
 )
 from .resources import ResourceReport, resource_report
 from .serialize import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
@@ -34,7 +33,6 @@ __all__ = [
     "LayerSpec",
     "ModelGraph",
     "ResourceReport",
-    "validate_graph",
     "load_model",
     "save_model",
     "infer",

@@ -30,10 +30,10 @@ half to even, clamp is to [-128, 127], and f32(v) is v rounded to float32:
             clamp(rint(m * f32(s / s_out)) + zp_out) in float64.
 Every int8 rounding is _requantize, with multiplier 1.0 for the input
 and the residual table. relu6 and residual_add run as lookups, tables
-memoized on the scalar affines (never on the model, which may be edited
-in place): relu6 maps the activation's bytes with bytes.translate by a
-256-byte table, and residual_add takes one entry per element from a
-65536-entry int8 table at index (x << 8) | skip of the two uint8 codes.
+memoized on the scalar affines, never on the model: relu6 maps the
+activation's bytes with bytes.translate by a 256-byte table, and
+residual_add takes one entry per element from a 65536-entry int8 table at
+index (x << 8) | skip of the two uint8 codes.
 
 float (float_reference_infer, and fixture calibration via _float_forward):
 weights and biases are dequantized, weighted layers correlate in float64,
@@ -52,7 +52,7 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
-from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
+from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph
 
 # Every int8 code in float32, ordered so that table[codes.view(np.uint8)]
 # looks up the entry of each code.
@@ -232,9 +232,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
-    """Both inference entries' checks: the graph, then the spectrogram."""
-    expected = validate_graph(model)[0][1:]  # the input shape, as a tuple
-    if spec.values.shape != expected:
+    """Both inference entries' spectrogram checks; the graph was checked when built."""
+    if spec.values.shape != (expected := model.input_shape[1:]):
         raise ShapeError(
             f"model expects a {expected} spectrogram, got {spec.values.shape}"
         )

@@ -18,11 +18,13 @@ identical model.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..exceptions import ConfigError
 from .engine import _float_forward
-from .graph import LayerSpec, ModelGraph, validate_graph
+from .graph import LayerSpec, ModelGraph
 from .serialize import _MAX_DIM
 
 # (expansion, out_channels, repeats, first_stride) per stage; 17 blocks total.
@@ -72,14 +74,14 @@ def _weighted_layer(
     )
     count = layer.weight_count()
     fan_in = count // out_ch
-    layer.weight, layer.weight_scale = _quantize_weights(
+    weight, weight_scale = _quantize_weights(
         rng.normal(0.0, np.sqrt(2.0 / fan_in), size=count)
     )
-    return layer
+    return replace(layer, weight=weight, weight_scale=weight_scale)
 
 
 def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:
-    """Build, calibrate, and validate a seeded fixture classifier.
+    """Build and calibrate a seeded fixture classifier.
 
     class_count is at most the .enm container's dimension limit, so
     save_model can store every graph this builds.
@@ -129,43 +131,37 @@ def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:
         _weighted_layer(rng, "linear", channels, class_count, (1, 1), 1, 0)
     )
 
-    model = ModelGraph(layers=layers, class_count=class_count)
+    return _calibrated(ModelGraph(layers=layers, class_count=class_count), rng)
+
+
+def _calibrated(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
+    """The model with per-layer activation affines from the output ranges of
+    probes drawn from rng, and with each weighted layer's bias, drawn next
+    from rng in layer order and quantized in units of input_scale *
+    weight_scale."""
     probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))
-    _calibrate(model, probes)  # draws nothing: the biases come next from rng
-    _attach_biases(model, rng)
-    validate_graph(model)
-    return model
-
-
-def _calibrate(model: ModelGraph, probes: np.ndarray) -> None:
-    """Set per-layer activation affines from probe output ranges."""
     lows = np.full(len(model.layers), np.inf)
     highs = np.full(len(model.layers), -np.inf)
-    for probe in probes:
+    for probe in probes:  # the float path draws nothing: the biases come next
         _, outputs = _float_forward(model, probe.astype(np.float32))
         for i, out in enumerate(outputs):
             lows[i] = min(lows[i], float(out.min()))
             highs[i] = max(highs[i], float(out.max()))
 
+    layers, in_scale = [], model.input_scale
     for i, layer in enumerate(model.layers):
         if layer.kind == "relu6":
-            layer.out_scale = _RELU6_SCALE
-            layer.out_zero_point = -128
-            continue
-        span = highs[i] - lows[i]
-        lo = lows[i] - _RANGE_MARGIN * span
-        hi = highs[i] + _RANGE_MARGIN * span
-        scale = max((hi - lo) / 255.0, 1e-6)
-        layer.out_scale = _f32(scale)
-        layer.out_zero_point = int(-128 - np.rint(lo / layer.out_scale))
-
-
-def _attach_biases(model: ModelGraph, rng: np.random.Generator) -> None:
-    """Draw each weighted layer's bias and quantize it in units of
-    input_scale * weight_scale, walking the layers in order."""
-    in_scale = model.input_scale
-    for layer in model.layers:
+            scale, zero_point = _RELU6_SCALE, -128
+        else:
+            span = highs[i] - lows[i]
+            lo = lows[i] - _RANGE_MARGIN * span
+            hi = highs[i] + _RANGE_MARGIN * span
+            scale = _f32(max((hi - lo) / 255.0, 1e-6))
+            zero_point = int(-128 - np.rint(lo / scale))
+        bias = None
         if layer.weight is not None:
             bias = rng.normal(0.0, _BIAS_SIGMA, size=layer.out_ch)
-            layer.bias = np.rint(bias / (in_scale * layer.weight_scale)).astype(np.int32)
-        in_scale = layer.out_scale
+            bias = np.rint(bias / (in_scale * layer.weight_scale)).astype(np.int32)
+        layers.append(replace(layer, bias=bias, out_scale=scale, out_zero_point=zero_point))
+        in_scale = scale
+    return replace(model, layers=layers)

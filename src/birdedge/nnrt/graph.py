@@ -34,12 +34,11 @@ MAX_SCALE = 2.0**32
 # float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
 MAX_BUFFER_ELEMENTS = 1 << 24
 
-_INT8, _INT32 = np.dtype(np.int8), np.dtype(np.int32)  # faster to compare than types
 # What a count, size or zero point field may hold; a float 1.0 is not one.
 _INTEGER = (int, np.integer)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerSpec:
     """One layer of a model graph.
 
@@ -76,20 +75,28 @@ class LayerSpec:
         return 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelGraph:
-    """An ordered layer list plus input quantization and class count.
+    """An ordered layer tuple plus input quantization and class count, checked
+    once, when built; edit one by building another with dataclasses.replace.
 
     The default input affine maps -80..0 dB onto the int8 codes; its scale
     is the float32 value the .enm container stores, so a graph built on it
     classifies the same after save_model and load_model.
     """
 
-    layers: list[LayerSpec] = field(default_factory=list)
+    layers: tuple[LayerSpec, ...] = ()
     class_count: int = 2
-    input_shape: tuple[int, int, int] = (1, 64, 249)
+    input_shape: tuple[int, int, int] = (1, 64, 249)  # a list is stored as the tuple
     input_scale: float = float(np.float32(80.0 / 255.0))
     input_zero_point: int = 127
+    shapes: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers or ()))  # None: no layers
+        shapes = tuple(validate_graph(self))  # every buffer's (C, H, W)
+        object.__setattr__(self, "input_shape", shapes[0])
+        object.__setattr__(self, "shapes", shapes)
 
 
 def _check_scale(value: float, what: str, i: int | None = None) -> None:
@@ -184,16 +191,13 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                     f"layer {i}: kernel must be a pair of integers, got {layer.kernel!r}"
                 ) from None
             stride, padding = layer.stride, layer.padding
-            # one test for the common case; numpy integers take the slow path
-            if not (type(layer.in_ch) is type(layer.out_ch) is type(kh) is type(kw)
-                    is type(stride) is type(padding) is int):
-                for what, value in (("in_ch", layer.in_ch), ("out_ch", layer.out_ch),
-                                    ("kernel height", kh), ("kernel width", kw),
-                                    ("stride", stride), ("padding", padding)):
-                    _check_integer(value, what, i)
+            for what, value in (("in_ch", layer.in_ch), ("out_ch", layer.out_ch),
+                                ("kernel height", kh), ("kernel width", kw),
+                                ("stride", stride), ("padding", padding)):
+                _check_integer(value, what, i)
             if layer.weight is None:
                 raise GraphError(f"layer {i}: {kind} has no weights")
-            if layer.weight.dtype != _INT8:
+            if layer.weight.dtype != np.int8:
                 raise GraphError(
                     f"layer {i}: weights must be int8, got {layer.weight.dtype}"
                 )
@@ -204,7 +208,7 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                 )
             _check_scale(layer.weight_scale, "weight", i)
             if layer.bias is not None:
-                if layer.bias.dtype != _INT32 or layer.bias.size != layer.out_ch:
+                if layer.bias.dtype != np.int32 or layer.bias.size != layer.out_ch:
                     raise GraphError(
                         f"layer {i}: bias must be int32 of length {layer.out_ch}"
                     )
@@ -272,8 +276,8 @@ def check_int32_accumulators(model: ModelGraph) -> None:
     The worst case of output channel o is sum |w_o| * (128 + |zp_in|) +
     |bias_o|, zp_in being the zero point of the layer's input. This is
     the bound a microcontroller's int32 accumulator must hold. It reads
-    every weight, so it runs once when a model is loaded or saved, after
-    validate_graph.
+    every weight, which building a graph never does, so it runs when a
+    model is loaded or saved.
     """
     zero_point = model.input_zero_point
     for i, layer in enumerate(model.layers):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, validate_graph
+from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph
 from .serialize import _container_size
 
 
@@ -35,7 +35,7 @@ def _flops_of(layer: LayerSpec, out_shape: tuple[int, int, int]) -> int:
     return c_out * ho * wo
 
 
-def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
+def _peak_ram(model: ModelGraph) -> int:
     """Peak bytes of simultaneously live activation buffers.
 
     Buffers are the graph input and every layer output. While layer i
@@ -43,7 +43,7 @@ def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
     still awaited by a later residual_add are live. The estimate is the
     maximum over execution steps and is independent of weight values.
     """
-    sizes = [math.prod(s) for s in shapes]  # 1 byte per int8 element
+    sizes = [math.prod(s) for s in model.shapes]  # 1 byte per int8 element
 
     # buffer b (layer b-1's output) is last read at step b, the layer it
     # feeds, or later by a residual_add; it is freed after that step
@@ -64,10 +64,9 @@ def _peak_ram(model: ModelGraph, shapes: list[tuple[int, int, int]]) -> int:
 
 
 def resource_report(model: ModelGraph) -> ResourceReport:
-    """FLOPs of one inference, peak activation RAM and ROM, on one validation."""
-    shapes = validate_graph(model)
+    """FLOPs of one inference, peak activation RAM and ROM, from the graph's shapes."""
     return ResourceReport(
-        flops=sum(map(_flops_of, model.layers, shapes[1:])),
-        ram_bytes=_peak_ram(model, shapes),
+        flops=sum(map(_flops_of, model.layers, model.shapes[1:])),
+        ram_bytes=_peak_ram(model),
         rom_bytes=_container_size(model),
     )

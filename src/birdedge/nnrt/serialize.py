@@ -33,6 +33,7 @@ to f32 on construction, so save -> load -> save is byte identical.
 from __future__ import annotations
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .graph import (
     LayerSpec,
     ModelGraph,
     check_int32_accumulators,
-    validate_graph,
 )
 
 MODEL_MAGIC = b"ENM1"
@@ -94,13 +94,12 @@ def _check_layer(layer: LayerSpec) -> None:
 
 
 def save_model(model: ModelGraph) -> bytes:
-    """Serialise a validated model graph to bytes.
+    """Serialise a model graph, checked when it was built, to bytes.
 
     A graph beyond the container's limits, which load_model would refuse,
     is a FormatError, and one whose worst-case accumulator overflows int32
     a GraphError, so every file it writes loads.
     """
-    validate_graph(model)
     _check_header(len(model.layers), model.input_shape)
     for layer in model.layers:
         if layer.kind in WEIGHTED_KINDS:
@@ -133,8 +132,8 @@ def save_model(model: ModelGraph) -> bytes:
 
 
 def _container_size(model: ModelGraph) -> int:
-    """len(save_model(model)) of a graph that has passed validate_graph,
-    summed from the container layout without packing a byte."""
+    """len(save_model(model)) of a built graph, summed from the container
+    layout without packing a byte."""
     # magic, version u32, then the header
     size = len(MODEL_MAGIC) + 4 + struct.calcsize(_HEADER)
     for layer in model.layers:
@@ -182,16 +181,15 @@ def _read_layer(reader: _Reader) -> LayerSpec:
     has_bias = values.pop("has_bias")
     layer = LayerSpec(kind=kind, kernel=kernel, **values)
     _check_layer(layer)
-    layer.weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8).copy()
+    weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8).copy()
+    bias = None
     if has_bias:
-        layer.bias = np.frombuffer(
-            reader.raw(4 * layer.out_ch), dtype="<i4"
-        ).astype(np.int32)
-    return layer
+        bias = np.frombuffer(reader.raw(4 * layer.out_ch), dtype="<i4").astype(np.int32)
+    return replace(layer, weight=weight, bias=bias)
 
 
 def load_model(data: bytes) -> ModelGraph:
-    """Parse and validate a model container.
+    """Parse a model container into a graph, which checks itself when built.
 
     Raises:
         FormatError: bad magic, truncation, unknown layer codes, trailing
@@ -222,6 +220,5 @@ def load_model(data: bytes) -> ModelGraph:
         input_scale=input_scale,
         input_zero_point=input_zp,
     )
-    validate_graph(model)
     check_int32_accumulators(model)
     return model

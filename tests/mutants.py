@@ -217,19 +217,42 @@ MUTANTS = (
     Mutant(
         "resource_report: shapes taken without validation",
         "src/birdedge/nnrt/resources.py",
-        "    shapes = validate_graph(model)\n    return ResourceReport(",
-        "    shapes = [model.input_shape] * (len(model.layers) + 1)\n"
-        "    return ResourceReport(",
-        ("tests/test_nnrt.py::TestResources::test_report_of_an_invalid_graph_raises",
-         "tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises",
-         "tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once"),
+        "sizes = [math.prod(s) for s in model.shapes]",
+        "sizes = [math.prod(model.input_shape)] * (len(model.layers) + 1)",
+        ("tests/test_nnrt.py::TestResources::test_ram_chain_liveness",
+         "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
     ),
     Mutant(
-        "resource_report: the graph validated again for the RAM",
+        "resource_report: the graph built and validated again for the RAM",
         "src/birdedge/nnrt/resources.py",
-        "ram_bytes=_peak_ram(model, shapes),",
-        "ram_bytes=_peak_ram(model, validate_graph(model)),",
-        ("tests/test_nnrt.py::TestResources::test_report_validates_the_graph_once",),
+        "ram_bytes=_peak_ram(model),",
+        "ram_bytes=_peak_ram(ModelGraph(model.layers, model.class_count,"
+        " model.input_shape, model.input_scale, model.input_zero_point)),",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_entries_do_not_validate_a_built_graph",),
+    ),
+    Mutant(
+        "ModelGraph: built without validate_graph",
+        "src/birdedge/nnrt/graph.py",
+        "        shapes = tuple(validate_graph(self))",
+        "        shapes = (tuple(self.input_shape),) * (len(self.layers) + 1)",
+        ("tests/test_nnrt.py::TestValidation::test_conv_channel_mismatch",
+         "tests/test_nnrt.py::TestResources::test_report_of_an_invalid_graph_raises",
+         "tests/test_nnrt.py::TestResources::test_rom_of_an_invalid_graph_raises"),
+    ),
+    Mutant(
+        "ModelGraph: layers=None a TypeError, not 'model has no layers'",
+        "src/birdedge/nnrt/graph.py",
+        "tuple(self.layers or ())",
+        "tuple(self.layers)",
+        ("tests/test_nnrt.py::TestValidation::test_empty_model",),
+    ),
+    Mutant(
+        "ModelGraph: layers kept as the caller's list",
+        "src/birdedge/nnrt/graph.py",
+        "        object.__setattr__(self, \"layers\", tuple(self.layers or ()))  # None: no layers\n",
+        "",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_a_built_graph_cannot_be_edited",
+         "tests/test_nnrt.py::TestBuiltOnce::test_layers_given_as_a_list_are_not_shared"),
     ),
     Mutant(
         "resource_report: RAM residual source freed a step early",
@@ -250,8 +273,8 @@ MUTANTS = (
     Mutant(
         "resource_report: each layer's FLOPs costed on its input shape",
         "src/birdedge/nnrt/resources.py",
-        "map(_flops_of, model.layers, shapes[1:])",
-        "map(_flops_of, model.layers, shapes[:-1])",
+        "map(_flops_of, model.layers, model.shapes[1:])",
+        "map(_flops_of, model.layers, model.shapes[:-1])",
         ("tests/test_nnrt.py::TestResources::test_flops_hand_count",
          "tests/test_nnrt.py::TestRandomGraphs::test_flops_match_a_brute_force_count"),
     ),
@@ -528,14 +551,11 @@ MUTANTS = (
          "test_default_input_scale_classifies_the_same_after_load",),
     ),
     Mutant(
-        "generate_fixture_model: biases drawn before the probes",
+        "generate_fixture_model: probes and biases drawn from a fresh generator",
         "src/birdedge/nnrt/fixture.py",
-        "    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))\n"
-        "    _calibrate(model, probes)  # draws nothing: the biases come next from rng\n"
-        "    _attach_biases(model, rng)\n",
-        "    _attach_biases(model, rng)\n"
-        "    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))\n"
-        "    _calibrate(model, probes)  # draws nothing: the biases come next from rng\n",
+        "    return _calibrated(ModelGraph(layers=layers, class_count=class_count), rng)\n",
+        "    return _calibrated(ModelGraph(layers=layers, class_count=class_count),\n"
+        "                       np.random.default_rng(seed))\n",
         ("tests/test_cli.py::TestInfer::test_model_digest",
          "tests/test_nnrt.py::TestPinnedOutputs::test_fixture_model_bytes"),
     ),
@@ -550,16 +570,16 @@ MUTANTS = (
     Mutant(
         "validate_graph: a weighted layer's geometry not checked for integers",
         "src/birdedge/nnrt/graph.py",
-        "                    _check_integer(value, what, i)\n",
-        "                    pass\n",
+        "                _check_integer(value, what, i)\n",
+        "                pass\n",
         ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[padding-validate_graph]",
          "tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[out_ch-infer]"),
     ),
     Mutant(
-        "validate_graph: padding left out of the integer fast path",
+        "validate_graph: padding left out of the integer check",
         "src/birdedge/nnrt/graph.py",
-        "is type(stride) is type(padding) is int",
-        "is type(stride) is int",
+        '("stride", stride), ("padding", padding)):',
+        '("stride", stride)):',
         ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[padding-validate_graph]",),
     ),
     Mutant(
@@ -615,10 +635,10 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestIntegerFields::test_input_shape_as_a_list_is_the_tuple",),
     ),
     Mutant(
-        "_check_input: the spectrogram compared with a list input shape",
-        "src/birdedge/nnrt/engine.py",
-        "    expected = validate_graph(model)[0][1:]  # the input shape, as a tuple\n",
-        "    validate_graph(model)\n    expected = model.input_shape[1:]\n",
+        "ModelGraph: input_shape not normalised, so _check_input compares a list",
+        "src/birdedge/nnrt/graph.py",
+        "        object.__setattr__(self, \"input_shape\", shapes[0])\n",
+        "",
         ("tests/test_nnrt.py::TestIntegerFields::test_input_shape_as_a_list_is_the_tuple",),
     ),
     Mutant(
@@ -734,6 +754,20 @@ MUTANTS = (
         '[h.strip().lower() for h in header] != ["month", "s_rad_w_m2"]',
         '[h.strip().lower() for h in header][:1] != ["month"]',
         ("tests/test_energy.py::TestParsers::test_irradiance_errors[header-month]",),
+    ),
+    Mutant(
+        "cmd_preprocess: an earlier run's chunks left in --out",
+        "src/birdedge/cli.py",
+        "                    path.unlink()\n",
+        "                    pass\n",
+        ("tests/test_cli.py::TestPreprocess::test_rerun_leaves_only_the_manifests_files",),
+    ),
+    Mutant(
+        "cmd_preprocess: stale-file pattern widened to *",
+        "src/birdedge/cli.py",
+        'r"\\d+\\.mels"',
+        'r".*\\.mels"',
+        ("tests/test_cli.py::TestPreprocess::test_stale_removal_spares_other_stems",),
     ),
     Mutant(
         "_rolled: vacated band not floored",

@@ -266,6 +266,38 @@ class TestPreprocess:
         assert not list(out.rglob("*.mels"))
         assert json.loads((out / "manifest.json").read_text())["outputs"] == []
 
+    def test_rerun_leaves_only_the_manifests_files(self, recordings_dir, tmp_path):
+        out = tmp_path / "o"
+        assert main(["preprocess", "--in", str(recordings_dir), "--out", str(out)]) == 0
+        assert len(list(out.rglob("*.mels"))) == len(PREPROCESS_GOLDEN)
+        stale_noise = out / "noise" / "hum_48k_noise007.mels"
+        stale_noise.write_bytes(mels_bytes(249))
+        argv = ["preprocess", "--in", str(recordings_dir), "--out", str(out), "--max-chunks", "1"]
+        assert main(argv) == 0
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(map(str, out.rglob("*.mels"))) == listed
+        assert len(listed) == 4 and not stale_noise.exists()
+        chunks = [name for name in listed if "_chunk" in name]
+        assert main(["augment", "--seed", "1", "--in", str(out), "--out", str(tmp_path / "a")]) == 0
+        assert len(list((tmp_path / "a").glob("*.mels"))) == len(chunks) == 2
+
+    def test_stale_removal_spares_other_stems(self, recordings_dir, tmp_path):
+        # x_chunk5.wav writes x_chunk5_chunk000.mels, which a "x_chunk*"
+        # pattern for stem x would take for one of x's stale chunks
+        recordings = tmp_path / "stems"
+        recordings.mkdir()
+        for stem, source in (("x", "calls_48k"), ("x_chunk5", "calls_48k"),
+                             ("h", "hum_48k"), ("h_noise5", "hum_48k")):
+            (recordings / f"{stem}.wav").write_bytes((recordings_dir / f"{source}.wav").read_bytes())
+        out = tmp_path / "o"
+        assert main(["preprocess", "--in", str(recordings), "--out", str(out)]) == 0
+        before = sorted(p.name for p in out.rglob("*.mels"))
+        assert len(before) == 10
+        for stem in ("x", "h"):
+            argv = ["preprocess", "--in", str(recordings / f"{stem}.wav"), "--out", str(out)]
+            assert main(argv) == 0
+        assert sorted(p.name for p in out.rglob("*.mels")) == before
+
     def test_two_inputs_with_one_stem_exit_1(self, recordings_dir, tmp_path, capsys):
         # both would write x_chunk000.mels, and the second would win
         recordings = tmp_path / "clash"

@@ -5,7 +5,6 @@ and the serialization format; the generated test model is checked against
 frozen structural and resource numbers.
 """
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -20,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import birdedge.nnrt.engine
 import birdedge.nnrt.fixture
+import birdedge.nnrt.graph
 import birdedge.nnrt.resources
 import birdedge.nnrt.serialize
 from birdedge.exceptions import (
@@ -45,7 +46,6 @@ from birdedge.nnrt import (
     load_model,
     resource_report,
     save_model,
-    validate_graph,
 )
 
 from birdedge.nnrt.engine import (
@@ -57,7 +57,7 @@ from birdedge.nnrt.engine import (
     _residual_table,
     _walk,
 )
-from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE
+from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE, validate_graph
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
@@ -184,6 +184,23 @@ def spec_for(model, seed=0):
     return MelSpectrogram(values)
 
 
+def with_layer(model, index, layer):
+    """model rebuilt with layer in place of its layer index."""
+    layers = list(model.layers)
+    layers[index] = layer
+    return dataclasses.replace(model, layers=layers)
+
+
+def edited(build, index, **fields):
+    """build()'s model rebuilt with the given field values on its layer
+    index (None: on the graph). Building checks the edit, so an invalid
+    one raises GraphError here."""
+    model = build()
+    if index is None:
+        return dataclasses.replace(model, **fields)
+    return with_layer(model, index, dataclasses.replace(model.layers[index], **fields))
+
+
 def check_total(blob, max_elements=None):
     """An edited file either fails with a BirdEdgeError, on load or in
     infer, or classifies into finite probabilities, without a warning. A
@@ -192,7 +209,7 @@ def check_total(blob, max_elements=None):
         warnings.simplefilter("error")
         try:
             model = load_model(blob)
-            if max_elements and max(map(math.prod, validate_graph(model))) > max_elements:
+            if max_elements and max(map(math.prod, model.shapes)) > max_elements:
                 return
             probabilities = infer(model, spec_for(model))
         except BirdEdgeError:
@@ -225,8 +242,7 @@ class TestSerialization:
 
     def test_bias_survives(self):
         bias = np.array([3, -7], dtype=np.int32)
-        model = chain_model()
-        model.layers[0] = conv(1, 2, seed=3, bias=bias)
+        model = with_layer(chain_model(), 0, conv(1, 2, seed=3, bias=bias))
         loaded = load_model(save_model(model))
         assert np.array_equal(loaded.layers[0].bias, bias)
 
@@ -340,9 +356,9 @@ class TestSerialization:
             load_model(bytes(blob))
 
     def test_int32_accumulator_bound_is_not_checked_per_infer(self):
-        model = strided_model()
-        model.layers[-1].bias[-1] = 2**31 - 1
-        validate_graph(model)
+        bias = strided_model().layers[-1].bias.copy()
+        bias[-1] = 2**31 - 1
+        model = edited(strided_model, -1, bias=bias)
         assert math.isclose(infer(model, spec_for(model)).sum(), 1.0)
 
     @pytest.mark.parametrize("input_zp, inner_zp", [(127, 0), (0, -128)])
@@ -350,22 +366,23 @@ class TestSerialization:
         # the linear head reads the pool's output, so its worst case is
         # sum |w| * (128 + |inner_zp|) + |bias|, whatever the graph input's
         # zero point; the bias brings it to the int32 maximum, then one past
-        head = linear(2, 2, seed=4)
-        fan = int(np.abs(head.weight[1].astype(np.int64)).sum())
+        fan = int(np.abs(linear(2, 2, seed=4).weight[1].astype(np.int64)).sum())
         bias = 2**31 - 1 - fan * (128 + abs(inner_zp))
-        model = ModelGraph(
-            layers=[conv(1, 2, seed=3), pool(out_zero_point=inner_zp), head],
-            class_count=2,
-            input_shape=(1, 4, 4),
-            input_scale=0.5,
-            input_zero_point=input_zp,
-        )
-        head.bias = np.array([0, bias], dtype=np.int32)
-        blob = save_model(model)
+
+        def model(last_bias):
+            head = linear(2, 2, seed=4, bias=np.array([0, last_bias], dtype=np.int32))
+            return ModelGraph(
+                layers=[conv(1, 2, seed=3), pool(out_zero_point=inner_zp), head],
+                class_count=2,
+                input_shape=(1, 4, 4),
+                input_scale=0.5,
+                input_zero_point=input_zp,
+            )
+
+        blob = save_model(model(bias))
         assert save_model(load_model(blob)) == blob
-        head.bias[1] += 1
         with pytest.raises(GraphError, match="layer 2: linear worst-case"):
-            save_model(model)
+            save_model(model(bias + 1))
         # the same bias patched into the file: the head's bias ends it
         patched = blob[:-4] + struct.pack("<i", bias + 1)
         with pytest.raises(GraphError, match="layer 2: linear worst-case"):
@@ -473,78 +490,61 @@ class TestValidation:
         validate_graph(chain_model())
         validate_graph(residual_model())
 
-    def err(self, model):
+    def err(self, build):
+        """build() raises GraphError: the graph it builds is invalid."""
         with pytest.raises(GraphError):
-            validate_graph(model)
+            build()
 
     def test_empty_model(self):
-        self.err(ModelGraph(layers=[], class_count=2))
+        self.err(lambda: ModelGraph(layers=[], class_count=2))
+        self.err(lambda: ModelGraph(layers=None, class_count=2))
 
     def test_multichannel_input(self):
-        m = chain_model()
-        m.input_shape = (2, 4, 4)
-        self.err(m)
+        self.err(lambda: edited(chain_model, None, input_shape=(2, 4, 4)))
 
     def test_last_layer_not_linear(self):
         m = chain_model()
-        m.layers = m.layers[:-1]
-        self.err(m)
+        self.err(lambda: dataclasses.replace(m, layers=m.layers[:-1]))
 
     def test_class_count_mismatch(self):
-        m = chain_model(classes=2)
-        m.class_count = 5
-        self.err(m)
+        self.err(lambda: edited(chain_model, None, class_count=5))
 
     def test_conv_channel_mismatch(self):
-        m = chain_model()
-        m.layers[0] = conv(3, 2, seed=3)
-        self.err(m)
+        self.err(lambda: with_layer(chain_model(), 0, conv(3, 2, seed=3)))
 
     def test_depthwise_must_preserve_channels(self):
-        m = residual_model()
         bad = conv(2, 4, seed=9, kind="depthwise_conv2d")
-        m.layers[2] = bad
-        self.err(m)
+        self.err(lambda: with_layer(residual_model(), 2, bad))
 
     def test_pointwise_needs_1x1(self):
-        m = residual_model()
-        m.layers[2] = conv(2, 4, kernel=(3, 3), seed=6, kind="pointwise_conv2d")
-        self.err(m)
+        bad = conv(2, 4, kernel=(3, 3), seed=6, kind="pointwise_conv2d")
+        self.err(lambda: with_layer(residual_model(), 2, bad))
 
     def test_linear_needs_pooled_input(self):
         m = chain_model()
-        m.layers = [m.layers[0], m.layers[1], m.layers[3]]
-        self.err(m)
+        self.err(lambda: dataclasses.replace(m, layers=[m.layers[0], m.layers[1], m.layers[3]]))
 
     def test_kernel_too_large(self):
-        m = chain_model()
-        m.layers[0] = conv(1, 2, kernel=(9, 9), padding=0, seed=3)
-        self.err(m)
+        bad = conv(1, 2, kernel=(9, 9), padding=0, seed=3)
+        self.err(lambda: with_layer(chain_model(), 0, bad))
 
     def test_residual_forward_reference(self):
-        m = residual_model()
-        m.layers[5] = residual(skip_from=7)
-        self.err(m)
+        self.err(lambda: with_layer(residual_model(), 5, residual(skip_from=7)))
 
     def test_residual_shape_mismatch(self):
-        m = residual_model()
-        m.layers[5] = residual(skip_from=2)  # (4,4,4) against (2,4,4)
-        self.err(m)
+        # (4,4,4) against (2,4,4)
+        self.err(lambda: with_layer(residual_model(), 5, residual(skip_from=2)))
 
     def test_missing_weights(self):
-        m = chain_model()
-        m.layers[0].weight = None
-        self.err(m)
+        self.err(lambda: edited(chain_model, 0, weight=None))
 
     def test_wrong_weight_dtype(self):
-        m = chain_model()
-        m.layers[0].weight = m.layers[0].weight.astype(np.int16)
-        self.err(m)
+        weight = chain_model().layers[0].weight.astype(np.int16)
+        self.err(lambda: edited(chain_model, 0, weight=weight))
 
     def test_wrong_weight_size(self):
-        m = chain_model()
-        m.layers[0].weight = m.layers[0].weight.reshape(-1)[:-1]
-        self.err(m)
+        weight = chain_model().layers[0].weight.reshape(-1)[:-1]
+        self.err(lambda: edited(chain_model, 0, weight=weight))
 
     def test_nonzero_weight_zero_point(self):
         # weights are symmetric, so the weight zero point slot of the first
@@ -557,9 +557,7 @@ class TestValidation:
             load_model(bytes(blob))
 
     def test_negative_out_scale(self):
-        m = chain_model()
-        m.layers[1].out_scale = -1.0
-        self.err(m)
+        self.err(lambda: edited(chain_model, 1, out_scale=-1.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field,layer,where", [
@@ -568,10 +566,8 @@ class TestValidation:
         ("weight_scale", 0, "layer 0: weight scale"),
     ])
     def test_nonfinite_scale(self, field, layer, where, value):
-        m = chain_model()
-        setattr(m if layer is None else m.layers[layer], field, value)
         with pytest.raises(GraphError, match=where):
-            validate_graph(m)
+            edited(chain_model, layer, **{field: value})
 
     @pytest.mark.parametrize("value", [2.0**-33, 1e-40, 2.0**33, 3e38])
     @pytest.mark.parametrize("field,layer,where", [
@@ -582,10 +578,8 @@ class TestValidation:
         ("out_scale", 5, "layer 5: output scale"),  # residual_add
     ])
     def test_scale_outside_range(self, field, layer, where, value):
-        m = residual_model()
-        setattr(m if layer is None else m.layers[layer], field, value)
         with pytest.raises(GraphError, match=re.escape(f"{where} must be in [2**-32")):
-            validate_graph(m)
+            edited(residual_model, layer, **{field: value})
 
     def test_scale_range_ends_infer_finite(self):
         # scales at either end of [2**-32, 2**32], in any mix, pass
@@ -594,11 +588,13 @@ class TestValidation:
         for build in [chain_model, residual_model, strided_model] * 20:
             m = build()
             ends = iter(rng.choice([2.0**-32, 2.0**32], size=2 * len(m.layers) + 1))
-            m.input_scale = float(next(ends))
+            input_scale, layers = float(next(ends)), []
             for layer in m.layers:
-                layer.out_scale = float(next(ends))
+                scales = {"out_scale": float(next(ends))}
                 if layer.weight is not None:
-                    layer.weight_scale = float(next(ends))
+                    scales["weight_scale"] = float(next(ends))
+                layers.append(dataclasses.replace(layer, **scales))
+            m = dataclasses.replace(m, layers=layers, input_scale=input_scale)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 probabilities = infer(m, spec_for(m))
@@ -613,20 +609,15 @@ class TestValidation:
         (2, "layer 2: output zero point"),
     ])
     def test_zero_point_outside_int8(self, layer, where, zero_point):
-        m = chain_model()
-        if layer is None:
-            m.input_zero_point = zero_point
-        else:
-            m.layers[layer].out_zero_point = zero_point
+        field = "input_zero_point" if layer is None else "out_zero_point"
         with pytest.raises(GraphError, match=where):
-            validate_graph(m)
+            edited(chain_model, layer, **{field: zero_point})
 
     @pytest.mark.parametrize("zero_point", [-1079, 531])
     def test_terminal_linear_zero_point_unchecked(self, zero_point):
         # the last layer's output affine is never applied: it yields logits
-        m = chain_model()
-        m.layers[-1].out_zero_point = zero_point
-        validate_graph(m)
+        model = edited(chain_model, -1, out_zero_point=zero_point)
+        assert model.layers[-1].out_zero_point == zero_point
 
     @pytest.mark.parametrize("layer,hw,what", [
         (conv(1, 2, padding=2049), (4, 4), "padded input"),
@@ -634,17 +625,15 @@ class TestValidation:
         (conv(1, 64, kernel=(1, 1), padding=0), (600, 600), "output"),
     ], ids=["padded-input", "patches", "output"])
     def test_buffer_cap(self, layer, hw, what):
-        model = ModelGraph(
-            layers=[layer, pool(), linear(layer.out_ch, 2)],
-            class_count=2, input_shape=(1, *hw),
-        )
         with pytest.raises(GraphError, match=f"layer 0: conv2d {what}"):
-            validate_graph(model)
+            ModelGraph(
+                layers=[layer, pool(), linear(layer.out_ch, 2)],
+                class_count=2, input_shape=(1, *hw),
+            )
 
     def test_input_buffer_cap(self):
-        model = chain_model(hw=(4097, 4097))
         with pytest.raises(GraphError, match="exceeds the buffer cap"):
-            validate_graph(model)
+            chain_model(hw=(4097, 4097))
 
     def test_buffer_cap_is_inclusive(self):
         # input, padded input, patches and output all hold exactly 2**24
@@ -655,49 +644,38 @@ class TestValidation:
         validate_graph(model)
 
     def test_bias_wrong_length(self):
-        m = chain_model()
-        m.layers[0].bias = np.zeros(5, dtype=np.int32)
-        self.err(m)
+        self.err(lambda: edited(chain_model, 0, bias=np.zeros(5, dtype=np.int32)))
 
     @pytest.mark.parametrize("kernel,stride,padding", [
         ((3, 2), 1, 0), ((1, 3), 1, 0), ((1, 1), 2, 0), ((1, 1), 1, 1),
         ((3, 2), 2, 4),
     ])
     def test_linear_geometry_rejected(self, kernel, stride, padding):
-        m = chain_model()
-        m.layers[3].kernel, m.layers[3].stride, m.layers[3].padding = (
-            kernel, stride, padding
-        )
         with pytest.raises(GraphError, match="layer 3: linear needs kernel 1x1"):
-            validate_graph(m)
+            edited(chain_model, 3, kernel=kernel, stride=stride, padding=padding)
 
     @pytest.mark.parametrize("shape", [(1, 4), (1, 0, 4), (1, 4, -1)])
     def test_bad_input_shape(self, shape):
-        m = chain_model()
-        m.input_shape = shape
         with pytest.raises(GraphError, match="bad input shape"):
-            validate_graph(m)
+            edited(chain_model, None, input_shape=shape)
 
     def test_class_count_below_1(self):
-        m = chain_model()
-        m.class_count = 0
         with pytest.raises(GraphError, match="class count must be >= 1, got 0"):
-            validate_graph(m)
+            edited(chain_model, None, class_count=0)
 
     def test_unknown_kind(self):
         m = chain_model()
-        m.layers.insert(1, LayerSpec(kind="max_pool"))
         with pytest.raises(GraphError, match="layer 1: unknown kind 'max_pool'"):
-            validate_graph(m)
+            dataclasses.replace(m, layers=[m.layers[0], LayerSpec(kind="max_pool"),
+                                           *m.layers[1:]])
 
     @pytest.mark.parametrize("kernel,stride,padding", [
         ((0, 3), 1, 1), ((3, 0), 1, 1), ((3, 3), 0, 1), ((3, 3), 1, -1),
     ], ids=["k_h", "k_w", "stride", "padding"])
     def test_bad_kernel_geometry(self, kernel, stride, padding):
-        m = chain_model()
-        m.layers[0] = conv(1, 2, kernel, stride, padding, seed=3)
+        bad = conv(1, 2, kernel, stride, padding, seed=3)
         with pytest.raises(GraphError, match="layer 0: bad kernel geometry"):
-            validate_graph(m)
+            with_layer(chain_model(), 0, bad)
 
     @pytest.mark.parametrize("layer,count", [
         (conv(2, 3), 54), (conv(2, 2, kind="depthwise_conv2d"), 18),
@@ -708,16 +686,12 @@ class TestValidation:
         assert layer.weight_count() == count
 
     def test_residual_without_skip_source(self):
-        m = residual_model()
-        m.layers[5] = residual(skip_from=None)
         with pytest.raises(GraphError, match="layer 5: residual_add without a skip"):
-            validate_graph(m)
+            with_layer(residual_model(), 5, residual(skip_from=None))
 
     def test_linear_channel_mismatch(self):
-        m = chain_model()
-        m.layers[3] = linear(3, 2)
         with pytest.raises(GraphError, match="layer 3: linear expects 3 channels, input"):
-            validate_graph(m)
+            with_layer(chain_model(), 3, linear(3, 2))
 
 
 def zero_channel_model(kind):
@@ -734,9 +708,10 @@ def zero_channel_model(kind):
 
 
 class TestZeroChannels:
-    """A weighted layer with no output channels is a GraphError on every
-    entry; infer and float_reference_infer used to divide by zero or fail
-    a reshape."""
+    """A weighted layer with no output channels is a GraphError when the
+    graph is built, so no entry receives one; infer and
+    float_reference_infer used to divide by zero or fail a reshape. Every
+    entry keeps its case, each raising before the entry is called."""
 
     @pytest.mark.parametrize("entry", [
         validate_graph, resource_report, save_model,
@@ -759,16 +734,6 @@ def depthwise_fixture():
     """Fixture (3, 0), whose layer 2 is a depthwise conv; built once."""
     model = generate_fixture_model(3, 0)
     assert model.layers[2].kind == "depthwise_conv2d"
-    return model
-
-
-def edited(build, index, **fields):
-    """A copy of build()'s model whose layer index (None: the graph)
-    carries the given field values."""
-    model = copy.deepcopy(build())
-    target = model if index is None else model.layers[index]
-    for name, value in fields.items():
-        setattr(target, name, value)
     return model
 
 
@@ -812,10 +777,12 @@ NON_INTEGER_CASES = {
 
 class TestIntegerFields:
     """A count, size or zero point that is not an int or a numpy integer is
-    a GraphError naming the field on every entry. A float used to pass
-    validate_graph and then fail in numpy or struct with a TypeError, or
-    run silently truncated. So is a kernel that is not a pair of sides and
-    an input shape that is not a sequence."""
+    a GraphError naming the field when the graph is built, so no entry
+    receives one. A float used to pass validate_graph and then fail in
+    numpy or struct with a TypeError, or run silently truncated. So is a
+    kernel that is not a pair of sides and an input shape that is not a
+    sequence. Every entry keeps its case, each raising before the entry is
+    called."""
 
     ENTRIES = {
         "validate_graph": validate_graph,
@@ -830,17 +797,18 @@ class TestIntegerFields:
     def test_every_entry_raises(self, case, entry):
         build, index, fields, message = NON_INTEGER_CASES[case]
         spec = spec_for(build())  # drawn on the unedited, integer shape
-        model = edited(build, index, **fields)
         run = self.ENTRIES[entry]
         with pytest.raises(GraphError, match=message):
+            model = edited(build, index, **fields)
             run(model, spec) if entry.endswith("infer") else run(model)
 
     def test_numpy_integers_are_integers(self):
         model = edited(chain_model, 0, in_ch=np.int64(1), out_ch=np.int32(2),
                        kernel=(np.uint8(3), np.int16(3)), stride=np.int64(1),
                        padding=np.uint32(1), out_zero_point=np.int8(0))
-        model.class_count, model.input_zero_point = np.int64(2), np.int32(0)
-        model.input_shape = tuple(np.array(model.input_shape))
+        model = dataclasses.replace(model, class_count=np.int64(2),
+                                    input_zero_point=np.int32(0),
+                                    input_shape=tuple(np.array(model.input_shape)))
         spec = spec_for(chain_model())
         assert validate_graph(model) == validate_graph(chain_model())
         assert np.array_equal(infer(model, spec), infer(chain_model(), spec))
@@ -848,9 +816,10 @@ class TestIntegerFields:
     @pytest.mark.parametrize("build", [chain_model, residual_model, every_record_model],
                              ids=["chain", "residual", "every_record"])
     def test_input_shape_as_a_list_is_the_tuple(self, build):
-        model, listed = build(), build()
-        listed.input_shape = list(listed.input_shape)
+        model = build()
+        listed = dataclasses.replace(model, input_shape=list(model.input_shape))
         spec = spec_for(model)
+        assert type(listed.input_shape) is tuple and listed.input_shape == model.input_shape
         assert validate_graph(listed) == validate_graph(model)
         assert resource_report(listed) == resource_report(model)
         assert save_model(listed) == save_model(model)
@@ -899,8 +868,8 @@ class TestInference:
         assert np.allclose(probs, e / e.sum(), rtol=1e-12)
 
     def test_zero_weights_give_uniform(self):
-        model = chain_model(classes=5)
-        model.layers[-1] = linear(2, 5, weight=np.zeros((5, 2), dtype=np.int8))
+        model = with_layer(chain_model(classes=5), -1,
+                           linear(2, 5, weight=np.zeros((5, 2), dtype=np.int8)))
         spec = spec_for(model, seed=1)
         for fn in (infer, float_reference_infer):
             probs = fn(model, spec)
@@ -1061,8 +1030,8 @@ class TestResources:
         assert resource_report(model).ram_bytes == 48
 
     def test_ram_ignores_weight_values(self):
-        a, b = chain_model(), chain_model()
-        b.layers[0].weight = np.zeros_like(b.layers[0].weight)
+        a = chain_model()
+        b = edited(chain_model, 0, weight=np.zeros_like(a.layers[0].weight))
         assert resource_report(a).ram_bytes == resource_report(b).ram_bytes
 
     def test_rom_is_serialized_size(self):
@@ -1081,15 +1050,12 @@ class TestResources:
     def test_rom_of_an_invalid_graph_raises(self):
         # the container size reads out_ch, not the bias, so only the
         # validation sees the short bias
-        model = chain_model()
-        model.layers[0].bias = np.zeros(1, dtype=np.int32)
         with pytest.raises(GraphError, match="layer 0: bias must be int32 of length 2"):
-            resource_report(model)
+            resource_report(edited(chain_model, 0, bias=np.zeros(1, dtype=np.int32)))
 
     def test_zero_bias_costs_rom_only(self):
         plain = chain_model()
-        biased = chain_model()
-        biased.layers[0] = conv(1, 2, seed=3, bias=np.zeros(2, dtype=np.int32))
+        biased = with_layer(plain, 0, conv(1, 2, seed=3, bias=np.zeros(2, dtype=np.int32)))
         cost = resource_report(plain)
         assert resource_report(biased) == dataclasses.replace(
             cost, rom_bytes=cost.rom_bytes + 2 * 4
@@ -1104,23 +1070,53 @@ class TestResources:
         assert small.flops < large.flops
         assert small.ram_bytes < large.ram_bytes
 
-    def test_report_validates_the_graph_once(self, fixture_model, monkeypatch):
+    def test_report_of_an_invalid_graph_raises(self):
+        weight = chain_model().layers[0].weight[:-1]
+        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
+            resource_report(edited(chain_model, 0, weight=weight))
+
+
+class TestBuiltOnce:
+    """A graph is checked when it is built and never again: it cannot be
+    edited in place, so nothing that takes a built graph re-checks it."""
+
+    def test_entries_do_not_validate_a_built_graph(self, fixture_model, monkeypatch):
         calls = []
 
         def counting(model):
             calls.append(model)
             return validate_graph(model)
 
-        for module in (birdedge.nnrt.resources, birdedge.nnrt.serialize):
-            monkeypatch.setattr(module, "validate_graph", counting)
+        # every nnrt module, so a validate_graph imported anew is counted too
+        for module in (birdedge.nnrt.graph, birdedge.nnrt.engine, birdedge.nnrt.fixture,
+                       birdedge.nnrt.resources, birdedge.nnrt.serialize):
+            monkeypatch.setattr(module, "validate_graph", counting, raising=False)
+        spec = random_spec(0)
+        infer(fixture_model, spec)
+        float_reference_infer(fixture_model, spec)
         assert resource_report(fixture_model) == ResourceReport(5315248, 96000, 22803)
+        blob = save_model(fixture_model)
+        assert calls == []
+        load_model(blob)  # builds a graph: one validation
         assert len(calls) == 1
+        dataclasses.replace(fixture_model)
+        assert len(calls) == 2
 
-    def test_report_of_an_invalid_graph_raises(self):
-        model = chain_model()
-        model.layers[0].weight = model.layers[0].weight[:-1]
-        with pytest.raises(GraphError, match="layer 0: expected 18 weights"):
-            resource_report(model)
+    def test_a_built_graph_cannot_be_edited(self, fixture_model):
+        with pytest.raises(AttributeError):
+            fixture_model.layers.append(relu6())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fixture_model.class_count = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fixture_model.layers[1].out_scale = 0.05
+        assert len(fixture_model.layers) == 97
+
+    def test_layers_given_as_a_list_are_not_shared(self):
+        layers = list(chain_model().layers)
+        model = ModelGraph(layers, input_shape=(1, 4, 4), input_scale=0.5,
+                           input_zero_point=0)
+        layers.pop()
+        assert len(model.layers) == 4 and model.layers[-1].kind == "linear"
 
 
 # int8 zero points and weights, the two ends of the range drawn as often
@@ -1183,7 +1179,7 @@ def small_graphs(draw, drawn_weights=True):
         else:
             layer = pool(**affine)
         layers.append(layer)
-        shapes = reference_costs(ModelGraph(layers, input_shape=shapes[0]))[1]
+        shapes = reference_costs(layers, shapes[0])[1]
     c, h, w = shapes[-1]
     if (h, w) != (1, 1):
         layers.append(pool())
@@ -1192,16 +1188,17 @@ def small_graphs(draw, drawn_weights=True):
     return ModelGraph(layers, class_count=classes, input_shape=shapes[0], **input_affine)
 
 
-def reference_costs(model):
-    """(FLOPs, buffer shapes) of a graph, found by sliding each window.
+def reference_costs(layers, input_shape):
+    """(FLOPs, buffer shapes) of a layer list on a (1, H, W) input, found by
+    sliding each window; the list need not end in a linear head.
 
     Every output position of a weighted layer costs 2 FLOPs per input tap
     of each output channel; relu6 and residual_add cost one op per element,
     and the pool one per channel.
     """
-    shapes = [model.input_shape]
+    shapes = [input_shape]
     flops = 0
-    for layer in model.layers:
+    for layer in layers:
         c, h, w = shapes[-1]
         if layer.kind in ("relu6", "residual_add"):
             flops += c * h * w
@@ -1246,12 +1243,13 @@ class TestRandomGraphs:
     @settings(max_examples=200, deadline=None)
     @given(model=small_graphs(drawn_weights=False))
     def test_validate_graph_returns_every_buffer_shape(self, model):
-        assert validate_graph(model) == reference_costs(model)[1]
+        shapes = reference_costs(model.layers, model.input_shape)[1]
+        assert validate_graph(model) == list(model.shapes) == shapes
 
     @settings(max_examples=200, deadline=None)
     @given(model=small_graphs(drawn_weights=False))
     def test_flops_match_a_brute_force_count(self, model):
-        assert resource_report(model).flops == reference_costs(model)[0]
+        assert resource_report(model).flops == reference_costs(model.layers, model.input_shape)[0]
 
     @settings(deadline=None)
     @given(model=small_graphs())
@@ -1262,7 +1260,7 @@ class TestRandomGraphs:
     @settings(max_examples=200, deadline=None)
     @given(model=small_graphs(drawn_weights=False))
     def test_ram_matches_the_quadratic_scan(self, model):
-        ram = quadratic_ram(model, reference_costs(model)[1])
+        ram = quadratic_ram(model, reference_costs(model.layers, model.input_shape)[1])
         assert resource_report(model).ram_bytes == ram
 
     @settings(max_examples=50, deadline=None)
@@ -1627,12 +1625,11 @@ class TestElementwiseTables:
         with pytest.raises(ValueError):
             _residual_table(0.5, 0, 0.25, 3, 0.1, -128)[0] = 1
 
-    def test_in_place_edit_of_a_model_takes_effect(self):
+    def test_a_replaced_affine_takes_effect(self):
         # tables are keyed by scalar values, never by model identity
         def edit(model):
-            model.layers[1].out_scale = 0.05
-            model.layers[5].out_zero_point = 7
-            return model
+            model = with_layer(model, 1, dataclasses.replace(model.layers[1], out_scale=0.05))
+            return with_layer(model, 5, dataclasses.replace(model.layers[5], out_zero_point=7))
 
         model = residual_model()
         spec = spec_for(model, seed=6)
@@ -1640,6 +1637,7 @@ class TestElementwiseTables:
         after = infer(edit(model), spec)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == infer(edit(residual_model()), spec).tobytes()
+        assert infer(model, spec).tobytes() == before.tobytes()
 
 
 def naive_correlate(x, weight, kind, kernel, stride, padding):
@@ -1896,7 +1894,6 @@ class TestInt8Oracle:
         chain_model, residual_model, every_record_model, strided_model, input_skip_model,
     ])
     def test_hand_built_graphs_match_the_reference(self, build, input_zero_point):
-        model = build()
-        model.input_zero_point = input_zero_point
+        model = edited(build, None, input_zero_point=input_zero_point)
         for seed in range(3):
             self.check(model, code_spanning_spec(model, seed))
