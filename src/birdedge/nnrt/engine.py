@@ -110,12 +110,12 @@ def _walk(model: ModelGraph, x: np.ndarray, layer_out, logits_out):
     """
     # buffers[k - INPUT_BUFFER] holds the output of layer k; the graph
     # input comes first, as layer INPUT_BUFFER (-1).
-    buffers = [(x, float(model.input_scale), int(model.input_zero_point))]
+    buffers = [(x, model.input_scale, model.input_zero_point)]
     for layer in model.layers[:-1]:
         residual = layer.kind == "residual_add"
         skip = buffers[layer.skip_from - INPUT_BUFFER] if residual else None
         x = layer_out(layer, *buffers[-1], skip)
-        buffers.append((x, float(layer.out_scale), int(layer.out_zero_point)))
+        buffers.append((x, layer.out_scale, layer.out_zero_point))
     return logits_out(model.layers[-1], *buffers[-1]), buffers[1:]
 
 
@@ -169,7 +169,7 @@ def _int8_acc(layer: LayerSpec, x: np.ndarray, zero_point: int) -> np.ndarray:
 
 
 def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
-    out_scale, out_zp = float(layer.out_scale), int(layer.out_zero_point)
+    out_scale, out_zp = layer.out_scale, layer.out_zero_point
     if layer.kind in WEIGHTED_KINDS:
         multiplier = scale * layer.weight_scale / out_scale
         return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)

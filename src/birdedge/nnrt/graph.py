@@ -1,8 +1,11 @@
-"""Model graph data types, shape inference, and structural validation."""
+"""Model graph data types, shape inference, and structural validation:
+a built graph is an immutable value with private read-only arrays, checked
+whole once by validate_graph, that compares and hashes by identity."""
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +37,16 @@ MAX_SCALE = 2.0**32
 # float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
 MAX_BUFFER_ELEMENTS = 1 << 24
 
-# What a count, size or zero point field may hold; a float 1.0 is not one.
-_INTEGER = (int, np.integer)
+
+def _plain(value):
+    """A numpy integer or float as the Python int or float it equals;
+    anything else, np.bool_ included, as it is."""
+    if isinstance(value, np.integer):
+        return int(value)
+    return float(value) if isinstance(value, np.floating) else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerSpec:
     """One layer of a model graph.
 
@@ -46,7 +54,7 @@ class LayerSpec:
     scale (its zero point is 0, so no field holds it) and an
     optional per-output-channel int32 bias expressed in units of
     input_scale * weight_scale. Every kind carries the affine quantization
-    of its output activation.
+    of its output activation. Its arrays are read-only copies of those given.
     """
 
     kind: str
@@ -62,6 +70,18 @@ class LayerSpec:
     out_zero_point: int = 0
     skip_from: int | None = None            # residual_add only
 
+    def __post_init__(self):
+        for name, value in tuple(vars(self).items()):
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, _plain(value))
+        with suppress(TypeError):  # not a sequence: validate_graph names it
+            object.__setattr__(self, "kernel", tuple(map(_plain, self.kernel)))
+        for name in ("weight", "bias"):
+            if (array := getattr(self, name)) is not None:
+                array = np.array(array)  # a copy: a view is writeable through its base
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
+
     def weight_count(self) -> int:
         """Number of int8 weights: out_ch rows of one fan-in each, 0 for
         kinds without weights. The .enm record, the FLOP count and the
@@ -75,7 +95,7 @@ class LayerSpec:
         return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelGraph:
     """An ordered layer tuple plus input quantization and class count, checked
     once, when built; edit one by building another with dataclasses.replace.
@@ -90,10 +110,12 @@ class ModelGraph:
     input_shape: tuple[int, int, int] = (1, 64, 249)  # a list is stored as the tuple
     input_scale: float = float(np.float32(80.0 / 255.0))
     input_zero_point: int = 127
-    shapes: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+    shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers or ()))  # None: no layers
+        for name in ("class_count", "input_scale", "input_zero_point"):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         shapes = tuple(validate_graph(self))  # every buffer's (C, H, W)
         object.__setattr__(self, "input_shape", shapes[0])
         object.__setattr__(self, "shapes", shapes)
@@ -108,8 +130,8 @@ def _check_scale(value: float, what: str, i: int | None = None) -> None:
 
 
 def _check_integer(value: int, what: str, i: int | None = None) -> None:
-    """GraphError unless value is an int or a numpy integer."""
-    if not isinstance(value, _INTEGER):
+    """GraphError unless value is an int; a float 1.0 is not one."""
+    if not isinstance(value, int):
         where = "" if i is None else f"layer {i}: "
         raise GraphError(f"{where}{what} must be an integer, got {value!r}")
 
@@ -117,7 +139,7 @@ def _check_integer(value: int, what: str, i: int | None = None) -> None:
 def _check_zero_point(value: int, what: str, i: int | None = None) -> None:
     """GraphError unless value is an integer in [-128, 127], formatted only
     on failure."""
-    if not (-128 <= value <= 127 and isinstance(value, _INTEGER)):
+    if not (-128 <= value <= 127 and isinstance(value, int)):
         _check_integer(value, f"{what} zero point", i)
         where = "" if i is None else f"layer {i}: "
         raise GraphError(f"{where}{what} zero point must be in [-128, 127], got {value}")
@@ -128,12 +150,13 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
 
     Returns the (C, H, W) shape of every buffer in the order inference
     fills them: shapes[k - INPUT_BUFFER] is the output of layer k, so
-    shapes[0] is the graph input.
+    shapes[0] is the graph input. A weighted layer's last check is that each
+    output o's worst case sum |w_o| * (128 + |zp_in|) + |bias_o| fits int32.
     """
     if not model.layers:
         raise GraphError("model has no layers")
     try:
-        input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple
+        input_shape = tuple(map(_plain, model.input_shape))  # a list != a tuple
     except TypeError:
         raise GraphError(
             f"input shape must be a sequence of 3 integers, got {model.input_shape!r}"
@@ -156,6 +179,7 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
         raise GraphError(f"class count must be >= 1, got {model.class_count}")
 
     shapes, terminal = [input_shape], len(model.layers) - 1
+    zero_point = model.input_zero_point  # of the layer's input
     for i, layer in enumerate(model.layers):
         kind = layer.kind
         if kind not in LAYER_KINDS:
@@ -257,8 +281,16 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                         f"layer {i}: {kind} {what} of {size} elements exceeds the "
                         f"buffer cap of {MAX_BUFFER_ELEMENTS}"
                     )
+            bias = 0 if layer.bias is None else np.abs(layer.bias.astype(np.int64))
+            weight = np.abs(layer.weight.reshape(layer.out_ch, -1).astype(np.int64))
+            worst = (weight.sum(axis=1) * (128 + abs(zero_point)) + bias).max()
+            if worst > np.iinfo(np.int32).max:
+                raise GraphError(
+                    f"layer {i}: {kind} worst-case accumulator {worst} overflows int32"
+                )
             shape = (layer.out_ch, ho, wo)
         shapes.append(shape)
+        zero_point = layer.out_zero_point
 
     last = model.layers[-1]
     if last.kind != "linear":
@@ -269,26 +301,3 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
         )
     return shapes
 
-
-def check_int32_accumulators(model: ModelGraph) -> None:
-    """Reject a weighted layer whose accumulator could overflow int32.
-
-    The worst case of output channel o is sum |w_o| * (128 + |zp_in|) +
-    |bias_o|, zp_in being the zero point of the layer's input. This is
-    the bound a microcontroller's int32 accumulator must hold. It reads
-    every weight, which building a graph never does, so it runs when a
-    model is loaded or saved.
-    """
-    zero_point = model.input_zero_point
-    for i, layer in enumerate(model.layers):
-        if layer.kind in WEIGHTED_KINDS:
-            weight = layer.weight.reshape(layer.out_ch, -1).astype(np.int64)
-            worst = np.abs(weight).sum(axis=1) * (128 + abs(zero_point))
-            if layer.bias is not None:
-                worst += np.abs(layer.bias.astype(np.int64))
-            if worst.max() > np.iinfo(np.int32).max:
-                raise GraphError(
-                    f"layer {i}: {layer.kind} worst-case accumulator "
-                    f"{worst.max()} overflows int32"
-                )
-        zero_point = layer.out_zero_point

@@ -38,13 +38,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..exceptions import FormatError, UnsupportedError
-from .graph import (
-    LAYER_KINDS,
-    WEIGHTED_KINDS,
-    LayerSpec,
-    ModelGraph,
-    check_int32_accumulators,
-)
+from .graph import LAYER_KINDS, WEIGHTED_KINDS, LayerSpec, ModelGraph
 
 MODEL_MAGIC = b"ENM1"
 MODEL_VERSION = 1
@@ -94,17 +88,15 @@ def _check_layer(layer: LayerSpec) -> None:
 
 
 def save_model(model: ModelGraph) -> bytes:
-    """Serialise a model graph, checked when it was built, to bytes.
+    """Serialise a model graph, checked whole when it was built, to bytes.
 
     A graph beyond the container's limits, which load_model would refuse,
-    is a FormatError, and one whose worst-case accumulator overflows int32
-    a GraphError, so every file it writes loads.
+    is a FormatError, so every file it writes loads.
     """
     _check_header(len(model.layers), model.input_shape)
     for layer in model.layers:
         if layer.kind in WEIGHTED_KINDS:
             _check_layer(layer)
-    check_int32_accumulators(model)
     parts = [
         MODEL_MAGIC,
         struct.pack("<I", MODEL_VERSION),
@@ -181,7 +173,7 @@ def _read_layer(reader: _Reader) -> LayerSpec:
     has_bias = values.pop("has_bias")
     layer = LayerSpec(kind=kind, kernel=kernel, **values)
     _check_layer(layer)
-    weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8).copy()
+    weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8)
     bias = None
     if has_bias:
         bias = np.frombuffer(reader.raw(4 * layer.out_ch), dtype="<i4").astype(np.int32)
@@ -189,7 +181,8 @@ def _read_layer(reader: _Reader) -> LayerSpec:
 
 
 def load_model(data: bytes) -> ModelGraph:
-    """Parse a model container into a graph, which checks itself when built.
+    """Parse a model container into a graph, which checks itself whole,
+    the int32 accumulator bound included, when built.
 
     Raises:
         FormatError: bad magic, truncation, unknown layer codes, trailing
@@ -213,12 +206,10 @@ def load_model(data: bytes) -> ModelGraph:
         raise FormatError(
             f"{len(data) - reader.pos} trailing bytes after the last layer"
         )
-    model = ModelGraph(
+    return ModelGraph(
         layers=layers,
         class_count=class_count,
         input_shape=(c, h, w),
         input_scale=input_scale,
         input_zero_point=input_zp,
     )
-    check_int32_accumulators(model)
-    return model

@@ -194,7 +194,7 @@ def split_chunks(
     beyond the cap are discarded entirely (they do not join the noise
     pool).
 
-    Raises ValueError unless peak_ratio is finite and positive and
+    Raises ConfigError unless peak_ratio is finite and positive and
     max_chunks is at least 1. A NaN or inf ratio, or a cap below 1, would
     keep no chunk at all; a ratio <= 0 would keep every nonzero one.
     """
@@ -338,7 +338,7 @@ def preprocess_recording(
     to SAMPLE_RATE -> chunk + peak screen -> normalize -> mel convert.
     Returns (spectrograms, noise_chunks). A too-short clip, or one whose
     voiced part shrinks below one chunk, yields ([], noise_chunks). A bad
-    setting raises ValueError whatever the clip, and a clip sampled below
+    setting raises ConfigError whatever the clip, and a clip sampled below
     MIN_SAMPLE_RATE raises UnsupportedError whatever its length.
     """
     _check_threshold(silence_threshold)

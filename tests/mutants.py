@@ -512,12 +512,54 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestSerialization::test_save_applies_the_loader_limits",),
     ),
     Mutant(
-        "save_model: an accumulator past int32 written",
-        "src/birdedge/nnrt/serialize.py",
-        "            _check_layer(layer)\n    check_int32_accumulators(model)\n",
-        "            _check_layer(layer)\n",
+        "validate_graph: the bias left out of the int32 bound, so save_model "
+        "writes an accumulator past int32",
+        "src/birdedge/nnrt/graph.py",
+        "+ bias).max()",
+        ").max()",
         ("tests/test_nnrt.py::TestSerialization::"
          "test_int32_bound_uses_each_layers_input_zero_point",),
+    ),
+    Mutant(
+        "validate_graph: the int32 bound skipped",
+        "src/birdedge/nnrt/graph.py",
+        "            if worst > np.iinfo(np.int32).max:\n",
+        "            if False:\n",
+        ("tests/test_nnrt.py::TestSerialization::"
+         "test_int32_accumulator_bound_is_checked_at_build",
+         "tests/test_nnrt.py::TestSerialization::"
+         "test_int32_accumulator_overflow_rejected_on_load"),
+    ),
+    Mutant(
+        "LayerSpec: arrays left writeable",
+        "src/birdedge/nnrt/graph.py",
+        "                array.flags.writeable = False\n",
+        "",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_built_arrays_are_read_only",),
+    ),
+    Mutant(
+        "LayerSpec: the caller's array kept instead of copied",
+        "src/birdedge/nnrt/graph.py",
+        "array = np.array(array)",
+        "array = np.asarray(array)",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_the_callers_arrays_are_copied",),
+    ),
+    Mutant(
+        "_plain: a numpy bool converted to the int it equals",
+        "src/birdedge/nnrt/graph.py",
+        "    if isinstance(value, np.integer):\n",
+        "    if isinstance(value, (np.integer, np.bool_)):\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_a_numpy_bool_is_not_an_integer",),
+    ),
+    Mutant(
+        "_plain: numpy scalars kept as they are",
+        "src/birdedge/nnrt/graph.py",
+        "    if isinstance(value, np.integer):\n"
+        "        return int(value)\n"
+        "    return float(value) if isinstance(value, np.floating) else value\n",
+        "    return value\n",
+        ("tests/test_nnrt.py::TestIntegerFields::test_numpy_float_scales_are_python_floats",
+         "tests/test_nnrt.py::TestIntegerFields::test_a_numpy_kernel_on_a_wide_input[tuple]"),
     ),
     Mutant(
         "compression_table: an overflowing rate accepted",
@@ -583,16 +625,16 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[padding-validate_graph]",),
     ),
     Mutant(
-        "validate_graph: a numpy integer field rejected",
+        "_plain: a numpy integer field kept, so validate_graph rejects it",
         "src/birdedge/nnrt/graph.py",
-        "    if not isinstance(value, _INTEGER):\n",
-        "    if type(value) is not int:\n",
+        "    if isinstance(value, np.integer):\n        return int(value)\n",
+        "",
         ("tests/test_nnrt.py::TestIntegerFields::test_numpy_integers_are_integers",),
     ),
     Mutant(
         "_check_zero_point: a zero point that is not an integer accepted",
         "src/birdedge/nnrt/graph.py",
-        "    if not (-128 <= value <= 127 and isinstance(value, _INTEGER)):\n",
+        "    if not (-128 <= value <= 127 and isinstance(value, int)):\n",
         "    if not -128 <= value <= 127:\n",
         ("tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[depthwise-zero-point-validate_graph]",
          "tests/test_nnrt.py::TestIntegerFields::test_every_entry_raises[input-zero-point-save_model]"),
@@ -630,7 +672,7 @@ MUTANTS = (
     Mutant(
         "validate_graph: a list input shape compared as a list",
         "src/birdedge/nnrt/graph.py",
-        "    input_shape = tuple(model.input_shape)",
+        "    input_shape = tuple(map(_plain, model.input_shape))",
         "    input_shape = model.input_shape",
         ("tests/test_nnrt.py::TestIntegerFields::test_input_shape_as_a_list_is_the_tuple",),
     ),
@@ -723,12 +765,12 @@ MUTANTS = (
         "validate_graph: an input shape that is not a sequence escapes as a TypeError",
         "src/birdedge/nnrt/graph.py",
         "    try:\n"
-        "        input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple\n"
+        "        input_shape = tuple(map(_plain, model.input_shape))  # a list != a tuple\n"
         "    except TypeError:\n"
         "        raise GraphError(\n"
         '            f"input shape must be a sequence of 3 integers, got {model.input_shape!r}"\n'
         "        ) from None\n",
-        "    input_shape = tuple(model.input_shape)  # a list compares unequal to a tuple\n",
+        "    input_shape = tuple(map(_plain, model.input_shape))  # a list != a tuple\n",
         ("tests/test_nnrt.py::TestIntegerFields::"
          "test_every_entry_raises[input-shape-int-validate_graph]",),
     ),

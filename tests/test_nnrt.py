@@ -355,11 +355,34 @@ class TestSerialization:
         with pytest.raises(GraphError, match="layer 7: linear worst-case accumulator"):
             load_model(bytes(blob))
 
-    def test_int32_accumulator_bound_is_not_checked_per_infer(self):
+    def test_int32_accumulator_bound_is_checked_at_build(self):
+        # the bias edit that once reached infer unchecked is refused when
+        # the edited graph is built
         bias = strided_model().layers[-1].bias.copy()
         bias[-1] = 2**31 - 1
-        model = edited(strided_model, -1, bias=bias)
-        assert math.isclose(infer(model, spec_for(model)).sum(), 1.0)
+        with pytest.raises(GraphError, match="layer 7: linear worst-case accumulator"):
+            edited(strided_model, -1, bias=bias)
+
+    def test_int32_bound_message_is_the_same_however_built(self):
+        model = strided_model()
+        bias = model.layers[-1].bias.copy()
+        bias[-1] = 2**31 - 1
+        head = dataclasses.replace(model.layers[-1], bias=bias)
+        blob = bytearray(save_model(model))
+        blob[-4:] = struct.pack("<i", 2**31 - 1)  # the head's last bias
+        builds = [
+            lambda: ModelGraph([*model.layers[:-1], head], model.class_count,
+                               model.input_shape, model.input_scale,
+                               model.input_zero_point),
+            lambda: with_layer(model, -1, head),
+            lambda: load_model(bytes(blob)),
+        ]
+        for build in builds:
+            with pytest.raises(GraphError) as raised:
+                build()
+            assert str(raised.value) == (
+                "layer 7: linear worst-case accumulator 2147511167 overflows int32"
+            )
 
     @pytest.mark.parametrize("input_zp, inner_zp", [(127, 0), (0, -128)])
     def test_int32_bound_uses_each_layers_input_zero_point(self, input_zp, inner_zp):
@@ -646,6 +669,16 @@ class TestValidation:
     def test_bias_wrong_length(self):
         self.err(lambda: edited(chain_model, 0, bias=np.zeros(5, dtype=np.int32)))
 
+    @pytest.mark.parametrize("field, where", [
+        ("weight", "layer 0: weights must be int8, got int"),
+        ("bias", "layer 0: bias must be int32 of length 2"),
+    ], ids=["weight", "bias"])
+    def test_array_given_as_a_list(self, field, where):
+        # a list used to fail validate_graph with an AttributeError on .dtype
+        values = chain_model().layers[0].weight.tolist() if field == "weight" else [1, 2]
+        with pytest.raises(GraphError, match=where):
+            edited(chain_model, 0, **{field: values})
+
     @pytest.mark.parametrize("kernel,stride,padding", [
         ((3, 2), 1, 0), ((1, 3), 1, 0), ((1, 1), 2, 0), ((1, 1), 1, 1),
         ((3, 2), 2, 4),
@@ -812,6 +845,63 @@ class TestIntegerFields:
         spec = spec_for(chain_model())
         assert validate_graph(model) == validate_graph(chain_model())
         assert np.array_equal(infer(model, spec), infer(chain_model(), spec))
+        layer = model.layers[0]
+        stored = (model.class_count, model.input_zero_point, *model.input_shape,
+                  layer.in_ch, layer.out_ch, *layer.kernel, layer.stride, layer.padding,
+                  layer.out_zero_point)
+        assert all(type(value) is int for value in stored)
+
+    def test_a_numpy_bool_is_not_an_integer(self):
+        # stored as it is, not as the Python bool (an int) it equals
+        with pytest.raises(GraphError, match="layer 0: stride must be an integer"):
+            edited(chain_model, 0, stride=np.True_)
+        with pytest.raises(GraphError, match="layer 0: kernel width must be an integer"):
+            edited(chain_model, 0, kernel=(3, np.True_))
+        with pytest.raises(GraphError, match="class count must be an integer"):
+            edited(chain_model, None, class_count=np.True_)
+
+    def test_numpy_float_scales_are_python_floats(self, fixture_model):
+        # a float32 weight scale once multiplied in float32 inside infer,
+        # though save_model wrote the same bytes for both graphs
+        def in_float32(layer):
+            scales = {"out_scale": np.float32(layer.out_scale)}
+            if layer.weight is not None:
+                scales["weight_scale"] = np.float32(layer.weight_scale)
+            return dataclasses.replace(layer, **scales)
+
+        model = dataclasses.replace(
+            fixture_model, layers=[in_float32(layer) for layer in fixture_model.layers],
+            input_scale=np.float32(fixture_model.input_scale),
+        )
+        assert save_model(model) == save_model(fixture_model)
+        for seed in range(3):
+            spec = random_spec(seed)
+            for run in (infer, float_reference_infer):
+                assert run(model, spec).tobytes() == run(fixture_model, spec).tobytes()
+        assert all(type(layer.weight_scale) is float and type(layer.out_scale) is float
+                   for layer in model.layers)
+        assert type(model.input_scale) is float
+
+    @pytest.mark.parametrize("kernel", [
+        (np.uint8(3), np.uint8(3)), np.array([3, 3], dtype=np.uint8),
+    ], ids=["tuple", "array"])
+    def test_a_numpy_kernel_on_a_wide_input(self, kernel):
+        # uint8 sides once overflowed in validate_graph's buffer sizes
+        plain = chain_model(hw=(4, 300))
+        model = with_layer(plain, 0, dataclasses.replace(plain.layers[0], kernel=kernel))
+        assert model.layers[0].kernel == (3, 3)
+        assert all(type(side) is int for side in model.layers[0].kernel)
+        assert model.shapes == plain.shapes
+        spec = spec_for(plain)
+        assert infer(model, spec).tobytes() == infer(plain, spec).tobytes()
+
+    def test_a_numpy_16x16_kernel_counts_its_weights(self):
+        # uint8 sides once made weight_count 2 * 16 * 16 wrap to 0
+        layer = conv(1, 2, kernel=(np.uint8(16), np.uint8(16)), padding=0, seed=3)
+        assert layer.weight_count() == 512
+        model = ModelGraph(layers=[layer, pool(), linear(2, 2)], class_count=2,
+                           input_shape=(1, 16, 16))
+        assert model.shapes[1] == (2, 1, 1)
 
     @pytest.mark.parametrize("build", [chain_model, residual_model, every_record_model],
                              ids=["chain", "residual", "every_record"])
@@ -1117,6 +1207,40 @@ class TestBuiltOnce:
                            input_zero_point=0)
         layers.pop()
         assert len(model.layers) == 4 and model.layers[-1].kind == "linear"
+
+    def test_built_arrays_are_read_only(self, fixture_model):
+        loaded = load_model(save_model(fixture_model))
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.layers[-1].bias[-1] = 2**31 - 1
+        for model in (fixture_model, loaded, every_record_model()):
+            arrays = [array for layer in model.layers
+                      for array in (layer.weight, layer.bias) if array is not None]
+            assert len(arrays) > 2
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    array.reshape(-1)[0] = 0
+
+    def test_the_callers_arrays_are_copied(self):
+        weight = rand_weight(np.random.default_rng(3), 2, 1, 3, 3)
+        bias = np.array([5, -7], dtype=np.int32)
+        model = with_layer(chain_model(), 0, conv(1, 2, weight=weight[:], bias=bias))
+        spec = spec_for(model)
+        before = infer(model, spec).tobytes()
+        weight[...] = 127  # through the base of the view the graph was given
+        bias[...] = 1 << 20
+        assert infer(model, spec).tobytes() == before
+        assert model.layers[0].weight.base is not weight
+
+    def test_graphs_compare_and_hash_by_identity(self, fixture_model):
+        blob = save_model(fixture_model)
+        first, second = load_model(blob), load_model(blob)
+        assert first == first and first != second
+        assert first.layers[0] != second.layers[0]
+        plans = {fixture_model: 0, first: 1, second: 2}
+        assert len(plans) == 3 and plans[first] == 1 and plans[fixture_model] == 0
+        assert save_model(first) == save_model(second) == blob
 
 
 # int8 zero points and weights, the two ends of the range drawn as often
