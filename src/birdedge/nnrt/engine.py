@@ -1,10 +1,14 @@
 """Layer execution: one graph walk, two numerics, one set of conv kernels.
 
 _walk owns the dataflow: the buffer of layer outputs, the residual skip
-lookup, the scale and zero point of each layer's input and skip, and the
-terminal-linear rule (the last layer yields logits, not an activation).
-A numerics is two plain functions, one for a layer's output and one for
-the logits. Weighted layers of both run on the same correlation kernel
+lookup and the terminal-linear rule (the last layer yields logits, not an
+activation). It runs a plan per model and numerics, built on first use by
+threading each layer's input and skip affines through the layers once, and
+kept, weakly keyed by the model, while the model lives: a built graph is
+immutable and hashes by identity, so its plan cannot go stale. A numerics
+is a step builder, (layer, scale, zero_point, skip_affine, last) ->
+run(x, skip), that casts weights and makes multipliers and tables once.
+Weighted layers of both run on the same correlation kernel
 over the centered input, zero-padded when the layer pads: one strided
 im2col view, then one BLAS product per layer, stacked per channel for
 depthwise. A stride-1 1x1 conv or a linear layer unfolds without a copy.
@@ -29,15 +33,14 @@ half to even, clamp is to [-128, 127], and f32(v) is v rounded to float32:
   pool:     m = the float64 mean of q - zp over H and W, then
             clamp(rint(m * f32(s / s_out)) + zp_out) in float64.
 Every int8 rounding is _requantize, with multiplier 1.0 for the input
-and the residual table. relu6 and residual_add run as lookups, tables
-memoized on the scalar affines, never on the model: relu6 maps the
-activation's bytes with bytes.translate by a 256-byte table, and
-residual_add takes one entry per element from a 65536-entry int8 table at
-index (x << 8) | skip of the two uint8 codes.
+and the residual table. relu6 and residual_add run as lookups in tables
+their step makes: relu6 maps the activation's bytes with bytes.translate
+by a 256-byte table, and residual_add takes one entry per element from a
+65536-entry int8 table at index (x << 8) | skip of the two uint8 codes.
 
-float (float_reference_infer, and fixture calibration via _float_forward):
-weights and biases are dequantized, weighted layers correlate in float64,
-and activations stay float32. Convs add
+float (float_reference_infer, and fixture calibration): weights and
+biases are dequantized, weighted layers correlate in float64, and
+activations stay float32. Convs add
 their bias in float32 after the cast, the pool averages in float64, and
 linear layers add their bias in float64. It is the accuracy oracle of the
 int8 path.
@@ -46,7 +49,7 @@ int8 path.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import weakref
 
 import numpy as np
 
@@ -57,6 +60,10 @@ from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph
 # Every int8 code in float32, ordered so that table[codes.view(np.uint8)]
 # looks up the entry of each code.
 _CODES = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.float32)
+
+# model -> {step builder: plan}; no plan refers to its model, or its key never dies.
+# Two threads in a model's first walk may both build a plan; they build equal ones.
+_PLANS = weakref.WeakKeyDictionary()
 
 
 def _im2col(x: np.ndarray, kernel, stride: int):
@@ -101,22 +108,25 @@ def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.n
     return acc.reshape(layer.out_ch, ho, wo)
 
 
-def _walk(model: ModelGraph, x: np.ndarray, layer_out, logits_out):
-    """Run the graph on input x; returns (logits, per-layer outputs).
-
-    layer_out(layer, x, scale, zero_point, skip) computes every layer but
-    the last, skip being the (output, scale, zero point) a residual adds;
-    logits_out(layer, x, scale, zero_point) computes the last.
-    """
-    # buffers[k - INPUT_BUFFER] holds the output of layer k; the graph
+def _walk(model: ModelGraph, x: np.ndarray, step) -> list[np.ndarray]:
+    """Run the graph on input x; returns every layer's output, logits last.
+    Each model's plan for step is built on its first walk with step."""
+    plans = _PLANS.setdefault(model, {})
+    if (plan := plans.get(step)) is None:
+        plan, affines = [], [(model.input_scale, model.input_zero_point)]
+        for i, layer in enumerate(model.layers):
+            # a residual's skip source; other kinds ignore theirs, their input
+            skip = layer.skip_from - INPUT_BUFFER if layer.kind == "residual_add" else -1
+            last = i == len(model.layers) - 1
+            plan.append((step(layer, *affines[-1], affines[skip], last), skip))
+            affines.append((layer.out_scale, layer.out_zero_point))
+        plans[step] = plan
+    # outputs[k - INPUT_BUFFER] holds the output of layer k; the graph
     # input comes first, as layer INPUT_BUFFER (-1).
-    buffers = [(x, model.input_scale, model.input_zero_point)]
-    for layer in model.layers[:-1]:
-        residual = layer.kind == "residual_add"
-        skip = buffers[layer.skip_from - INPUT_BUFFER] if residual else None
-        x = layer_out(layer, *buffers[-1], skip)
-        buffers.append((x, layer.out_scale, layer.out_zero_point))
-    return logits_out(model.layers[-1], *buffers[-1]), buffers[1:]
+    outputs = [x]
+    for run, skip in plan:
+        outputs.append(run(outputs[-1], outputs[skip]))
+    return outputs[1:]
 
 
 def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
@@ -131,7 +141,6 @@ def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarr
     return acc.astype(np.int8)
 
 
-@lru_cache(maxsize=1024)
 def _relu6_table(
     in_scale: float, in_zp: int, out_scale: float, out_zp: int
 ) -> bytes:
@@ -140,10 +149,6 @@ def _relu6_table(
     return _requantize(np.clip(real, 0.0, 6.0), 1.0 / out_scale, out_zp).tobytes()
 
 
-# 64 KiB a table, so the cache holds at most 4 MiB. This assumes at most
-# 64 residual adds of distinct affines per graph (the fixture has 10): a
-# larger graph evicts on every walk and rebuilds each table, ~0.1 ms apiece.
-@lru_cache(maxsize=64)
 def _residual_table(
     scale: float, zero_point: int, skip_scale: float, skip_zp: int,
     out_scale: float, out_zp: int,
@@ -157,67 +162,69 @@ def _residual_table(
     return table
 
 
-def _int8_acc(layer: LayerSpec, x: np.ndarray, zero_point: int) -> np.ndarray:
-    """Exact float64 accumulator of a weighted layer on int8 input x,
-    correlated in float32 when the module's bound B is below 2**24."""
-    bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
-    weight = layer.weight.astype(np.float32 if bound < 2**24 else np.float64)
-    acc = _correlate(x, zero_point, weight, layer).astype(np.float64, copy=False)
-    if layer.bias is not None:
-        acc += layer.bias.astype(np.float64)[:, None, None]
-    return acc
-
-
-def _int8_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
+def _int8_step(layer: LayerSpec, scale: float, zero_point: int, skip_affine, last: bool):
+    """run(x, skip) of an int8 layer on codes x of affine (scale, zero_point);
+    a residual adds the codes skip, of affine skip_affine."""
     out_scale, out_zp = layer.out_scale, layer.out_zero_point
     if layer.kind in WEIGHTED_KINDS:
-        multiplier = scale * layer.weight_scale / out_scale
-        return _requantize(_int8_acc(layer, x, zero_point), multiplier, out_zp)
+        # the exact accumulator, correlated in float32 when the bound B is
+        # below 2**24; the logits skip the output affine
+        bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
+        weight = layer.weight.astype(np.float32 if bound < 2**24 else np.float64)
+        bias = None if layer.bias is None else layer.bias.astype(np.float64)[:, None, None]
+        multiplier = scale * layer.weight_scale / (1.0 if last else out_scale)
+
+        def weighted(x, skip):
+            acc = _correlate(x, zero_point, weight, layer).astype(np.float64, copy=False)
+            if bias is not None:
+                acc += bias
+            if last:
+                return acc.reshape(-1) * multiplier
+            return _requantize(acc, multiplier, out_zp)
+
+        return weighted
     if layer.kind == "relu6":
         table = _relu6_table(scale, zero_point, out_scale, out_zp)
-        return np.frombuffer(x.tobytes().translate(table), np.int8).reshape(x.shape)
+        return lambda x, skip: np.frombuffer(
+            x.tobytes().translate(table), np.int8).reshape(x.shape)
     if layer.kind == "residual_add":
-        skip_x, skip_scale, skip_zp = skip
-        table = _residual_table(scale, zero_point, skip_scale, skip_zp, out_scale, out_zp)
-        index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)
-        index |= skip_x.view(np.uint8)
-        return np.take(table, index)
-    # global_avg_pool
-    mean = (x.astype(np.float64) - zero_point).mean(axis=(1, 2))[:, None, None]
-    return _requantize(mean, scale / out_scale, out_zp)
+        table = _residual_table(scale, zero_point, *skip_affine, out_scale, out_zp)
+
+        def residual(x, skip):
+            index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)
+            index |= skip.view(np.uint8)
+            return np.take(table, index)
+
+        return residual
+    multiplier = scale / out_scale  # global_avg_pool
+    return lambda x, skip: _requantize(
+        (x.astype(np.float64) - zero_point).mean((1, 2), keepdims=True), multiplier, out_zp)
 
 
-def _int8_logits(layer: LayerSpec, x, scale: float, zero_point: int) -> np.ndarray:
-    return _int8_acc(layer, x, zero_point).reshape(-1) * (scale * layer.weight_scale)
-
-
-def _float_weight(layer: LayerSpec) -> np.ndarray:
-    w = layer.weight.astype(np.float32) * np.float32(layer.weight_scale)
-    return w.astype(np.float64)
-
-
-def _float_layer(layer: LayerSpec, x, scale: float, zero_point: int, skip):
-    if layer.kind == "linear":
-        return _float_logits(layer, x, scale, zero_point).astype(np.float32)
+def _float_step(layer: LayerSpec, scale: float, zero_point: int, skip_affine, last: bool):
+    """run(x, skip) of a float layer; the input scale only scales the bias."""
     if layer.kind in WEIGHTED_KINDS:
-        x = _correlate(x, 0, _float_weight(layer), layer).astype(np.float32)
-        if layer.bias is not None:
-            bias_scale = np.float32(scale * layer.weight_scale)
-            x = x + (layer.bias.astype(np.float32) * bias_scale)[:, None, None]
-        return x
+        weight = layer.weight.astype(np.float32) * np.float32(layer.weight_scale)
+        weight, linear, bias = weight.astype(np.float64), layer.kind == "linear", None
+        if layer.bias is not None:  # a conv adds it in float32, after the cast
+            dtype = np.float64 if linear else np.float32
+            bias = layer.bias.astype(dtype) * dtype(scale * layer.weight_scale)
+
+        def weighted(x, skip):
+            acc = _correlate(x, 0, weight, layer)
+            if not linear:
+                acc = acc.astype(np.float32)
+            if bias is not None:
+                acc += bias[:, None, None]
+            return acc.reshape(-1) if last else acc.astype(np.float32, copy=False)
+
+        return weighted
     if layer.kind == "relu6":
-        return np.clip(x, 0.0, 6.0)
+        return lambda x, skip: np.clip(x, 0.0, 6.0)
     if layer.kind == "residual_add":
-        return x + skip[0]
+        return lambda x, skip: x + skip
     # global_avg_pool
-    return x.mean(axis=(1, 2), dtype=np.float64).astype(np.float32)[:, None, None]
-
-
-def _float_logits(layer: LayerSpec, x, scale: float, zero_point: int) -> np.ndarray:
-    acc = _correlate(x, 0, _float_weight(layer), layer)
-    if layer.bias is not None:
-        acc += (layer.bias * (scale * layer.weight_scale))[:, None, None]
-    return acc
+    return lambda x, skip: x.mean((1, 2), np.float64, keepdims=True).astype(np.float32)
 
 
 def _quantize_input(model: ModelGraph, values: np.ndarray) -> np.ndarray:
@@ -250,21 +257,11 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     like 0 dB and -1e6 dB exactly like -80 dB.
     """
     _check_input(model, spec)
-    x = _quantize_input(model, spec.values)
-    logits, _ = _walk(model, x, _int8_layer, _int8_logits)
-    return _softmax(logits)
-
-
-def _float_forward(model: ModelGraph, values: np.ndarray):
-    """Float path of the reference and calibration: (logits, layer outputs)."""
-    x = np.asarray(values, dtype=np.float32).reshape(model.input_shape)
-    logits, outputs = _walk(model, x, _float_layer, _float_logits)
-    per_layer = [out for out, _, _ in outputs] + [logits.astype(np.float32)]
-    return logits.reshape(-1), per_layer
+    return _softmax(_walk(model, _quantize_input(model, spec.values), _int8_step)[-1])
 
 
 def float_reference_infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     """Run the dequantized float path; returns class probabilities."""
     _check_input(model, spec)
-    logits, _ = _float_forward(model, spec.values)
-    return _softmax(logits)
+    x = np.asarray(spec.values, dtype=np.float32).reshape(model.input_shape)
+    return _softmax(_walk(model, x, _float_step)[-1])

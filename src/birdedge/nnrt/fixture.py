@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..exceptions import ConfigError
-from .engine import _float_forward
+from .engine import _float_step, _walk
 from .graph import LayerSpec, ModelGraph
 from .serialize import _MAX_DIM
 
@@ -143,10 +143,11 @@ def _calibrated(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
     lows = np.full(len(model.layers), np.inf)
     highs = np.full(len(model.layers), -np.inf)
     for probe in probes:  # the float path draws nothing: the biases come next
-        _, outputs = _float_forward(model, probe.astype(np.float32))
-        for i, out in enumerate(outputs):
-            lows[i] = min(lows[i], float(out.min()))
-            highs[i] = max(highs[i], float(out.max()))
+        x = probe.astype(np.float32).reshape(model.input_shape)
+        # the float64 logits are ranged as float32; rounding keeps their order
+        for i, out in enumerate(_walk(model, x, _float_step)):
+            lows[i] = min(lows[i], float(np.float32(out.min())))
+            highs[i] = max(highs[i], float(np.float32(out.max())))
 
     layers, in_scale = [], model.input_scale
     for i, layer in enumerate(model.layers):

@@ -78,8 +78,10 @@ class LayerSpec:
             object.__setattr__(self, "kernel", tuple(map(_plain, self.kernel)))
         for name in ("weight", "bias"):
             if (array := getattr(self, name)) is not None:
-                array = np.array(array)  # a copy: a view is writeable through its base
-                array.flags.writeable = False
+                array = np.asarray(array)
+                # a read-only view of an immutable copy, whose flag cannot be reset
+                with suppress(ValueError):  # an object array: validate_graph names it
+                    array = np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
                 object.__setattr__(self, name, array)
 
     def weight_count(self) -> int:

@@ -127,14 +127,14 @@ MUTANTS = (
          "test_int32_bound_uses_each_layers_input_zero_point",),
     ),
     Mutant(
-        "_int8_acc: always float32",
+        "_int8_step: always float32",
         "src/birdedge/nnrt/engine.py",
         "layer.weight.astype(np.float32 if bound < 2**24 else np.float64)",
         "layer.weight.astype(np.float32)",
         ("tests/test_nnrt.py::TestAccumulatorDtype",),
     ),
     Mutant(
-        "_int8_acc: float32 bound doubled",
+        "_int8_step: float32 bound doubled",
         "src/birdedge/nnrt/engine.py",
         "np.float32 if bound < 2**24 else",
         "np.float32 if bound < 2**25 else",
@@ -144,9 +144,9 @@ MUTANTS = (
         "residual_add: index built with the operands swapped",
         "src/birdedge/nnrt/engine.py",
         "index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)\n"
-        "        index |= skip_x.view(np.uint8)",
-        "index = np.left_shift(skip_x.view(np.uint8), 8, dtype=np.uint16)\n"
-        "        index |= x.view(np.uint8)",
+        "            index |= skip.view(np.uint8)",
+        "index = np.left_shift(skip.view(np.uint8), 8, dtype=np.uint16)\n"
+        "            index |= x.view(np.uint8)",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
@@ -161,10 +161,24 @@ MUTANTS = (
     Mutant(
         "_walk: residual skip read one buffer late",
         "src/birdedge/nnrt/engine.py",
-        "buffers[layer.skip_from - INPUT_BUFFER]",
-        "buffers[layer.skip_from]",
+        "skip = layer.skip_from - INPUT_BUFFER if",
+        "skip = layer.skip_from if",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
+    ),
+    Mutant(
+        "_walk: the plan rebuilt on every call",
+        "src/birdedge/nnrt/engine.py",
+        "    if (plan := plans.get(step)) is None:\n",
+        "    if True:\n",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_a_model_is_prepared_once_per_lifetime",),
+    ),
+    Mutant(
+        "_walk: plans keyed by the step alone, so every model shares one",
+        "src/birdedge/nnrt/engine.py",
+        "plans = _PLANS.setdefault(model, {})",
+        "plans = _PLANS.setdefault(_walk, {})",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_a_model_is_prepared_once_per_lifetime",),
     ),
     Mutant(
         "unpadded conv: zero point not subtracted",
@@ -533,16 +547,37 @@ MUTANTS = (
     Mutant(
         "LayerSpec: arrays left writeable",
         "src/birdedge/nnrt/graph.py",
-        "                array.flags.writeable = False\n",
-        "",
+        "np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)",
+        "np.array(array)",
         ("tests/test_nnrt.py::TestBuiltOnce::test_built_arrays_are_read_only",),
     ),
     Mutant(
         "LayerSpec: the caller's array kept instead of copied",
         "src/birdedge/nnrt/graph.py",
-        "array = np.array(array)",
-        "array = np.asarray(array)",
+        "np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)",
+        "array",
         ("tests/test_nnrt.py::TestBuiltOnce::test_the_callers_arrays_are_copied",),
+    ),
+    Mutant(
+        "LayerSpec: the caller's memory shared through a memoryview",
+        "src/birdedge/nnrt/graph.py",
+        "np.frombuffer(array.tobytes(), array.dtype)",
+        "np.frombuffer(memoryview(array), array.dtype)",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_the_callers_arrays_are_copied",),
+    ),
+    Mutant(
+        "LayerSpec: a read-only copy whose writeable flag can be set back",
+        "src/birdedge/nnrt/graph.py",
+        "np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)\n",
+        "np.array(array)\n                    array.flags.writeable = False\n",
+        ("tests/test_nnrt.py::TestBuiltOnce::test_built_arrays_are_read_only",),
+    ),
+    Mutant(
+        "LayerSpec: an object array raises ValueError, not GraphError",
+        "src/birdedge/nnrt/graph.py",
+        "with suppress(ValueError):  # an object array: validate_graph names it\n",
+        "if True:\n",
+        ("tests/test_nnrt.py::TestValidation::test_object_weights",),
     ),
     Mutant(
         "_plain: a numpy bool converted to the int it equals",

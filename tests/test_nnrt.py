@@ -7,11 +7,13 @@ frozen structural and resource numbers.
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import math
 import re
 import struct
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -50,8 +52,7 @@ from birdedge.nnrt import (
 
 from birdedge.nnrt.engine import (
     _correlate,
-    _int8_layer,
-    _int8_logits,
+    _int8_step,
     _quantize_input,
     _relu6_table,
     _residual_table,
@@ -405,7 +406,7 @@ class TestSerialization:
         blob = save_model(model(bias))
         assert save_model(load_model(blob)) == blob
         with pytest.raises(GraphError, match="layer 2: linear worst-case"):
-            save_model(model(bias + 1))
+            model(bias + 1)
         # the same bias patched into the file: the head's bias ends it
         patched = blob[:-4] + struct.pack("<i", bias + 1)
         with pytest.raises(GraphError, match="layer 2: linear worst-case"):
@@ -564,6 +565,9 @@ class TestValidation:
     def test_wrong_weight_dtype(self):
         weight = chain_model().layers[0].weight.astype(np.int16)
         self.err(lambda: edited(chain_model, 0, weight=weight))
+
+    def test_object_weights(self):
+        self.err(lambda: edited(chain_model, 0, weight=np.array([None] * 18)))
 
     def test_wrong_weight_size(self):
         weight = chain_model().layers[0].weight.reshape(-1)[:-1]
@@ -1221,6 +1225,8 @@ class TestBuiltOnce:
                     array[...] = 0
                 with pytest.raises(ValueError, match="read-only"):
                     array.reshape(-1)[0] = 0
+                with pytest.raises(ValueError):  # a cached plan would miss the write
+                    array.flags.writeable = True
 
     def test_the_callers_arrays_are_copied(self):
         weight = rand_weight(np.random.default_rng(3), 2, 1, 3, 3)
@@ -1231,7 +1237,30 @@ class TestBuiltOnce:
         weight[...] = 127  # through the base of the view the graph was given
         bias[...] = 1 << 20
         assert infer(model, spec).tobytes() == before
+        # a new model over the same layers is prepared after the write
+        assert infer(dataclasses.replace(model), spec).tobytes() == before
         assert model.layers[0].weight.base is not weight
+
+    def test_a_model_is_prepared_once_per_lifetime(self, monkeypatch):
+        calls, step = [], birdedge.nnrt.engine._int8_step
+
+        def counting(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(birdedge.nnrt.engine, "_int8_step", counting)
+        model = generate_fixture_model(3, 0)
+        spec = random_spec(0)
+        first = infer(model, spec)
+        assert infer(model, spec).tobytes() == first.tobytes()
+        assert calls == list(model.layers)
+        edited = dataclasses.replace(model)  # the same layers, a new model
+        assert infer(edited, spec).tobytes() == first.tobytes()
+        assert len(calls) == 2 * len(model.layers)
+        alive = weakref.ref(model)
+        del model, edited
+        gc.collect()
+        assert alive() is None
 
     def test_graphs_compare_and_hash_by_identity(self, fixture_model):
         blob = save_model(fixture_model)
@@ -1626,10 +1655,8 @@ def int8_layers_digest(model, specs):
     h = hashlib.sha256()
     for spec in specs:
         x = _quantize_input(model, spec.values)
-        logits, outputs = _walk(model, x, _int8_layer, _int8_logits)
-        for out, _, _ in outputs:
+        for out in _walk(model, x, _int8_step):
             h.update(out.tobytes())
-        h.update(logits.tobytes())
     return h.hexdigest()
 
 
@@ -1713,8 +1740,8 @@ class TestElementwiseTables:
 
     def test_relu6_translate_matches_the_table(self):
         for in_scale, in_zp, out_scale, out_zp in self.affines():
-            got = _int8_layer(relu6(out_scale, out_zp), self.codes.reshape(1, 16, 16),
-                              in_scale, in_zp, None)
+            got = _int8_step(relu6(out_scale, out_zp), in_scale, in_zp, None, False)(
+                self.codes.reshape(1, 16, 16), None)
             table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
             expect = bytes(table[code] for code in self.codes.view(np.uint8))
             assert got.dtype == np.int8 and got.shape == (1, 16, 16)
@@ -1750,7 +1777,7 @@ class TestElementwiseTables:
             _residual_table(0.5, 0, 0.25, 3, 0.1, -128)[0] = 1
 
     def test_a_replaced_affine_takes_effect(self):
-        # tables are keyed by scalar values, never by model identity
+        # an edited graph is a new model, so it gets a plan, and tables, of its own
         def edit(model):
             model = with_layer(model, 1, dataclasses.replace(model.layers[1], out_scale=0.05))
             return with_layer(model, 5, dataclasses.replace(model.layers[5], out_zero_point=7))
@@ -1985,8 +2012,8 @@ class TestInt8Oracle:
             warnings.simplefilter("error")
             got = infer(model, spec)
             x = _quantize_input(model, spec.values)
-            _, got_layers = _walk(model, x, _int8_layer, _int8_logits)
-        for index, ((out, _, _), expect) in enumerate(zip(got_layers, want_layers)):
+            got_layers = _walk(model, x, _int8_step)
+        for index, (out, expect) in enumerate(zip(got_layers, want_layers)):
             assert out.dtype == np.int8, index
             np.testing.assert_array_equal(out, expect, err_msg=f"layer {index}")
         assert got.tobytes() == want.tobytes()
