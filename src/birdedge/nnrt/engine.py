@@ -6,21 +6,26 @@ activation). It runs a plan per model and numerics, built on first use by
 threading each layer's input and skip affines through the layers once, and
 kept, weakly keyed by the model, while the model lives: a built graph is
 immutable and hashes by identity, so its plan cannot go stale. A numerics
-is a step builder, (layer, scale, zero_point, skip_affine, last) ->
+is a step builder, (layer, shape, scale, zero_point, skip_affine, last) ->
 run(x, skip), that casts weights and makes multipliers and tables once.
-Weighted layers of both run on the same correlation kernel
-over the centered input, zero-padded when the layer pads: one strided
-im2col view, then one BLAS product per layer, stacked per channel for
-depthwise. A stride-1 1x1 conv or a linear layer unfolds without a copy.
+Weighted layers of both run on the same correlation kernel, _correlation,
+whose geometry is fixed from the layer's input shape in model.shapes: the
+centered input, zero-padded when the layer pads, one strided im2col view,
+then one BLAS product per layer, stacked per channel for depthwise. A
+stride-1 1x1 conv or a linear layer unfolds without a copy.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
 accumulator is dequantized straight to logits. Inputs are centered on
 their zero point: |q - zp_in| <= 128 + |zp_in| and |w| <= 128 bound every
-partial sum by B = fan_in * 128 * (128 + |zp_in|). A layer accumulates in
-float32 when B < 2**24 and in float64 (exact to 2**53) otherwise, so sums
-are exact integers in any order; bias and requantize run in float64, and
-the dtype never shows in the output.
+accumulator, bias included, by B = fan_in * 128 * (128 + |zp_in|) +
+max |bias|. A layer correlates and adds its bias in place in float32 when
+B < 2**24 and in float64 (exact to 2**53) otherwise, so sums are exact
+integers in any order. Its requantize stays in float32 where
+_exact_in_float32 shows, once per plan, that it gives the float64 codes
+for every integer within B; otherwise the accumulator is widened to
+float64 for it, as it is for the logits. The dtype never shows in the
+output.
 
 The other int8 layers are defined per element, on a code q with its
 affine (s, zp) and the layer's output affine (s_out, zp_out); rint rounds
@@ -66,46 +71,39 @@ _CODES = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.float32)
 _PLANS = weakref.WeakKeyDictionary()
 
 
-def _im2col(x: np.ndarray, kernel, stride: int):
-    """Unfold contiguous padded (C, H, W) into (C*kh*kw, Ho*Wo) patches
-    through a bounds-checked window view on x's buffer (a tenth of the
-    cost of as_strided)."""
-    c, hp, wp = x.shape
-    kh, kw = kernel
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    sc, sh, sw = x.strides
-    windows = np.ndarray(
-        (c, kh, kw, ho, wo), x.dtype, x, 0, (sc, sh, sw, sh * stride, sw * stride)
-    )
-    return windows.reshape(c * kh * kw, ho * wo), ho, wo
-
-
-def _centered(x: np.ndarray, zero_point: int, padding: int, dtype) -> np.ndarray:
-    """x - zero_point in dtype, zero-padded by `padding` on H and W."""
-    # dtype= runs the subtraction in dtype; without it an int8 x would
-    # subtract in int8 and wrap before the cast
-    if padding == 0:
-        return np.subtract(x, zero_point, dtype=dtype)
-    c, h, w = x.shape
-    out = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=dtype)
-    inner = out[:, padding : padding + h, padding : padding + w]
-    np.subtract(x, zero_point, out=inner, dtype=dtype)
-    return out
-
-
-def _correlate(x: np.ndarray, zero_point: int, weight, layer: LayerSpec) -> np.ndarray:
-    """Correlation of x - zero_point with the layer's geometry, in the
-    weight's dtype: one BLAS product over the im2col patches, stacked per
-    channel for depthwise."""
-    x = _centered(x, zero_point, layer.padding, weight.dtype)
-    patches, ho, wo = _im2col(x, layer.kernel, layer.stride)
+def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
+    """correlate(x): the correlation of x - zero_point, an input of shape
+    (C, H, W), with the layer's weight as given, in weight's dtype, as
+    (out_ch, Ho, Wo). The geometry is fixed here, once per plan: the padded
+    shape, the strided im2col window view over the padded buffer (a tenth
+    of the cost of as_strided), the patch matrix, stacked per channel for
+    depthwise, and the output shape. A stride-1 1x1 conv or a linear layer
+    unfolds without a copy."""
+    c, h, w = shape
+    (kh, kw), stride, pad = layer.kernel, layer.stride, layer.padding
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    dtype, size = weight.dtype, weight.itemsize
+    windows = (c, kh, kw, ho, wo)
+    strides = (hp * wp * size, wp * size, size, wp * size * stride, size * stride)
     if layer.kind == "depthwise_conv2d":
-        patches = patches.reshape(layer.out_ch, -1, ho * wo)
-        acc = weight.reshape(layer.out_ch, 1, -1) @ patches
+        patches, weight = (c, kh * kw, ho * wo), weight.reshape(c, 1, kh * kw)
     else:
-        acc = weight.reshape(layer.out_ch, -1) @ patches
-    return acc.reshape(layer.out_ch, ho, wo)
+        patches, weight = (c * kh * kw, ho * wo), weight.reshape(layer.out_ch, -1)
+    out_shape, inner = (layer.out_ch, ho, wo), np.s_[:, pad : pad + h, pad : pad + w]
+
+    def correlate(x):
+        # dtype= runs the subtraction in dtype; without it an int8 x would
+        # subtract in int8 and wrap before the cast
+        if pad:
+            padded = np.zeros((c, hp, wp), dtype)
+            np.subtract(x, zero_point, out=padded[inner], dtype=dtype)
+        else:
+            padded = np.subtract(x, zero_point, dtype=dtype)
+        view = np.ndarray(windows, dtype, padded, 0, strides)
+        return (weight @ view.reshape(patches)).reshape(out_shape)
+
+    return correlate
 
 
 def _walk(model: ModelGraph, x: np.ndarray, step) -> list[np.ndarray]:
@@ -118,7 +116,8 @@ def _walk(model: ModelGraph, x: np.ndarray, step) -> list[np.ndarray]:
             # a residual's skip source; other kinds ignore theirs, their input
             skip = layer.skip_from - INPUT_BUFFER if layer.kind == "residual_add" else -1
             last = i == len(model.layers) - 1
-            plan.append((step(layer, *affines[-1], affines[skip], last), skip))
+            run = step(layer, model.shapes[i], *affines[-1], affines[skip], last)
+            plan.append((run, skip))
             affines.append((layer.out_scale, layer.out_zero_point))
         plans[step] = plan
     # outputs[k - INPUT_BUFFER] holds the output of layer k; the graph
@@ -162,22 +161,56 @@ def _residual_table(
     return table
 
 
-def _int8_step(layer: LayerSpec, scale: float, zero_point: int, skip_affine, last: bool):
-    """run(x, skip) of an int8 layer on codes x of affine (scale, zero_point);
-    a residual adds the codes skip, of affine skip_affine."""
+def _exact_in_float32(multiplier: float, zero_point: int, bound: int) -> bool:
+    """Whether _requantize gives the same int8 codes on float32 as on float64
+    accumulators, clamp(rint(f32(a * m)) + zp) == clamp(rint(a * m) + zp),
+    for every integer |a| <= bound < 2**24, m the float32 multiplier (a * m
+    is exact in float64).
+
+    Both sides are the same monotone step function, of f32(a * m) and of
+    a * m, and it steps only at the 257 half-integers h in
+    [-128.5 - zp, 127.5 - zp]. Rounding to float32 moves a product p by at
+    most 2**-24 * |p|, so the sides differ only at integers a with
+    |a - h / m| <= 2**-24 * (|h| + 1) / m for some h. While that radius is
+    at most 1/2, those are among the two integers nearest h / m, and the
+    four from floor(h / m) - 1 cover them and any rounding of h / m itself;
+    a larger radius answers False.
+    """
+    m = float(np.float32(multiplier))
+    h = np.arange(-128.5, 128.0) - zero_point
+    if 2.0**-24 * (np.abs(h).max() + 1) / m > 0.5:
+        return False
+    a = (np.floor(h / m)[:, None] + np.arange(-1, 3)).reshape(-1)
+    a = a[np.abs(a) <= bound]
+    single = _requantize(a.astype(np.float32), multiplier, zero_point)
+    return bool((single == _requantize(a, multiplier, zero_point)).all())
+
+
+def _int8_step(layer: LayerSpec, shape, scale: float, zero_point: int, skip_affine,
+               last: bool):
+    """run(x, skip) of an int8 layer on codes x of shape and affine
+    (scale, zero_point); a residual adds the codes skip, of affine skip_affine."""
     out_scale, out_zp = layer.out_scale, layer.out_zero_point
     if layer.kind in WEIGHTED_KINDS:
-        # the exact accumulator, correlated in float32 when the bound B is
-        # below 2**24; the logits skip the output affine
-        bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
-        weight = layer.weight.astype(np.float32 if bound < 2**24 else np.float64)
-        bias = None if layer.bias is None else layer.bias.astype(np.float64)[:, None, None]
+        # every partial sum, bias included, is an exact integer in float32
+        # under 2**24; the requantize stays in float32 only where it gives
+        # the float64 codes. The logits skip the output affine.
         multiplier = scale * layer.weight_scale / (1.0 if last else out_scale)
+        bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
+        if layer.bias is not None:
+            bound += int(np.abs(layer.bias.astype(np.int64)).max())
+        dtype = np.float32 if bound < 2**24 else np.float64
+        single = dtype is np.float32 and not last and _exact_in_float32(
+            multiplier, out_zp, bound)
+        widened = np.float32 if single else np.float64
+        correlate = _correlation(layer, shape, zero_point, layer.weight.astype(dtype))
+        bias = None if layer.bias is None else layer.bias.astype(dtype)[:, None, None]
 
         def weighted(x, skip):
-            acc = _correlate(x, zero_point, weight, layer).astype(np.float64, copy=False)
+            acc = correlate(x)
             if bias is not None:
                 acc += bias
+            acc = acc.astype(widened, copy=False)
             if last:
                 return acc.reshape(-1) * multiplier
             return _requantize(acc, multiplier, out_zp)
@@ -201,17 +234,20 @@ def _int8_step(layer: LayerSpec, scale: float, zero_point: int, skip_affine, las
         (x.astype(np.float64) - zero_point).mean((1, 2), keepdims=True), multiplier, out_zp)
 
 
-def _float_step(layer: LayerSpec, scale: float, zero_point: int, skip_affine, last: bool):
-    """run(x, skip) of a float layer; the input scale only scales the bias."""
+def _float_step(layer: LayerSpec, shape, scale: float, zero_point: int, skip_affine,
+                last: bool):
+    """run(x, skip) of a float layer on x of shape; the input scale only
+    scales the bias."""
     if layer.kind in WEIGHTED_KINDS:
         weight = layer.weight.astype(np.float32) * np.float32(layer.weight_scale)
-        weight, linear, bias = weight.astype(np.float64), layer.kind == "linear", None
+        correlate = _correlation(layer, shape, 0, weight.astype(np.float64))
+        linear, bias = layer.kind == "linear", None
         if layer.bias is not None:  # a conv adds it in float32, after the cast
             dtype = np.float64 if linear else np.float32
             bias = layer.bias.astype(dtype) * dtype(scale * layer.weight_scale)
 
         def weighted(x, skip):
-            acc = _correlate(x, 0, weight, layer)
+            acc = correlate(x)
             if not linear:
                 acc = acc.astype(np.float32)
             if bias is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..exceptions import ConfigError
 from .engine import _float_step, _walk
-from .graph import LayerSpec, ModelGraph
+from .graph import LayerSpec, ModelGraph, _weight_count
 from .serialize import _MAX_DIM
 
 # (expansion, out_channels, repeats, first_stride) per stage; 17 blocks total.
@@ -64,20 +64,21 @@ def _weighted_layer(
     stride: int,
     padding: int,
 ) -> LayerSpec:
-    layer = LayerSpec(
+    count = _weight_count(kind, in_ch, out_ch, kernel)
+    fan_in = count // out_ch
+    weight, weight_scale = _quantize_weights(
+        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=count)
+    )
+    return LayerSpec(
         kind=kind,
         in_ch=in_ch,
         out_ch=out_ch,
         kernel=kernel,
         stride=stride,
         padding=padding,
+        weight=weight,
+        weight_scale=weight_scale,
     )
-    count = layer.weight_count()
-    fan_in = count // out_ch
-    weight, weight_scale = _quantize_weights(
-        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=count)
-    )
-    return replace(layer, weight=weight, weight_scale=weight_scale)
 
 
 def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:

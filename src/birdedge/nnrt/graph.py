@@ -86,15 +86,21 @@ class LayerSpec:
 
     def weight_count(self) -> int:
         """Number of int8 weights: out_ch rows of one fan-in each, 0 for
-        kinds without weights. The .enm record, the FLOP count and the
-        fixture's weight draw all take the weight geometry from here."""
-        if self.kind in ("conv2d", "pointwise_conv2d"):
-            return self.out_ch * self.in_ch * self.kernel[0] * self.kernel[1]
-        if self.kind == "depthwise_conv2d":
-            return self.out_ch * self.kernel[0] * self.kernel[1]
-        if self.kind == "linear":
-            return self.out_ch * self.in_ch
-        return 0
+        kinds without weights."""
+        return _weight_count(self.kind, self.in_ch, self.out_ch, self.kernel)
+
+
+def _weight_count(kind: str, in_ch: int, out_ch: int, kernel) -> int:
+    """LayerSpec.weight_count of a layer not yet built. The .enm record,
+    the FLOP count and the fixture's weight draw all take the weight
+    geometry from here."""
+    if kind in ("conv2d", "pointwise_conv2d"):
+        return out_ch * in_ch * kernel[0] * kernel[1]
+    if kind == "depthwise_conv2d":
+        return out_ch * kernel[0] * kernel[1]
+    if kind == "linear":
+        return out_ch * in_ch
+    return 0
 
 
 @dataclass(frozen=True, eq=False)

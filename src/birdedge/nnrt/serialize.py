@@ -33,12 +33,11 @@ to f32 on construction, so save -> load -> save is byte identical.
 from __future__ import annotations
 
 import struct
-from dataclasses import replace
 
 import numpy as np
 
 from ..exceptions import FormatError, UnsupportedError
-from .graph import LAYER_KINDS, WEIGHTED_KINDS, LayerSpec, ModelGraph
+from .graph import LAYER_KINDS, WEIGHTED_KINDS, LayerSpec, ModelGraph, _weight_count
 
 MODEL_MAGIC = b"ENM1"
 MODEL_VERSION = 1
@@ -79,12 +78,14 @@ def _check_header(layer_count: int, input_shape) -> None:
         raise FormatError(f"implausible input dimension {dim}")
 
 
-def _check_layer(layer: LayerSpec) -> None:
-    """The limits of a weighted layer, checked before its weights are read."""
-    if (dim := max(layer.in_ch, layer.out_ch, *layer.kernel)) > _MAX_DIM:
+def _check_layer(kind: str, in_ch: int, out_ch: int, kernel) -> int:
+    """The limits of a weighted layer, checked before its weights are read;
+    returns its weight count."""
+    if (dim := max(in_ch, out_ch, *kernel)) > _MAX_DIM:
         raise FormatError(f"implausible layer dimension {dim}")
-    if (count := layer.weight_count()) > _MAX_WEIGHTS:
+    if (count := _weight_count(kind, in_ch, out_ch, kernel)) > _MAX_WEIGHTS:
         raise FormatError(f"implausible weight count {count}")
+    return count
 
 
 def save_model(model: ModelGraph) -> bytes:
@@ -96,7 +97,7 @@ def save_model(model: ModelGraph) -> bytes:
     _check_header(len(model.layers), model.input_shape)
     for layer in model.layers:
         if layer.kind in WEIGHTED_KINDS:
-            _check_layer(layer)
+            _check_layer(layer.kind, layer.in_ch, layer.out_ch, layer.kernel)
     parts = [
         MODEL_MAGIC,
         struct.pack("<I", MODEL_VERSION),
@@ -170,14 +171,12 @@ def _read_layer(reader: _Reader) -> LayerSpec:
     if (weight_zp := values.pop("weight_zp")) != 0:
         raise FormatError(f"symmetric weights require zero point 0, got {weight_zp}")
     kernel = (values.pop("k_h"), values.pop("k_w"))
-    has_bias = values.pop("has_bias")
-    layer = LayerSpec(kind=kind, kernel=kernel, **values)
-    _check_layer(layer)
-    weight = np.frombuffer(reader.raw(layer.weight_count()), dtype=np.int8)
+    count = _check_layer(kind, values["in_ch"], values["out_ch"], kernel)
+    weight = np.frombuffer(reader.raw(count), dtype=np.int8)
     bias = None
-    if has_bias:
-        bias = np.frombuffer(reader.raw(4 * layer.out_ch), dtype="<i4").astype(np.int32)
-    return replace(layer, weight=weight, bias=bias)
+    if values.pop("has_bias"):
+        bias = np.frombuffer(reader.raw(4 * values["out_ch"]), dtype="<i4").astype(np.int32)
+    return LayerSpec(kind=kind, kernel=kernel, weight=weight, bias=bias, **values)
 
 
 def load_model(data: bytes) -> ModelGraph:

@@ -129,8 +129,8 @@ MUTANTS = (
     Mutant(
         "_int8_step: always float32",
         "src/birdedge/nnrt/engine.py",
-        "layer.weight.astype(np.float32 if bound < 2**24 else np.float64)",
-        "layer.weight.astype(np.float32)",
+        "dtype = np.float32 if bound < 2**24 else np.float64",
+        "dtype = np.float32",
         ("tests/test_nnrt.py::TestAccumulatorDtype",),
     ),
     Mutant(
@@ -139,6 +139,32 @@ MUTANTS = (
         "np.float32 if bound < 2**24 else",
         "np.float32 if bound < 2**25 else",
         ("tests/test_nnrt.py::TestAccumulatorDtype",),
+    ),
+    Mutant(
+        "_exact_in_float32: every multiplier proved exact",
+        "src/birdedge/nnrt/engine.py",
+        "    m = float(np.float32(multiplier))\n",
+        "    return True\n",
+        ("tests/test_nnrt.py::TestFloat32Requantize::"
+         "test_verdicts_match_full_enumeration_on_the_fixture",
+         "tests/test_nnrt.py::TestFloat32Requantize::"
+         "test_a_refused_layer_matches_the_reference"),
+    ),
+    Mutant(
+        "_int8_step: max |bias| left out of the float32 bound",
+        "src/birdedge/nnrt/engine.py",
+        "        if layer.bias is not None:\n"
+        "            bound += int(np.abs(layer.bias.astype(np.int64)).max())\n",
+        "",
+        ("tests/test_nnrt.py::TestFloat32Requantize::"
+         "test_a_refused_layer_matches_the_reference",),
+    ),
+    Mutant(
+        "_exact_in_float32: candidates shrunk to floor(h / m)",
+        "src/birdedge/nnrt/engine.py",
+        "np.arange(-1, 3)",
+        "np.arange(0, 1)",
+        ("tests/test_nnrt.py::TestFloat32Requantize::test_a_true_verdict_is_sound",),
     ),
     Mutant(
         "residual_add: index built with the operands swapped",
@@ -183,8 +209,8 @@ MUTANTS = (
     Mutant(
         "unpadded conv: zero point not subtracted",
         "src/birdedge/nnrt/engine.py",
-        "return np.subtract(x, zero_point, dtype=dtype)",
-        "return x.astype(dtype)",
+        "padded = np.subtract(x, zero_point, dtype=dtype)",
+        "padded = x.astype(dtype)",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
@@ -215,8 +241,8 @@ MUTANTS = (
     Mutant(
         "padded conv: centered in the input's int8, wrapping",
         "src/birdedge/nnrt/engine.py",
-        "np.subtract(x, zero_point, out=inner, dtype=dtype)",
-        "np.subtract(x, zero_point, out=inner)",
+        "np.subtract(x, zero_point, out=padded[inner], dtype=dtype)",
+        "np.subtract(x, zero_point, out=padded[inner])",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
@@ -521,7 +547,7 @@ MUTANTS = (
         "    _check_header(len(model.layers), model.input_shape)\n"
         "    for layer in model.layers:\n"
         "        if layer.kind in WEIGHTED_KINDS:\n"
-        "            _check_layer(layer)\n",
+        "            _check_layer(layer.kind, layer.in_ch, layer.out_ch, layer.kernel)\n",
         "",
         ("tests/test_nnrt.py::TestSerialization::test_save_applies_the_loader_limits",),
     ),

@@ -841,6 +841,22 @@ class TestBench:
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[2] == "0"
 
+    def test_the_plan_is_built_before_the_timed_loop(self, pipeline, capsys,
+                                                      monkeypatch):
+        calls, infer = [], birdedge.nnrt.infer
+
+        def counting(model, spec):
+            calls.append(spec)
+            return infer(model, spec)
+
+        monkeypatch.setattr(birdedge.nnrt, "infer", counting)
+        assert main([
+            "bench", "--model", str(pipeline["model"]),
+            "--spec-dir", str(pipeline["chunks"]), "--repetitions", "3",
+        ]) == 0
+        assert len(calls) == 3 + 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("repetitions", ["0", "-1"])
     def test_repetitions_below_1_exit_1(self, pipeline, tmp_path, capsys, repetitions):
         # checked before the model is read: this one does not exist

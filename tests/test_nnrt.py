@@ -51,14 +51,15 @@ from birdedge.nnrt import (
 )
 
 from birdedge.nnrt.engine import (
-    _correlate,
+    _correlation,
+    _exact_in_float32,
     _int8_step,
     _quantize_input,
     _relu6_table,
     _residual_table,
     _walk,
 )
-from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE, validate_graph
+from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE, WEIGHTED_KINDS, validate_graph
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
@@ -1740,8 +1741,9 @@ class TestElementwiseTables:
 
     def test_relu6_translate_matches_the_table(self):
         for in_scale, in_zp, out_scale, out_zp in self.affines():
-            got = _int8_step(relu6(out_scale, out_zp), in_scale, in_zp, None, False)(
-                self.codes.reshape(1, 16, 16), None)
+            step = _int8_step(relu6(out_scale, out_zp), (1, 16, 16), in_scale, in_zp,
+                              None, False)
+            got = step(self.codes.reshape(1, 16, 16), None)
             table = _relu6_table(in_scale, in_zp, out_scale, out_zp)
             expect = bytes(table[code] for code in self.codes.view(np.uint8))
             assert got.dtype == np.int8 and got.shape == (1, 16, 16)
@@ -1848,7 +1850,9 @@ class TestSharedKernel:
             )
             # fan_in <= 48 keeps every float32 partial sum under 2**24
             for dtype in (np.float64, np.float32):
-                got = _correlate(x, zero_point, layer.weight.astype(dtype), layer)
+                correlate = _correlation(layer, x.shape, zero_point,
+                                         layer.weight.astype(dtype))
+                got = correlate(x)
                 assert got.dtype == dtype
                 np.testing.assert_array_equal(
                     got, want, err_msg=f"{dtype} {kind} {kernel} {stride} {padding}"
@@ -2048,3 +2052,84 @@ class TestInt8Oracle:
         model = edited(build, None, input_zero_point=input_zero_point)
         for seed in range(3):
             self.check(model, code_spanning_spec(model, seed))
+
+
+def requantize_agrees(multiplier, zero_point, bound):
+    """Full enumeration: clamp(rint(f32(a * m)) + zp) == clamp(rint(a * m) + zp)
+    for every integer |a| <= bound, m the float32 multiplier, written from
+    the engine module docstring."""
+    m = np.float32(multiplier)
+    a = np.arange(-bound, bound + 1, dtype=np.float64)
+    single = np.clip(np.rint(a.astype(np.float32) * m) + zero_point, -128, 127)
+    double = np.clip(np.rint(a * float(m)) + zero_point, -128, 127)
+    return bool((single == double).all())
+
+
+# a float32 multiplier whose float32 requantize (zero point 0) differs from
+# the float64 one at a single integer of |a| <= 46373: a = -29989, whose
+# product lies just above the step at -127.5, while f32(a * m) rounds onto
+# it and then to -128. That integer is past 16384 = 128 * 128, the bound of
+# a 1x1 conv over one channel on input zero point 0 without its bias, and it
+# is not floor(-127.5 / m).
+CRAFTED_MULTIPLIER = 0.0042515587992966175
+CRAFTED_ACCUMULATOR = -29989
+
+
+class TestFloat32Requantize:
+    """_exact_in_float32 proves a layer's float32 requantize exact, and the
+    layers it refuses requantize in float64."""
+
+    def test_verdicts_match_full_enumeration_on_the_fixture(self, fixture_model):
+        scale, zero_point = fixture_model.input_scale, fixture_model.input_zero_point
+        verdicts = []
+        for layer in fixture_model.layers[:-1]:
+            if layer.kind in WEIGHTED_KINDS:
+                multiplier = scale * layer.weight_scale / layer.out_scale
+                bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
+                bound += int(np.abs(layer.bias.astype(np.int64)).max())
+                verdict = _exact_in_float32(multiplier, layer.out_zero_point, bound)
+                assert verdict == requantize_agrees(
+                    multiplier, layer.out_zero_point, bound), len(verdicts)
+                verdicts.append(verdict)
+            scale, zero_point = layer.out_scale, layer.out_zero_point
+        assert len(verdicts) == 51 and sum(verdicts) == 44
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        a=st.integers(1, 2**16),
+        step=st.integers(-129, 127),
+        nudge=st.integers(-1, 1),
+        zero_point=ZERO_POINTS,
+        extra=st.integers(0, 2**16),
+    )
+    def test_a_true_verdict_is_sound(self, a, step, nudge, zero_point, extra):
+        # a multiplier m that puts a * m within about a float32 step of h, a
+        # step of the requantize, where float32 and float64 can differ
+        h = step + 0.5 - zero_point
+        m = np.float32(abs(h) / a)
+        multiplier = float(m + np.float32(nudge) * np.spacing(m))
+        bound = min(a + extra, 2**16)
+        if _exact_in_float32(multiplier, zero_point, bound):
+            assert requantize_agrees(multiplier, zero_point, bound)
+
+    def test_a_refused_layer_matches_the_reference(self):
+        # the bound without the bias misses the integer; the whole bound has it
+        bound = 16384 - CRAFTED_ACCUMULATOR
+        assert requantize_agrees(CRAFTED_MULTIPLIER, 0, 16384)
+        assert not requantize_agrees(CRAFTED_MULTIPLIER, 0, bound)
+        assert not _exact_in_float32(CRAFTED_MULTIPLIER, 0, bound)
+        # one accumulator per input code q, q + bias: code 0 hits the crafted one
+        conv1x1 = LayerSpec(
+            kind="conv2d", in_ch=1, out_ch=1, kernel=(1, 1), padding=0,
+            weight=np.ones((1, 1, 1, 1), dtype=np.int8),
+            weight_scale=CRAFTED_MULTIPLIER,
+            bias=np.array([CRAFTED_ACCUMULATOR], dtype=np.int32), out_scale=1.0,
+        )
+        model = ModelGraph(
+            layers=[conv1x1, pool(), linear(1, 2)], class_count=2,
+            input_shape=(1, 1, 256), input_scale=1.0, input_zero_point=0,
+        )
+        spec = MelSpectrogram(np.arange(-128.0, 128.0, dtype=np.float32).reshape(1, 256))
+        [conv_out, _] = int8_reference_layers(model, spec.values)[1]
+        assert conv_out[0, 0, 128] == -127  # code 0: float32 would give -128
+        TestInt8Oracle.check(model, spec)
