@@ -94,12 +94,14 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
 
     def correlate(x):
         # dtype= runs the subtraction in dtype; without it an int8 x would
-        # subtract in int8 and wrap before the cast
+        # subtract in int8 and wrap before the cast. The window strides are
+        # for a C-ordered buffer, so padded is one whatever the layout of x
+        # (a spectrogram's values are often a transposed array).
         if pad:
             padded = np.zeros((c, hp, wp), dtype)
             np.subtract(x, zero_point, out=padded[inner], dtype=dtype)
         else:
-            padded = np.subtract(x, zero_point, dtype=dtype)
+            padded = np.subtract(x, zero_point, dtype=dtype, order="C")
         view = np.ndarray(windows, dtype, padded, 0, strides)
         return (weight @ view.reshape(patches)).reshape(out_shape)
 

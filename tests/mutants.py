@@ -167,6 +167,14 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestFloat32Requantize::test_a_true_verdict_is_sound",),
     ),
     Mutant(
+        "_correlation: an unpadded input keeps its layout",
+        "src/birdedge/nnrt/engine.py",
+        'dtype=dtype, order="C")',
+        "dtype=dtype)",
+        ("tests/test_nnrt.py::TestSharedKernel::"
+         "test_a_transposed_spectrogram_reads_as_its_values",),
+    ),
+    Mutant(
         "residual_add: index built with the operands swapped",
         "src/birdedge/nnrt/engine.py",
         "index = np.left_shift(x.view(np.uint8), 8, dtype=np.uint16)\n"
@@ -209,8 +217,8 @@ MUTANTS = (
     Mutant(
         "unpadded conv: zero point not subtracted",
         "src/birdedge/nnrt/engine.py",
-        "padded = np.subtract(x, zero_point, dtype=dtype)",
-        "padded = x.astype(dtype)",
+        'padded = np.subtract(x, zero_point, dtype=dtype, order="C")',
+        'padded = x.astype(dtype, order="C")',
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),

@@ -1852,11 +1852,29 @@ class TestSharedKernel:
             for dtype in (np.float64, np.float32):
                 correlate = _correlation(layer, x.shape, zero_point,
                                          layer.weight.astype(dtype))
-                got = correlate(x)
-                assert got.dtype == dtype
-                np.testing.assert_array_equal(
-                    got, want, err_msg=f"{dtype} {kind} {kernel} {stride} {padding}"
-                )
+                # the geometry is fixed in the plan; the input's layout is not
+                for layout in (x, np.asfortranarray(x)):
+                    got = correlate(layout)
+                    assert got.dtype == dtype
+                    np.testing.assert_array_equal(
+                        got, want, err_msg=f"{dtype} {kind} {kernel} {stride} {padding}"
+                    )
+
+    def test_a_transposed_spectrogram_reads_as_its_values(self):
+        # compute_melspec returns the transpose of its dB array, F-ordered;
+        # strided_model's first conv is unpadded, so no padded copy makes
+        # the input C-ordered before the window view reads it
+        model = strided_model()
+        assert model.layers[0].padding == 0
+        for seed in range(3):
+            spec = code_spanning_spec(model, seed)
+            transposed = MelSpectrogram(np.asfortranarray(spec.values))
+            assert not transposed.values.flags.c_contiguous
+            want = int8_reference_layers(model, spec.values)[0]
+            assert infer(model, transposed).tobytes() == want.tobytes()
+            assert infer(model, spec).tobytes() == want.tobytes()
+            assert (float_reference_infer(model, transposed).tobytes()
+                    == float_reference_infer(model, spec).tobytes())
 
 
 def _clamp(value):
