@@ -10,9 +10,10 @@ is a step builder, (layer, shape, scale, zero_point, skip_affine, last) ->
 run(x, skip), that casts weights and makes multipliers and tables once.
 Weighted layers of both run on the same correlation kernel, _correlation,
 whose geometry is fixed from the layer's input shape in model.shapes: the
-centered input, zero-padded when the layer pads, one strided im2col view,
-then one BLAS product per layer, stacked per channel for depthwise. A
-stride-1 1x1 conv or a linear layer unfolds without a copy.
+centered input in C order, whatever the layout of x, zero-padded when
+the layer pads, one strided im2col view, then one BLAS product per
+layer, stacked per channel for depthwise. A stride-1 1x1 conv or a
+linear layer unfolds without a copy.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
