@@ -83,7 +83,8 @@ def _check(name: str, value: float, field: str, per_si: float = 1.0) -> None:
         raise ConfigError(f"{name} must be in [0, {per_si:g}], got {value}")
     if field.endswith("_hours") and value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value}")
-    if field.startswith("eta_") and not 0.0 < value <= per_si:
+    # value / per_si is the stored fraction: a positive value can underflow to 0
+    if field.startswith("eta_") and not (0.0 < value / per_si and value <= per_si):
         raise ConfigError(f"{name} must be in (0, {per_si:g}], got {value}")
 
 

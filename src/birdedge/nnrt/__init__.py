@@ -5,7 +5,7 @@ nets: regular, depthwise, and pointwise convolutions, relu6, residual
 adds, one global average pool, and a final linear classifier. Weights are
 symmetric per-tensor int8 (zero point 0), activations affine per-tensor
 int8, and products accumulate as exact integers (in float32 when a layer's
-shape bounds its partial sums below 2**24, else in float64). One requantize
+_worst_accumulator is below 2**24, else in float64). One requantize
 step (float32 multiplier, round, zero point, clamp to int8) quantizes the
 input, requantizes each weighted or pool output but the logits, and fills
 the byte tables of relu6 (256 bytes, for bytes.translate) and residual adds

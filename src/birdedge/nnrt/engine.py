@@ -17,16 +17,14 @@ linear layer unfolds without a copy.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
-accumulator is dequantized straight to logits. Inputs are centered on
-their zero point: |q - zp_in| <= 128 + |zp_in| and |w| <= 128 bound every
-accumulator, bias included, by B = fan_in * 128 * (128 + |zp_in|) +
-max |bias|. A layer correlates and adds its bias in place in float32 when
-B < 2**24 and in float64 (exact to 2**53) otherwise, so sums are exact
+accumulator is dequantized straight to logits. Inputs are centered on their
+zero point, and graph._worst_accumulator bounds every partial sum, bias
+included, by B. A layer correlates and adds its bias in place in float32
+when B < 2**24 and in float64 (exact to 2**53) otherwise, so sums are exact
 integers in any order. Its requantize stays in float32 where
-_exact_in_float32 shows, once per plan, that it gives the float64 codes
-for every integer within B; otherwise the accumulator is widened to
-float64 for it, as it is for the logits. The dtype never shows in the
-output.
+_exact_in_float32 shows, once per plan, that it gives the float64 codes for
+every integer within B; otherwise the accumulator is widened to float64 for
+it, as it is for the logits. The dtype never shows in the output.
 
 The other int8 layers are defined per element, on a code q with its
 affine (s, zp) and the layer's output affine (s_out, zp_out); rint rounds
@@ -46,10 +44,9 @@ by a 256-byte table, and residual_add takes one entry per element from a
 
 float (float_reference_infer, and fixture calibration): weights and
 biases are dequantized, weighted layers correlate in float64, and
-activations stay float32. Convs add
-their bias in float32 after the cast, the pool averages in float64, and
-linear layers add their bias in float64. It is the accuracy oracle of the
-int8 path.
+activations stay float32. Convs add their bias in float32 after the cast,
+the pool averages in float64, and linear layers add their bias in float64.
+It is the accuracy oracle of the int8 path.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
-from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph
+from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, _worst_accumulator
 
 # Every int8 code in float32, ordered so that table[codes.view(np.uint8)]
 # looks up the entry of each code.
@@ -199,9 +196,7 @@ def _int8_step(layer: LayerSpec, shape, scale: float, zero_point: int, skip_affi
         # under 2**24; the requantize stays in float32 only where it gives
         # the float64 codes. The logits skip the output affine.
         multiplier = scale * layer.weight_scale / (1.0 if last else out_scale)
-        bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
-        if layer.bias is not None:
-            bound += int(np.abs(layer.bias.astype(np.int64)).max())
+        bound = _worst_accumulator(layer, zero_point)
         dtype = np.float32 if bound < 2**24 else np.float64
         single = dtype is np.float32 and not last and _exact_in_float32(
             multiplier, out_zp, bound)

@@ -153,13 +153,21 @@ def _check_zero_point(value: int, what: str, i: int | None = None) -> None:
         raise GraphError(f"{where}{what} zero point must be in [-128, 127], got {value}")
 
 
+def _worst_accumulator(layer: LayerSpec, zero_point: int) -> int:
+    """B = max_o sum |w_o| * (128 + |zp_in|) + |bias_o| bounds every partial sum,
+    bias included, of a weighted layer's accumulator on codes q, |q - zp_in| being
+    at most 128 + |zp_in|. validate_graph checks B < 2**31, the int8 plan B < 2**24."""
+    bias = 0 if layer.bias is None else np.abs(layer.bias.astype(np.int64))
+    weight = np.abs(layer.weight.reshape(layer.out_ch, -1).astype(np.int64))
+    return int((weight.sum(axis=1) * (128 + abs(zero_point)) + bias).max())
+
+
 def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
     """Check the whole graph; raise GraphError on the first violation.
 
-    Returns the (C, H, W) shape of every buffer in the order inference
-    fills them: shapes[k - INPUT_BUFFER] is the output of layer k, so
-    shapes[0] is the graph input. A weighted layer's last check is that each
-    output o's worst case sum |w_o| * (128 + |zp_in|) + |bias_o| fits int32.
+    Returns the (C, H, W) shape of every buffer in the order inference fills
+    them: shapes[k - INPUT_BUFFER] is the output of layer k, so shapes[0] is
+    the graph input. A weighted layer's last check: _worst_accumulator fits int32.
     """
     if not model.layers:
         raise GraphError("model has no layers")
@@ -289,10 +297,7 @@ def validate_graph(model: ModelGraph) -> list[tuple[int, int, int]]:
                         f"layer {i}: {kind} {what} of {size} elements exceeds the "
                         f"buffer cap of {MAX_BUFFER_ELEMENTS}"
                     )
-            bias = 0 if layer.bias is None else np.abs(layer.bias.astype(np.int64))
-            weight = np.abs(layer.weight.reshape(layer.out_ch, -1).astype(np.int64))
-            worst = (weight.sum(axis=1) * (128 + abs(zero_point)) + bias).max()
-            if worst > np.iinfo(np.int32).max:
+            if (worst := _worst_accumulator(layer, zero_point)) > np.iinfo(np.int32).max:
                 raise GraphError(
                     f"layer {i}: {kind} worst-case accumulator {worst} overflows int32"
                 )

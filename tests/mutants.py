@@ -151,15 +151,6 @@ MUTANTS = (
          "test_a_refused_layer_matches_the_reference"),
     ),
     Mutant(
-        "_int8_step: max |bias| left out of the float32 bound",
-        "src/birdedge/nnrt/engine.py",
-        "        if layer.bias is not None:\n"
-        "            bound += int(np.abs(layer.bias.astype(np.int64)).max())\n",
-        "",
-        ("tests/test_nnrt.py::TestFloat32Requantize::"
-         "test_a_refused_layer_matches_the_reference",),
-    ),
-    Mutant(
         "_exact_in_float32: candidates shrunk to floor(h / m)",
         "src/birdedge/nnrt/engine.py",
         "np.arange(-1, 3)",
@@ -500,6 +491,13 @@ MUTANTS = (
          "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[zero-active-time]"),
     ),
     Mutant(
+        "parse_profile: an efficiency that underflows to 0 named by its SI field",
+        "src/birdedge/energy.py",
+        "not (0.0 < value / per_si and value <= per_si)",
+        "not 0.0 < value <= per_si",
+        ("tests/test_energy.py::TestParsers::test_an_efficiency_that_underflows_names_its_key",),
+    ),
+    Mutant(
         "monthly_report: an underflowed panel_area denominator accepted",
         "src/birdedge/energy.py",
         "    if any(profile.eta_solar * profile.eta_bat * s_rad == 0 ",
@@ -560,18 +558,20 @@ MUTANTS = (
         ("tests/test_nnrt.py::TestSerialization::test_save_applies_the_loader_limits",),
     ),
     Mutant(
-        "validate_graph: the bias left out of the int32 bound, so save_model "
-        "writes an accumulator past int32",
+        "_worst_accumulator: the bias left out, so save_model writes an accumulator "
+        "past int32 and a float32 requantize misses the integers the bias reaches",
         "src/birdedge/nnrt/graph.py",
         "+ bias).max()",
         ").max()",
         ("tests/test_nnrt.py::TestSerialization::"
-         "test_int32_bound_uses_each_layers_input_zero_point",),
+         "test_int32_bound_uses_each_layers_input_zero_point",
+         "tests/test_nnrt.py::TestFloat32Requantize::"
+         "test_a_refused_layer_matches_the_reference"),
     ),
     Mutant(
         "validate_graph: the int32 bound skipped",
         "src/birdedge/nnrt/graph.py",
-        "            if worst > np.iinfo(np.int32).max:\n",
+        "            if (worst := _worst_accumulator(layer, zero_point)) > np.iinfo(np.int32).max:\n",
         "            if False:\n",
         ("tests/test_nnrt.py::TestSerialization::"
          "test_int32_accumulator_bound_is_checked_at_build",
@@ -929,11 +929,27 @@ EQUIVALENT = (
         "    high = neighbors[index, (count - 1) // 2]",
         ("tests/test_preprocess.py::TestHasPeakAgainstLoop::test_matches_loop",),
     ),
+    Mutant(
+        "_int8_step: the shape bound fan_in * 128 * (128 + |zp_in|) + max |bias|",  # it
+        # is at least _worst_accumulator, so it covers every accumulator too: a layer
+        # it puts past 2**24 sums exactly in float64, and one it refuses requantizes
+        # in float64; the dtype never shows in the output
+        "src/birdedge/nnrt/engine.py",
+        "        bound = _worst_accumulator(layer, zero_point)\n",
+        "        bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))\n"
+        "        if layer.bias is not None:\n"
+        "            bound += int(np.abs(layer.bias.astype(np.int64)).max())\n",
+        ("tests/test_nnrt.py::TestAccumulatorDtype",
+         "tests/test_nnrt.py::TestFloat32Requantize::"
+         "test_a_refused_layer_matches_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestPinnedOutputs"),
+    ),
 )
 
 
-def run_tests(tree: Path, node_ids) -> int:
-    """pytest's exit code for the given node ids, run in the copied tree."""
+def run_tests(tree: Path, node_ids) -> subprocess.CompletedProcess:
+    """pytest run on the given node ids in the copied tree, its output kept."""
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)  # pyproject.toml puts the copy's src first
     result = subprocess.run(
@@ -941,7 +957,12 @@ def run_tests(tree: Path, node_ids) -> int:
          "--hypothesis-profile=mutants", *node_ids],
         cwd=tree, env=env, capture_output=True, text=True,
     )
-    return result.returncode
+    return result
+
+
+def tail(result: subprocess.CompletedProcess, count: int = 40) -> str:
+    """The last lines of a pytest run's output, which name the failing test."""
+    return "\n".join((result.stdout + result.stderr).splitlines()[-count:])
 
 
 def main() -> int:
@@ -965,18 +986,20 @@ def main() -> int:
             else:
                 shutil.copy2(source, tree / name)
         every_node = sorted({node for m in everything for node in m.kills})
-        code = run_tests(tree, every_node)
-        if code != 0:
-            print(f"the unmutated tests do not pass (pytest exit {code})", file=sys.stderr)
+        result = run_tests(tree, every_node)
+        if result.returncode != 0:
+            print(f"the unmutated tests do not pass (pytest exit {result.returncode})\n"
+                  f"{tail(result)}", file=sys.stderr)
             return 1
         for m in everything:
             path = tree / m.path
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
             try:
-                code = run_tests(tree, m.kills)
+                result = run_tests(tree, m.kills)
             finally:
                 path.write_text(original)
+            code = result.returncode
             # pytest exits 1 when a test failed; 0 means the mutant survived,
             # and anything else (collection error, unknown node) proves nothing
             if m in EQUIVALENT:
@@ -986,6 +1009,8 @@ def main() -> int:
                 verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
                 failures += code != 1
             print(f"{verdict:10} {m.name}")
+            if verdict.startswith(("ERROR", "KILLED")):  # say which test failed
+                print(tail(result))
     print(f"{len(MUTANTS)} mutants and {len(EQUIVALENT)} equivalent ones, "
           f"{failures} not as listed")
     return int(failures > 0)

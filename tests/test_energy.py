@@ -303,6 +303,13 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_profile(text)
 
+    @pytest.mark.parametrize("key", ["eta_solar_percent", "eta_bat_percent"])
+    def test_an_efficiency_that_underflows_names_its_key(self, key):
+        # 1e-323 is in (0, 100], but 1e-323 / 100 is 0.0
+        text = f"e_infer_mj=1\nt_infer_ms=1\ne_dsp_mj=1\nt_dsp_ms=1\np_sleep_mw=1\n{key}=1e-323"
+        with pytest.raises(ConfigError, match=rf"^{key} must be in \(0, 100\], got 1e-323$"):
+            parse_profile(text)
+
     @pytest.mark.parametrize("load", [load_profile, load_irradiance])
     def test_bytes_that_are_not_utf8_are_a_config_error(self, tmp_path, load):
         path = tmp_path / "latin1.txt"

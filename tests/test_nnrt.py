@@ -59,7 +59,13 @@ from birdedge.nnrt.engine import (
     _residual_table,
     _walk,
 )
-from birdedge.nnrt.graph import MAX_SCALE, MIN_SCALE, WEIGHTED_KINDS, validate_graph
+from birdedge.nnrt.graph import (
+    MAX_SCALE,
+    MIN_SCALE,
+    WEIGHTED_KINDS,
+    _worst_accumulator,
+    validate_graph,
+)
 
 from conftest import FIXTURE_CLASSES, FIXTURE_SEED, random_spec, with_linear_geometry
 
@@ -1994,7 +2000,8 @@ class TestAccumulatorDtype:
 
     @pytest.mark.parametrize("fan_in", [1000, 2048])
     def test_wide_fan_in_matches_int64_reference(self, fan_in):
-        # fan_in * 128 * 256 is past 2**24 for both; 1000 is under twice it
+        # the head's bound, 127 * fan_in * 256 + 5, is past 2**24 for both,
+        # and under 2**25 for 1000
         model = wide_fan_in_model(fan_in)
         spec = MelSpectrogram(np.full((1, 1), -80.0, dtype=np.float32))
         want = int8_reference(model, spec.values)
@@ -2086,7 +2093,7 @@ def requantize_agrees(multiplier, zero_point, bound):
 # a float32 multiplier whose float32 requantize (zero point 0) differs from
 # the float64 one at a single integer of |a| <= 46373: a = -29989, whose
 # product lies just above the step at -127.5, while f32(a * m) rounds onto
-# it and then to -128. That integer is past 16384 = 128 * 128, the bound of
+# it and then to -128. That integer is past 16384 = 128 * 128, the largest bound of
 # a 1x1 conv over one channel on input zero point 0 without its bias, and it
 # is not floor(-127.5 / m).
 CRAFTED_MULTIPLIER = 0.0042515587992966175
@@ -2097,20 +2104,21 @@ class TestFloat32Requantize:
     """_exact_in_float32 proves a layer's float32 requantize exact, and the
     layers it refuses requantize in float64."""
 
-    def test_verdicts_match_full_enumeration_on_the_fixture(self, fixture_model):
-        scale, zero_point = fixture_model.input_scale, fixture_model.input_zero_point
+    @pytest.mark.parametrize(("seed", "proved"), [(0, 40), (3, 43), (7, 44)])
+    def test_verdicts_match_full_enumeration_on_the_fixture(self, seed, proved):
+        model = generate_fixture_model(FIXTURE_CLASSES, seed)
+        scale, zero_point = model.input_scale, model.input_zero_point
         verdicts = []
-        for layer in fixture_model.layers[:-1]:
+        for layer in model.layers[:-1]:
             if layer.kind in WEIGHTED_KINDS:
                 multiplier = scale * layer.weight_scale / layer.out_scale
-                bound = layer.weight.size // layer.out_ch * 128 * (128 + abs(zero_point))
-                bound += int(np.abs(layer.bias.astype(np.int64)).max())
+                bound = _worst_accumulator(layer, zero_point)
                 verdict = _exact_in_float32(multiplier, layer.out_zero_point, bound)
                 assert verdict == requantize_agrees(
                     multiplier, layer.out_zero_point, bound), len(verdicts)
                 verdicts.append(verdict)
             scale, zero_point = layer.out_scale, layer.out_zero_point
-        assert len(verdicts) == 51 and sum(verdicts) == 44
+        assert len(verdicts) == 51 and sum(verdicts) == proved
 
     @settings(deadline=None, max_examples=500)
     @given(
