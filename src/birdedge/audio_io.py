@@ -202,19 +202,18 @@ def write_spectrogram(spec: MelSpectrogram, sink) -> None:
     """Serialise a spectrogram to a path or binary file object.
 
     Raises ShapeError if the matrix is not 2-D and DegenerateInputError if
-    it contains non-finite values.
+    it contains non-finite values, or values beyond the float32 range,
+    which the file would hold as inf.
     """
     values = np.asarray(spec.values)
     if values.ndim != 2:
         raise ShapeError(f"spectrogram must be 2-D, got shape {values.shape}")
-    if not np.isfinite(values).all():
+    with np.errstate(over="ignore"):
+        cells = np.ascontiguousarray(values, dtype="<f4")
+    if not np.isfinite(cells).all():
         raise DegenerateInputError("spectrogram contains non-finite values")
     n_mels, n_frames = values.shape
-    payload = (
-        SPECTROGRAM_MAGIC
-        + struct.pack("<II", n_mels, n_frames)
-        + np.ascontiguousarray(values, dtype="<f4").tobytes()
-    )
+    payload = SPECTROGRAM_MAGIC + struct.pack("<II", n_mels, n_frames) + cells.tobytes()
     if hasattr(sink, "write"):
         sink.write(payload)
     else:

@@ -35,20 +35,16 @@ NOISE_ALPHA = (0.2, 0.8)  # weight of the noise power, drawn in [lo, hi]
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Scheduler knobs for one augmentation run."""
+    """Scheduler knobs for one augmentation run, checked when it is built."""
 
     p_apply: float = 0.5
     max_augs: int = 3
 
-    def validate(self, n_frames: int | None = None) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.p_apply <= 1.0:
             raise ConfigError(f"p_apply must be in [0, 1], got {self.p_apply}")
         if self.max_augs < 0:
             raise ConfigError(f"max_augs must be >= 0, got {self.max_augs}")
-        if n_frames is not None and WARP_LIMIT >= n_frames / 2:
-            raise ShapeError(
-                f"warp limit {WARP_LIMIT} too large for {n_frames} frames"
-            )
 
 
 @dataclass
@@ -194,8 +190,8 @@ def augment_chunk(
     have more than 2 * WARP_LIMIT frames (25 or more) unless p_apply or
     max_augs is 0, when no augmentation can run.
     """
-    can_run = cfg.p_apply > 0 and cfg.max_augs > 0
-    cfg.validate(n_frames=spec.n_frames if can_run else None)
+    if cfg.p_apply > 0 and cfg.max_augs > 0 and WARP_LIMIT >= spec.n_frames / 2:
+        raise ShapeError(f"warp limit {WARP_LIMIT} too large for {spec.n_frames} frames")
     schedule = draw_schedule(cfg, rng)
     out = spec
     log: list[AppliedAugmentation] = []

@@ -278,7 +278,12 @@ def _check_input(model: ModelGraph, spec: MelSpectrogram) -> None:
         raise ShapeError(
             f"model expects a {expected} spectrogram, got {spec.values.shape}"
         )
-    if not np.isfinite(spec.values).all():
+    values = spec.values
+    if values.dtype.type is not np.float32:
+        # a value beyond float32, which no .mels file holds, casts to inf
+        with np.errstate(over="ignore"):
+            values = values.astype(np.float32)
+    if not np.isfinite(values).all():
         raise ShapeError("spectrogram contains non-finite values")
 
 
@@ -288,7 +293,9 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     The input is quantized with the model's input affine, saturating: dB
     values beyond the range it covers (-80..0 dB for the fixture models)
     are clamped to the nearest int8 code, so +500 dB classifies exactly
-    like 0 dB and -1e6 dB exactly like -80 dB.
+    like 0 dB and -1e6 dB exactly like -80 dB. A NaN, an inf, or a value
+    beyond the float32 range raises ShapeError, here and in
+    float_reference_infer.
     """
     _check_input(model, spec)
     return _softmax(_walk(model, _quantize_input(model, spec.values), _int8_step)[-1])

@@ -115,17 +115,6 @@ def _voiced_runs(samples: np.ndarray, level: np.float32, half: int):
             stops[np.r_[split, -1]] + half)
 
 
-def _window_maxima(chunk: np.ndarray, window: int) -> np.ndarray:
-    """Maxima of |chunk| over consecutive windows; the last one may be short.
-
-    Integer chunks are taken to float64 first, so |-32768| is 32768.
-    """
-    if chunk.dtype.kind in "biu":
-        chunk = chunk.astype(np.float64)
-    edges = np.arange(0, len(chunk), window)
-    return np.maximum.reduceat(np.abs(chunk), edges)
-
-
 def has_peak(
     chunk: np.ndarray,
     sample_rate: int = SAMPLE_RATE,
@@ -152,30 +141,39 @@ def has_peak(
     float32 for float16 maxima and in their own dtype otherwise. A sum or
     product past the float maximum is inf, without a warning.
     """
-    chunk = np.asarray(chunk)
-    if len(chunk) == 0:
-        return False
+    return bool(_peaks(np.asarray(chunk)[None], sample_rate, ratio)[0])
+
+
+def _peaks(chunks: np.ndarray, sample_rate: int, ratio: float) -> np.ndarray:
+    """has_peak of each row of a (k, length) array of chunks, in one pass:
+    one (k, n, 2 * span) neighbour array of the n window maxima per row,
+    sorted once. The last window of a row may be short."""
     window = max(1, int(round(sample_rate * ENVELOPE_WINDOW_SECONDS)))
     span = max(1, int(round(PEAK_NEIGHBORHOOD_SECONDS / ENVELOPE_WINDOW_SECONDS)))
-    maxima = _window_maxima(chunk, window)
-    n = len(maxima)
-    if n < 2:
-        return False
-    pad = np.full(span, np.inf, dtype=maxima.dtype)
+    if chunks.shape[1] <= window:  # fewer than 2 windows: no neighbours
+        return np.zeros(len(chunks), dtype=bool)
+    edges = np.arange(0, chunks.shape[1], window)
+    # max |s| is the larger |extreme|: no |s| copy of the chunks
+    top, bottom = (f.reduceat(chunks, edges, axis=1) for f in (np.maximum, np.minimum))
+    if chunks.dtype.kind in "biu":  # so |-32768| is 32768
+        top, bottom = top.astype(np.float64), bottom.astype(np.float64)
+    maxima = np.maximum(top, -bottom)
+    n = len(edges)
+    pad = np.full((len(chunks), span), np.inf, dtype=maxima.dtype)
     index = np.arange(n)
     count = np.minimum(index + span, n - 1) - np.maximum(index - span, 0)
     offsets = np.arange(2 * span)
     offsets[span:] += 1  # skip the window itself
-    neighbors = np.concatenate([pad, maxima, pad])[index[:, None] + offsets]
-    neighbors.sort(axis=1)
-    low = neighbors[index, (count - 1) // 2]
-    high = neighbors[index, count // 2]
+    neighbors = np.concatenate([pad, maxima, pad], axis=1)[:, index[:, None] + offsets]
+    neighbors.sort(axis=2)
+    low = neighbors[:, index, (count - 1) // 2]
+    high = neighbors[:, index, count // 2]
     mean_dtype = np.promote_types(maxima.dtype, np.float32)  # as np.mean's
     with np.errstate(over="ignore"):
         mean = ((low.astype(mean_dtype) + high) / 2).astype(maxima.dtype)
         median = np.where(count % 2 == 1, low, mean)
-        median[np.isnan(neighbors[:, -1])] = np.nan
-        return bool(np.any((maxima > 0.0) & (maxima >= ratio * median)))
+        median[np.isnan(neighbors[..., -1])] = np.nan
+        return np.any((maxima > 0.0) & (maxima >= ratio * median), axis=1)
 
 
 def split_chunks(
@@ -187,12 +185,12 @@ def split_chunks(
 
     Returns (chunks, noise): `chunks` are the first max_chunks windows that
     pass has_peak, in order; `noise` collects every rejected window. Chunks
-    are views of clip.samples; noise windows are copies, because they
-    outlive preprocess_recording and a view would keep the whole clip
-    alive. Windows are consecutive, non-overlapping, CHUNK_SECONDS long;
-    the trailing remainder shorter than one window is dropped. Chunks
-    beyond the cap are discarded entirely (they do not join the noise
-    pool).
+    are views of clip.samples; noise windows are rows of one copy of the
+    rejected windows, because they outlive preprocess_recording and a view
+    would keep the whole clip alive. Windows are consecutive,
+    non-overlapping, CHUNK_SECONDS long; the trailing remainder shorter
+    than one window is dropped. Chunks beyond the cap are discarded
+    entirely (they do not join the noise pool).
 
     Raises ConfigError unless peak_ratio is finite and positive and
     max_chunks is at least 1. A NaN or inf ratio, or a cap below 1, would
@@ -201,16 +199,11 @@ def split_chunks(
     _check_screen(peak_ratio, max_chunks)
     chunk_len = int(round(clip.sample_rate * CHUNK_SECONDS))
     n_windows = len(clip.samples) // chunk_len
-    chunks: list[np.ndarray] = []
-    noise: list[np.ndarray] = []
-    for k in range(n_windows):
-        window = clip.samples[k * chunk_len : (k + 1) * chunk_len]
-        if has_peak(window, sample_rate=clip.sample_rate, ratio=peak_ratio):
-            if len(chunks) < max_chunks:
-                chunks.append(window)
-        else:
-            noise.append(window.copy())
-    return chunks, noise
+    # a 1-D array of any stride reshapes to a view
+    windows = clip.samples[: n_windows * chunk_len].reshape(n_windows, chunk_len)
+    peaks = _peaks(windows, clip.sample_rate, peak_ratio)
+    chunks = [windows[k] for k in np.flatnonzero(peaks)[:max_chunks]]
+    return chunks, list(windows[~peaks])
 
 
 def normalize(chunk: np.ndarray) -> np.ndarray:

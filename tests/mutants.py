@@ -77,8 +77,8 @@ MUTANTS = (
     Mutant(
         "has_peak: rows padded with 0 for +inf",
         "src/birdedge/preprocess.py",
-        "pad = np.full(span, np.inf, dtype=maxima.dtype)",
-        "pad = np.full(span, 0, dtype=maxima.dtype)",
+        "pad = np.full((len(chunks), span), np.inf, dtype=maxima.dtype)",
+        "pad = np.full((len(chunks), span), 0, dtype=maxima.dtype)",
         ("tests/test_preprocess.py::TestHasPeakAgainstLoop::test_matches_loop",),
     ),
     Mutant(
@@ -88,6 +88,45 @@ MUTANTS = (
         "mean_dtype = maxima.dtype",
         ("tests/test_preprocess.py::TestHasPeakAgainstLoop::"
          "test_float16_pairs_are_averaged_in_float32",),
+    ),
+    Mutant(
+        "split_chunks: chunks past the cap kept",
+        "src/birdedge/preprocess.py",
+        "np.flatnonzero(peaks)[:max_chunks]",
+        "np.flatnonzero(peaks)",
+        ("tests/test_preprocess.py::TestSplitChunks::test_cap_applies_to_survivors",),
+    ),
+    Mutant(
+        "split_chunks: noise taken from the windows that pass",
+        "src/birdedge/preprocess.py",
+        "list(windows[~peaks])",
+        "list(windows[peaks])",
+        ("tests/test_preprocess.py::TestSplitChunks::test_noise_windows_separated",),
+    ),
+    Mutant(
+        "write_spectrogram: finiteness checked before the float32 cast",
+        "src/birdedge/audio_io.py",
+        "if not np.isfinite(cells).all()",
+        "if not np.isfinite(values).all()",
+        ("tests/test_audio_io.py::TestSpectrogramContainer::test_nonfinite_write_rejected",),
+    ),
+    Mutant(
+        "_check_input: finiteness checked before the float32 cast",
+        "src/birdedge/nnrt/engine.py",
+        "    if not np.isfinite(values).all():\n"
+        '        raise ShapeError("spectrogram contains non-finite values")',
+        "    if not np.isfinite(spec.values).all():\n"
+        '        raise ShapeError("spectrogram contains non-finite values")',
+        ("tests/test_nnrt.py::TestInference::test_nonfinite_input_rejected[1e+300]",
+         "tests/test_nnrt.py::TestInference::test_nonfinite_input_rejected[-1e+300]"),
+    ),
+    Mutant(
+        "AugmentConfig: built without its checks",
+        "src/birdedge/augment.py",
+        "    def __post_init__(self):\n",
+        "    def _unchecked(self):\n",
+        ("tests/test_augment.py::TestConfig::test_invalid_fields",
+         "tests/test_cli.py::TestErrorContract::test_input_error_exits_1[augment-p-apply-above-1]"),
     ),
     Mutant(
         "mel_spectrogram: one weighted bin too few",
@@ -104,17 +143,17 @@ MUTANTS = (
         ("tests/test_preprocess.py::TestMelBinCut::test_matches_full_product_bytewise",),
     ),
     Mutant(
-        "AugmentConfig.validate: warp limit may reach half the frames",
+        "augment_chunk: warp limit may reach half the frames",
         "src/birdedge/augment.py",
-        "WARP_LIMIT >= n_frames / 2",
-        "WARP_LIMIT > n_frames / 2",
+        "WARP_LIMIT >= spec.n_frames / 2",
+        "WARP_LIMIT > spec.n_frames / 2",
         ("tests/test_augment.py::TestConfig::test_warp_limit_vs_frames",),
     ),
     Mutant(
         "augment_chunk: frame count checked when nothing can run",
         "src/birdedge/augment.py",
-        "n_frames=spec.n_frames if can_run else None",
-        "n_frames=spec.n_frames",
+        "if cfg.p_apply > 0 and cfg.max_augs > 0 and WARP_LIMIT",
+        "if WARP_LIMIT",
         ("tests/test_augment.py::TestAugmentChunk::"
          "test_short_spectrogram_passes_when_nothing_can_run",),
     ),
@@ -359,13 +398,12 @@ MUTANTS = (
     Mutant(
         "has_peak: |x| taken in the integer dtype",
         "src/birdedge/preprocess.py",
-        '    if chunk.dtype.kind in "biu":\n'
-        "        chunk = chunk.astype(np.float64)\n"
-        "    edges = np.arange(0, len(chunk), window)\n"
-        "    return np.maximum.reduceat(np.abs(chunk), edges)\n",
-        "    edges = np.arange(0, len(chunk), window)\n"
-        "    maxima = np.maximum.reduceat(np.abs(chunk), edges)\n"
-        '    return maxima if maxima.dtype.kind == "f" else maxima.astype(np.float64)\n',
+        '    if chunks.dtype.kind in "biu":  # so |-32768| is 32768\n'
+        "        top, bottom = top.astype(np.float64), bottom.astype(np.float64)\n"
+        "    maxima = np.maximum(top, -bottom)\n",
+        "    maxima = np.maximum(top, -bottom)\n"
+        '    if maxima.dtype.kind != "f":\n'
+        "        maxima = maxima.astype(np.float64)\n",
         ("tests/test_preprocess.py::TestHasPeak::"
          "test_int16_full_scale_negative_window_is_a_peak",),
     ),
@@ -923,10 +961,10 @@ EQUIVALENT = (
         "has_peak: the two median indices swapped",  # low + high is
         # commutative in IEEE arithmetic, and an odd count's indices coincide
         "src/birdedge/preprocess.py",
-        "low = neighbors[index, (count - 1) // 2]\n"
-        "    high = neighbors[index, count // 2]",
-        "low = neighbors[index, count // 2]\n"
-        "    high = neighbors[index, (count - 1) // 2]",
+        "low = neighbors[:, index, (count - 1) // 2]\n"
+        "    high = neighbors[:, index, count // 2]",
+        "low = neighbors[:, index, count // 2]\n"
+        "    high = neighbors[:, index, (count - 1) // 2]",
         ("tests/test_preprocess.py::TestHasPeakAgainstLoop::test_matches_loop",),
     ),
     Mutant(

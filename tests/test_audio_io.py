@@ -489,9 +489,10 @@ class TestSpectrogramContainer:
             write_spectrogram(MelSpectrogram(values), io.BytesIO())
 
     def test_nonfinite_write_rejected(self):
-        values = np.array([[np.nan, 0.0]], dtype=np.float32)
-        with pytest.raises(ValueError):
-            write_spectrogram(MelSpectrogram(values), io.BytesIO())
+        # float64 1e300 is finite, but the float32 file would hold it as inf
+        for values in (np.array([[np.nan, 0.0]], dtype=np.float32), np.full((2, 3), 1e300)):
+            with pytest.raises(ValueError):
+                write_spectrogram(MelSpectrogram(values), io.BytesIO())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_payload_rejected(self, bad):

@@ -404,13 +404,13 @@ class TestConfig:
     )
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
-            AugmentConfig(**kwargs).validate()
+            AugmentConfig(**kwargs)
 
     def test_warp_limit_vs_frames(self):
         # the warp limit of 12 frames must stay under half the frame count
-        AugmentConfig().validate(n_frames=25)
+        augment_chunk(random_spec(34, shape=(64, 25)), [], AugmentConfig(), chunk_rng(0, 0))
         with pytest.raises(ValueError):
-            AugmentConfig().validate(n_frames=24)
+            augment_chunk(random_spec(34, shape=(64, 24)), [], AugmentConfig(), chunk_rng(0, 0))
 
     def test_chunk_rng_reproducible(self):
         a = chunk_rng(42, 3).random(8)

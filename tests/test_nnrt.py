@@ -1007,10 +1007,12 @@ class TestInference:
         with pytest.raises(ShapeError):
             infer(model, MelSpectrogram(np.zeros((5, 5), dtype=np.float32)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
     def test_nonfinite_input_rejected(self, bad):
         model = chain_model()
         values = spec_for(model, seed=5).values
+        if np.isfinite(bad):  # finite in float64, but beyond float32
+            values = values.astype(np.float64)
         values[1, 2] = bad
         for fn in (infer, float_reference_infer):
             with pytest.raises(ShapeError):
