@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DegenerateInputError, ShapeError
+from .exceptions import ConfigError, DegenerateInputError, ShapeError, check_integer
 from .melspec import FLOOR_DB, MelSpectrogram, db_to_power, power_to_db
 
 # Canonical order in which selection coins are flipped. Fixed so a seed
@@ -43,6 +43,7 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_apply <= 1.0:
             raise ConfigError(f"p_apply must be in [0, 1], got {self.p_apply}")
+        check_integer(self.max_augs, "max_augs")
         if self.max_augs < 0:
             raise ConfigError(f"max_augs must be >= 0, got {self.max_augs}")
 
@@ -226,6 +227,10 @@ def augment_chunk(
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented substream rule: one child generator per chunk index."""
+    check_integer(seed, "seed")
+    check_integer(chunk_index, "chunk_index")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if chunk_index < 0:
+        raise ConfigError(f"chunk_index must be >= 0, got {chunk_index}")
     return np.random.default_rng([seed, chunk_index])

@@ -140,6 +140,10 @@ def monthly_report(
     """
     if sorted(irradiance) != list(range(1, 13)):
         raise ConfigError(f"irradiance table must cover months 1..12, got {sorted(irradiance)}")
+    for month, s_rad in irradiance.items():
+        if not 0 < s_rad < math.inf:  # as parse_irradiance checks a file's
+            raise ConfigError(
+                f"month {month}: irradiance must be finite and positive, got {s_rad}")
     avg = average_power(profile)
     capacity = battery_capacity(profile)
     charge = charge_power(capacity, profile.charge_hours)

@@ -6,6 +6,8 @@ exception is a bug. BirdEdgeError is also a ValueError, so callers that
 catch ValueError for a bad argument keep working.
 """
 
+import numbers
+
 
 class BirdEdgeError(ValueError):
     """Base class for every error this package raises on purpose."""
@@ -39,3 +41,10 @@ class DegenerateInputError(BirdEdgeError):
 
 class EmptyError(BirdEdgeError):
     """An operation that needs at least one element got an empty collection."""
+
+
+def check_integer(value, what: str) -> None:
+    """ConfigError unless value is an int or a numpy integer; a float, 2.0
+    included, is not one."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")

@@ -11,9 +11,13 @@ run(x, skip), that casts weights and makes multipliers and tables once.
 Weighted layers of both run on the same correlation kernel, _correlation,
 whose geometry is fixed from the layer's input shape in model.shapes: the
 centered input in C order, whatever the layout of x, zero-padded when
-the layer pads, one strided im2col view, then one BLAS product per
-layer, stacked per channel for depthwise. A stride-1 1x1 conv or a
-linear layer unfolds without a copy.
+the layer pads, one strided im2col view, then one BLAS product per row
+tile, stacked per channel for depthwise. The patches are copied a tile
+of whole output rows at a time, the most rows under graph.MAX_TILE_BYTES
+(one at least), each tile's product landing in its output rows of a
+per-call accumulator; a layer whose patches fit one tile runs a single
+product. A stride-1 1x1 conv or a linear layer unfolds without a copy,
+in one product. The plan holds no scratch, as plans serve every thread.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
@@ -58,7 +62,14 @@ import numpy as np
 
 from ..exceptions import ShapeError
 from ..melspec import MelSpectrogram
-from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph, _worst_accumulator
+from .graph import (
+    INPUT_BUFFER,
+    MAX_TILE_BYTES,
+    WEIGHTED_KINDS,
+    LayerSpec,
+    ModelGraph,
+    _worst_accumulator,
+)
 
 # Every int8 code in float32, ordered so that table[codes.view(np.uint8)]
 # looks up the entry of each code.
@@ -69,14 +80,25 @@ _CODES = np.arange(256, dtype=np.uint8).view(np.int8).astype(np.float32)
 _PLANS = weakref.WeakKeyDictionary()
 
 
+def _row_tiles(height: int, row_bytes: int, cap: int) -> list[tuple[int, int]]:
+    """(top, bottom) of each tile of a layer's height output rows, in
+    order: a tile holds the most rows of row_bytes each that fit in cap
+    bytes, one at least, and the last tile the rows left over."""
+    rows = max(1, cap // row_bytes)
+    return [(top, min(top + rows, height)) for top in range(0, height, rows)]
+
+
 def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
     """correlate(x): the correlation of x - zero_point, an input of shape
     (C, H, W), with the layer's weight as given, in weight's dtype, as
     (out_ch, Ho, Wo). The geometry is fixed here, once per plan: the padded
     shape, the strided im2col window view over the padded buffer (a tenth
     of the cost of as_strided), the patch matrix, stacked per channel for
-    depthwise, and the output shape. A stride-1 1x1 conv or a linear layer
-    unfolds without a copy."""
+    depthwise, its row tiles under MAX_TILE_BYTES, and the output shape.
+    Each tile's patches are copied and run through one product into its
+    columns of the accumulator; a layer of one tile runs one product on
+    the whole patch matrix. A stride-1 1x1 conv or a linear layer unfolds
+    without a copy, so it is never tiled."""
     c, h, w = shape
     (kh, kw), stride, pad = layer.kernel, layer.stride, layer.padding
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -89,6 +111,14 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
     else:
         patches, weight = (c * kh * kw, ho * wo), weight.reshape(layer.out_ch, -1)
     out_shape, inner = (layer.out_ch, ho, wo), np.s_[:, pad : pad + h, pad : pad + w]
+    # (window rows, tile patch shape, accumulator columns) of each tile
+    tiles = [] if (kh, kw, stride) == (1, 1, 1) else [
+        (np.s_[..., top:bottom, :], (*patches[:-1], (bottom - top) * wo),
+         np.s_[..., top * wo : bottom * wo])
+        for top, bottom in _row_tiles(ho, math.prod(patches[:-1]) * wo * size,
+                                      MAX_TILE_BYTES)
+    ]
+    acc_shape = (*weight.shape[:-1], ho * wo)
 
     def correlate(x):
         # dtype= runs the subtraction in dtype; without it an int8 x would
@@ -101,7 +131,12 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
         else:
             padded = np.subtract(x, zero_point, dtype=dtype, order="C")
         view = np.ndarray(windows, dtype, padded, 0, strides)
-        return (weight @ view.reshape(patches)).reshape(out_shape)
+        if len(tiles) < 2:
+            return (weight @ view.reshape(patches)).reshape(out_shape)
+        acc = np.empty(acc_shape, dtype)
+        for rows, tile, columns in tiles:
+            np.matmul(weight, view[rows].reshape(tile), out=acc[columns])
+        return acc.reshape(out_shape)
 
     return correlate
 

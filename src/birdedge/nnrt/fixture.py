@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..exceptions import ConfigError
+from ..exceptions import ConfigError, check_integer
 from .engine import _float_step, _walk
 from .graph import LayerSpec, ModelGraph, _weight_count
 from .serialize import _MAX_DIM
@@ -87,6 +87,8 @@ def generate_fixture_model(class_count: int, seed: int) -> ModelGraph:
     class_count is at most the .enm container's dimension limit, so
     save_model can store every graph this builds.
     """
+    check_integer(class_count, "class_count")
+    check_integer(seed, "seed")
     if not 1 <= class_count <= _MAX_DIM:
         raise ConfigError(f"class_count must be in [1, {_MAX_DIM}], got {class_count}")
     if seed < 0:

@@ -32,10 +32,17 @@ INPUT_BUFFER = -1
 MIN_SCALE = 2.0**-32
 MAX_SCALE = 2.0**32
 
-# Most elements inference may allocate in one buffer: the graph input, a
-# conv's zero-padded input, its im2col patch matrix, or its output. 2**24
-# float64 elements are 128 MiB; no fixture buffer exceeds 288,000.
+# Most elements of one inference buffer: the graph input, a conv's
+# zero-padded input, its im2col patch matrix, or its output. 2**24 float64
+# elements are 128 MiB; no fixture buffer exceeds 288,000. The whole patch
+# matrix is capped although inference no longer allocates it: it copies
+# the patches in row tiles under MAX_TILE_BYTES.
 MAX_BUFFER_ELEMENTS = 1 << 24
+
+# Most bytes of patches a weighted layer copies at once (256 KiB): its
+# im2col patch matrix is built in tiles of whole output rows that fit, and
+# a row larger than the cap is a tile of its own.
+MAX_TILE_BYTES = 1 << 18
 
 
 def _plain(value):

@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .audio_io import AudioClip, resample
-from .exceptions import ConfigError, DegenerateInputError, UnsupportedError
+from .exceptions import ConfigError, DegenerateInputError, UnsupportedError, check_integer
 from .melspec import MelSpectrogram, power_to_db
 
 # Pipeline constants; the CLI overrides SILENCE_THRESHOLD, PEAK_RATIO and
@@ -68,6 +68,7 @@ def _check_threshold(threshold: float) -> None:
 def _check_screen(peak_ratio: float, max_chunks: int) -> None:
     if not (math.isfinite(peak_ratio) and peak_ratio > 0.0):
         raise ConfigError(f"peak_ratio must be finite and > 0, got {peak_ratio}")
+    check_integer(max_chunks, "max_chunks")
     if max_chunks < 1:
         raise ConfigError(f"max_chunks must be >= 1, got {max_chunks}")
 

@@ -932,6 +932,90 @@ MUTANTS = (
         "slice(-shift, None) if shift >= 0 else slice(0, -shift)",
         ("tests/test_augment.py::TestRolls",),
     ),
+    Mutant(
+        "AugmentConfig: a float max_augs accepted",
+        "src/birdedge/augment.py",
+        '        check_integer(self.max_augs, "max_augs")\n',
+        "",
+        ("tests/test_augment.py::TestConfig::test_max_augs_must_be_an_integer",),
+    ),
+    Mutant(
+        "chunk_rng: a float seed passed to numpy",
+        "src/birdedge/augment.py",
+        '    check_integer(seed, "seed")\n',
+        "",
+        ("tests/test_augment.py::TestAugmentChunk::"
+         "test_a_bad_seed_or_chunk_index_is_a_config_error",),
+    ),
+    Mutant(
+        "chunk_rng: a float chunk index passed to numpy",
+        "src/birdedge/augment.py",
+        '    check_integer(chunk_index, "chunk_index")\n',
+        "",
+        ("tests/test_augment.py::TestAugmentChunk::"
+         "test_a_bad_seed_or_chunk_index_is_a_config_error",),
+    ),
+    Mutant(
+        "chunk_rng: a negative chunk index passed to numpy",
+        "src/birdedge/augment.py",
+        "    if chunk_index < 0:",
+        "    if chunk_index < -1:",
+        ("tests/test_augment.py::TestAugmentChunk::"
+         "test_a_bad_seed_or_chunk_index_is_a_config_error",),
+    ),
+    Mutant(
+        "split_chunks, preprocess_recording: a float max_chunks accepted",
+        "src/birdedge/preprocess.py",
+        '    check_integer(max_chunks, "max_chunks")\n',
+        "",
+        ("tests/test_preprocess.py::TestSplitChunks::test_cap_must_be_an_integer",),
+    ),
+    Mutant(
+        "generate_fixture_model: a float class count accepted",
+        "src/birdedge/nnrt/fixture.py",
+        '    check_integer(class_count, "class_count")\n',
+        "",
+        ("tests/test_nnrt.py::TestFixtureModel::"
+         "test_bad_arguments_are_config_errors[float-classes]",),
+    ),
+    Mutant(
+        "generate_fixture_model: a float seed accepted",
+        "src/birdedge/nnrt/fixture.py",
+        '    check_integer(seed, "seed")\n',
+        "",
+        ("tests/test_nnrt.py::TestFixtureModel::"
+         "test_bad_arguments_are_config_errors[float-seed]",),
+    ),
+    Mutant(
+        "monthly_report: a negative irradiance accepted",
+        "src/birdedge/energy.py",
+        "        if not 0 < s_rad < math.inf:",
+        "        if not -math.inf < s_rad < math.inf:",
+        ("tests/test_energy.py::TestMonthlyReport::"
+         "test_irradiance_must_be_finite_and_positive[-100.0]",),
+    ),
+    Mutant(
+        "_row_tiles: the last partial tile dropped",
+        "src/birdedge/nnrt/engine.py",
+        "for top in range(0, height, rows)]",
+        "for top in range(0, height - rows + 1, rows)]",
+        ("tests/test_nnrt.py::TestRowTiles::test_tiles_are_the_most_rows_under_the_cap",),
+    ),
+    Mutant(
+        "_row_tiles: one row per tile more than fits the cap",
+        "src/birdedge/nnrt/engine.py",
+        "    rows = max(1, cap // row_bytes)\n",
+        "    rows = max(1, cap // row_bytes + 1)\n",
+        ("tests/test_nnrt.py::TestRowTiles::test_tiles_are_the_most_rows_under_the_cap",),
+    ),
+    Mutant(
+        "_correlation: the whole patch matrix built as one tile",  # the
+        # outputs are the same: only the scratch bound sees it
+        "src/birdedge/nnrt/engine.py",
+        "        if len(tiles) < 2:\n",
+        "        if True:\n",
+        ("tests/test_nnrt.py::TestRowTiles::test_each_weighted_step_stays_under_the_cap",),
+    ),
 )
 
 

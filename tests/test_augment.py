@@ -342,6 +342,18 @@ class TestAugmentChunk:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             chunk_rng(-1, 0)
 
+    def test_a_bad_seed_or_chunk_index_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+            chunk_rng(1.5, 0)
+        with pytest.raises(ConfigError, match="chunk_index must be an integer, got 0.5"):
+            chunk_rng(1, 0.5)
+        # numpy's own error for a negative entry names neither argument
+        with pytest.raises(ConfigError, match="chunk_index must be >= 0, got -1"):
+            chunk_rng(1, -1)
+        # numpy integers are integers, and draw the same substream
+        same = chunk_rng(np.int64(42), np.int32(3)).random(8)
+        assert np.array_equal(same, chunk_rng(42, 3).random(8))
+
     def test_empty_pool_skips_noise(self):
         spec = random_spec(33)
         cfg = AugmentConfig(p_apply=1.0, max_augs=4)
@@ -405,6 +417,18 @@ class TestConfig:
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
             AugmentConfig(**kwargs)
+
+    def test_max_augs_must_be_an_integer(self):
+        with pytest.raises(ConfigError, match="max_augs must be an integer, got 1.5"):
+            AugmentConfig(p_apply=1.0, max_augs=1.5)
+        # a numpy integer is one, and schedules as the int it equals
+        spec, pool = random_spec(35), [random_spec(1000 + i) for i in range(3)]
+        got = augment_chunk(spec, pool, AugmentConfig(p_apply=1.0, max_augs=np.int64(2)),
+                            chunk_rng(6, 0))
+        want = augment_chunk(spec, pool, AugmentConfig(p_apply=1.0, max_augs=2),
+                             chunk_rng(6, 0))
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[1] == want[1] and len(got[1]) == 2
 
     def test_warp_limit_vs_frames(self):
         # the warp limit of 12 frames must stay under half the frame count

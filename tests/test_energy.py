@@ -6,6 +6,7 @@ would carry forward; the library itself stays full precision.
 """
 
 import importlib.resources
+import math
 
 import pytest
 from hypothesis import given
@@ -193,6 +194,15 @@ class TestMonthlyReport:
         profile = DeploymentProfile(**{**MCU.__dict__, **kwargs})
         with pytest.raises(ConfigError, match="overflows"):
             monthly_report(profile, self.irradiance())
+
+    @pytest.mark.parametrize("value", [-100.0, 0.0, math.nan, math.inf])
+    def test_irradiance_must_be_finite_and_positive(self, value):
+        # parse_irradiance refuses these in a file; a table built in Python
+        # gave negative or zero panel areas
+        table = {**self.irradiance(), 3: value}
+        with pytest.raises(ConfigError, match=rf"month 3: irradiance must be finite "
+                                              rf"and positive, got {value}"):
+            monthly_report(MCU, table)
 
     def test_underflowed_denominator_rejected(self):
         # 0.2 * 0.9 * 5e-324 rounds to 0, which panel_area would divide by

@@ -12,6 +12,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 import weakref
 
@@ -51,16 +52,20 @@ from birdedge.nnrt import (
 )
 
 from birdedge.nnrt.engine import (
+    _PLANS,
     _correlation,
     _exact_in_float32,
+    _float_step,
     _int8_step,
     _quantize_input,
     _relu6_table,
     _residual_table,
+    _row_tiles,
     _walk,
 )
 from birdedge.nnrt.graph import (
     MAX_SCALE,
+    MAX_TILE_BYTES,
     MIN_SCALE,
     WEIGHTED_KINDS,
     _worst_accumulator,
@@ -1474,10 +1479,16 @@ class TestFixtureModel:
         # checked before any of its ~17 M weights is drawn
         pytest.param((1 << 20) + 1, 1, "got 1048577", id="too-many-classes"),
         pytest.param(3, -1, "seed must be >= 0, got -1", id="negative-seed"),
+        pytest.param(31.0, 7, "class_count must be an integer, got 31.0", id="float-classes"),
+        pytest.param(31, 7.5, "seed must be an integer, got 7.5", id="float-seed"),
     ])
     def test_bad_arguments_are_config_errors(self, classes, seed, message):
         with pytest.raises(ConfigError, match=message):
             generate_fixture_model(classes, seed)
+
+    def test_numpy_integer_arguments_build_the_same_model(self):
+        want = save_model(generate_fixture_model(3, 1))
+        assert save_model(generate_fixture_model(np.int64(3), np.uint8(1))) == want
 
     def test_class_bound_is_checked_before_any_weight_is_drawn(self, monkeypatch):
         # the real bound, 2**20, would cost ~17 M weights on a mutant that lifts it
@@ -1883,6 +1894,115 @@ class TestSharedKernel:
             assert infer(model, spec).tobytes() == want.tobytes()
             assert (float_reference_infer(model, transposed).tobytes()
                     == float_reference_infer(model, spec).tobytes())
+
+
+def copied_layers(model):
+    """(index, output rows, bytes of one output row of patches in the int8
+    walk) of every weighted layer whose patches are copied, so tiled: all
+    but stride-1 1x1 convs and linear layers."""
+    zero_point = model.input_zero_point
+    for i, layer in enumerate(model.layers):
+        if layer.kind in WEIGHTED_KINDS and (*layer.kernel, layer.stride) != (1, 1, 1):
+            size = 4 if _worst_accumulator(layer, zero_point) < 2**24 else 8
+            _, ho, wo = model.shapes[i + 1]
+            yield i, ho, model.shapes[i][0] * math.prod(layer.kernel) * wo * size
+        zero_point = layer.out_zero_point
+
+
+def int8_layers_under_cap(model, x, cap):
+    """The bytes of every int8 layer output on input codes x, walked with
+    tiles of at most cap bytes. Plans are cached per model, so the walk
+    runs on a freshly built copy of model."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(birdedge.nnrt.engine, "MAX_TILE_BYTES", cap)
+        return [out.tobytes() for out in _walk(dataclasses.replace(model), x, _int8_step)]
+
+
+class TestRowTiles:
+    """Each weighted layer copies its patches in tiles of whole output rows
+    under MAX_TILE_BYTES, and the tiling never shows in an output."""
+
+    @given(height=st.integers(1, 300), row_bytes=st.integers(1, 5000),
+           cap=st.integers(1, 20000))
+    def test_tiles_are_the_most_rows_under_the_cap(self, height, row_bytes, cap):
+        tiles = _row_tiles(height, row_bytes, cap)
+        rows = max(1, cap // row_bytes)
+        # in order, covering every row once
+        assert [top for top, _ in tiles] == list(range(0, height, rows))
+        assert [bottom for _, bottom in tiles] == [top for top, _ in tiles[1:]] + [height]
+        # every tile but the last as many rows as fit, one at least
+        assert all(bottom - top == rows for top, bottom in tiles[:-1])
+        assert all((bottom - top) * row_bytes <= max(cap, row_bytes)
+                   for top, bottom in tiles)
+
+    @settings(deadline=None)
+    @given(model=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_are_byte_identical_under_any_cap(self, model, seed):
+        # one row per tile; the tallest copied layer split into ho - 1 rows
+        # and 1; every layer whole
+        tall = [(ho, row) for _, ho, row in copied_layers(model) if ho >= 3]
+        uneven = (max(tall)[0] - 1) * max(tall)[1] if tall else 1
+        x = _quantize_input(model, code_spanning_spec(model, seed).values)
+        whole = int8_layers_under_cap(model, x, 2**62)
+        assert int8_layers_under_cap(model, x, 1) == whole
+        assert int8_layers_under_cap(model, x, uneven) == whole
+
+    def test_a_row_over_the_cap_is_a_tile_of_its_own(self):
+        # the second conv's row of patches, 16 * 3 * 3 * 460 float32
+        # elements, is 264,960 B, over the 256 KiB cap
+        model = ModelGraph(
+            layers=[conv(1, 16, seed=20, out_scale=50.0), conv(16, 2, seed=21, out_scale=1e4),
+                    pool(), linear(2, 2)],
+            class_count=2, input_shape=(1, 2, 460), input_scale=0.5, input_zero_point=0,
+        )
+        [_, (index, ho, row)] = copied_layers(model)
+        assert (index, ho, row) == (1, 2, 264960) and row > MAX_TILE_BYTES
+        assert _row_tiles(ho, row, MAX_TILE_BYTES) == [(0, 1), (1, 2)]
+        x = _quantize_input(model, code_spanning_spec(model, 5).values)
+        outputs = [out.tobytes() for out in _walk(model, x, _int8_step)]
+        assert len(set(outputs[1])) > 10  # not saturated
+        assert outputs == int8_layers_under_cap(model, x, 2**62)
+
+    # bytes of small Python and numpy objects a step allocates besides its
+    # buffers: views, slices, shape tuples
+    ALLOWANCE = 16 << 10
+
+    @pytest.mark.parametrize("step", [_int8_step, _float_step])
+    def test_each_weighted_step_stays_under_the_cap(self, fixture_model, step):
+        # a step's peak is at most its input, its centered (padded) input
+        # and its output buffers, the accumulator in its dtype, a float64
+        # copy of it and the returned array, plus the larger of the cap and
+        # one output row of patches
+        model, values = fixture_model, random_spec(3).values
+        x = (_quantize_input(model, values) if step is _int8_step
+             else values.reshape(model.input_shape))
+        buffers = [x, *_walk(model, x, step)]
+        plan, zero_point = _PLANS[model][step], model.input_zero_point
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for i, layer in enumerate(model.layers):
+                if layer.kind in WEIGHTED_KINDS:
+                    size = 4 if (step is _int8_step and _worst_accumulator(
+                        layer, zero_point) < 2**24) else 8
+                    (c, h, w), (out_ch, ho, wo) = model.shapes[i : i + 2]
+                    pad = 2 * layer.padding
+                    bound = (buffers[i].nbytes + c * (h + pad) * (w + pad) * size
+                             + out_ch * ho * wo * (size + 8) + buffers[i + 1].nbytes
+                             + max(MAX_TILE_BYTES, c * math.prod(layer.kernel) * wo * size)
+                             + self.ALLOWANCE)
+                    run, _ = plan[i]
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = run(buffers[i], buffers[i])
+                    peaks[i] = (tracemalloc.get_traced_memory()[1] - before, bound)
+                    assert out.tobytes() == buffers[i + 1].tobytes(), i
+                    del out
+                zero_point = layer.out_zero_point
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 52
+        assert {i: p for i, p in peaks.items() if p[0] > p[1]} == {}
 
 
 def _clamp(value):

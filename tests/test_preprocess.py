@@ -486,6 +486,16 @@ class TestSplitChunks:
         with pytest.raises(ValueError, match="max_chunks"):
             split_chunks(clip_of(peaked_chunk()), max_chunks=cap)
 
+    def test_cap_must_be_an_integer(self):
+        samples = np.concatenate([peaked_chunk(i) for i in range(3)])
+        with pytest.raises(ConfigError, match="max_chunks must be an integer, got 2.5"):
+            split_chunks(clip_of(samples), max_chunks=2.5)
+        with pytest.raises(ConfigError, match="max_chunks must be an integer"):
+            preprocess_recording(clip_of(samples), max_chunks=2.5)
+        # a numpy integer is one
+        chunks, noise = split_chunks(clip_of(samples), max_chunks=np.int64(2))
+        assert len(chunks) == 2 and noise == []
+
 
 class TestNormalize:
     def test_peak_hits_one(self):
