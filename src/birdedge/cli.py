@@ -256,11 +256,18 @@ def cmd_energy(args) -> int:
     return 0
 
 
+# Most timed inferences one bench run takes: a million at ≈2 ms each is
+# over half an hour, and their latencies are 8 MB of float64.
+MAX_REPETITIONS = 10**6
+
+
 def cmd_bench(args) -> int:
     """Latency methodology only: wall-clock per inference, no energy figures."""
     reps = args.repetitions
     if reps < 1:
         raise ConfigError(f"repetitions must be >= 1, got {reps}")
+    if reps > MAX_REPETITIONS:
+        raise ConfigError(f"repetitions must be <= {MAX_REPETITIONS}, got {reps}")
     model = _load_model_file(args.model)
     specs = [read_spectrogram(p) for p in _mels_inputs(Path(args.spec_dir))]
     latencies = np.empty(reps, dtype=np.float64)

@@ -8,16 +8,16 @@ kept, weakly keyed by the model, while the model lives: a built graph is
 immutable and hashes by identity, so its plan cannot go stale. A numerics
 is a step builder, (layer, shape, scale, zero_point, skip_affine, last) ->
 run(x, skip), that casts weights and makes multipliers and tables once.
-Weighted layers of both run on the same correlation kernel, _correlation,
-whose geometry is fixed from the layer's input shape in model.shapes: the
-centered input in C order, whatever the layout of x, zero-padded when
-the layer pads, one strided im2col view, then one BLAS product per row
-tile, stacked per channel for depthwise. The patches are copied a tile
-of whole output rows at a time, the most rows under graph.MAX_TILE_BYTES
-(one at least), each tile's product landing in its output rows of a
-per-call accumulator; a layer whose patches fit one tile runs a single
-product. A stride-1 1x1 conv or a linear layer unfolds without a copy,
-in one product. The plan holds no scratch, as plans serve every thread.
+Every weighted layer of both runs one sequence, _correlation, whose
+geometry is fixed from the layer's input shape in model.shapes: the input
+centered into a fresh C-ordered buffer, whatever the layout of x, zeroed
+first only when the layer pads; one strided im2col view of it; then its
+row tiles, each the most whole output rows whose patches fit in
+graph.MAX_TILE_BYTES (one at least), each through one BLAS product,
+stacked per channel for depthwise, into its output rows of a per-call
+accumulator. A stride-1 1x1 conv's or a linear layer's tile is a view of
+the buffer, not a copy. The plan holds no scratch, as plans serve every
+thread.
 
 int8: the input is quantized with the graph's input affine, each layer
 requantizes to int8 (float32 multiplier, round, clamp), and the terminal
@@ -95,10 +95,9 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
     shape, the strided im2col window view over the padded buffer (a tenth
     of the cost of as_strided), the patch matrix, stacked per channel for
     depthwise, its row tiles under MAX_TILE_BYTES, and the output shape.
-    Each tile's patches are copied and run through one product into its
-    columns of the accumulator; a layer of one tile runs one product on
-    the whole patch matrix. A stride-1 1x1 conv or a linear layer unfolds
-    without a copy, so it is never tiled."""
+    Each tile's patches are reshaped, a copy unless they are contiguous
+    rows of the buffer, and run through one product into its columns of
+    the accumulator."""
     c, h, w = shape
     (kh, kw), stride, pad = layer.kernel, layer.stride, layer.padding
     hp, wp = h + 2 * pad, w + 2 * pad
@@ -112,7 +111,7 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
         patches, weight = (c * kh * kw, ho * wo), weight.reshape(layer.out_ch, -1)
     out_shape, inner = (layer.out_ch, ho, wo), np.s_[:, pad : pad + h, pad : pad + w]
     # (window rows, tile patch shape, accumulator columns) of each tile
-    tiles = [] if (kh, kw, stride) == (1, 1, 1) else [
+    tiles = [
         (np.s_[..., top:bottom, :], (*patches[:-1], (bottom - top) * wo),
          np.s_[..., top * wo : bottom * wo])
         for top, bottom in _row_tiles(ho, math.prod(patches[:-1]) * wo * size,
@@ -125,14 +124,9 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
         # subtract in int8 and wrap before the cast. The window strides are
         # for a C-ordered buffer, so padded is one whatever the layout of x
         # (a spectrogram's values are often a transposed array).
-        if pad:
-            padded = np.zeros((c, hp, wp), dtype)
-            np.subtract(x, zero_point, out=padded[inner], dtype=dtype)
-        else:
-            padded = np.subtract(x, zero_point, dtype=dtype, order="C")
+        padded = (np.zeros if pad else np.empty)((c, hp, wp), dtype)
+        np.subtract(x, zero_point, out=padded[inner], dtype=dtype)
         view = np.ndarray(windows, dtype, padded, 0, strides)
-        if len(tiles) < 2:
-            return (weight @ view.reshape(patches)).reshape(out_shape)
         acc = np.empty(acc_shape, dtype)
         for rows, tile, columns in tiles:
             np.matmul(weight, view[rows].reshape(tile), out=acc[columns])

@@ -35,13 +35,15 @@ MAX_SCALE = 2.0**32
 # Most elements of one inference buffer: the graph input, a conv's
 # zero-padded input, its im2col patch matrix, or its output. 2**24 float64
 # elements are 128 MiB; no fixture buffer exceeds 288,000. The whole patch
-# matrix is capped although inference no longer allocates it: it copies
-# the patches in row tiles under MAX_TILE_BYTES.
+# matrix is capped although no layer allocates it: every weighted layer
+# takes its patches in row tiles under MAX_TILE_BYTES.
 MAX_BUFFER_ELEMENTS = 1 << 24
 
-# Most bytes of patches a weighted layer copies at once (256 KiB): its
-# im2col patch matrix is built in tiles of whole output rows that fit, and
-# a row larger than the cap is a tile of its own.
+# Most bytes of patches in one row tile (256 KiB): every weighted layer
+# takes its im2col patch matrix in tiles of whole output rows that fit,
+# and a row larger than the cap is a tile of its own. A tile of a
+# stride-1 1x1 conv or a linear layer is a view of the centered input,
+# not a copy.
 MAX_TILE_BYTES = 1 << 18
 
 

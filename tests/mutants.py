@@ -199,8 +199,8 @@ MUTANTS = (
     Mutant(
         "_correlation: an unpadded input keeps its layout",
         "src/birdedge/nnrt/engine.py",
-        'dtype=dtype, order="C")',
-        "dtype=dtype)",
+        "(c, hp, wp), dtype)",
+        '(c, hp, wp), dtype, order="F")',
         ("tests/test_nnrt.py::TestSharedKernel::"
          "test_a_transposed_spectrogram_reads_as_its_values",),
     ),
@@ -247,8 +247,8 @@ MUTANTS = (
     Mutant(
         "unpadded conv: zero point not subtracted",
         "src/birdedge/nnrt/engine.py",
-        'padded = np.subtract(x, zero_point, dtype=dtype, order="C")',
-        'padded = x.astype(dtype, order="C")',
+        "np.subtract(x, zero_point, out=",
+        "np.subtract(x, 0, out=",
         ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
@@ -1012,9 +1012,17 @@ MUTANTS = (
         "_correlation: the whole patch matrix built as one tile",  # the
         # outputs are the same: only the scratch bound sees it
         "src/birdedge/nnrt/engine.py",
-        "        if len(tiles) < 2:\n",
-        "        if True:\n",
+        "MAX_TILE_BYTES)",
+        "2**62)",
         ("tests/test_nnrt.py::TestRowTiles::test_each_weighted_step_stays_under_the_cap",),
+    ),
+    Mutant(
+        "padded buffer left unzeroed",
+        "src/birdedge/nnrt/engine.py",
+        "np.zeros if pad else np.empty",
+        "np.empty",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
 )
 

@@ -1039,6 +1039,11 @@ CONTRACT_CASES = [
     contract_case("bench-no-repetition",
                   ["bench", "--model", "m.enm", "--spec-dir", "in", "--repetitions", "0"],
                   "repetitions must be >= 1, got 0"),
+    # refused before the model (absent here) is read or the latencies allocated
+    contract_case("bench-repetitions-over-the-maximum",
+                  ["bench", "--model", "m.enm", "--spec-dir", "in",
+                   "--repetitions", "1000000000000"],
+                  "repetitions must be <= 1000000, got 1000000000000"),
     contract_case("preprocess-silence-threshold-2",
                   ["preprocess", "--in", "a.wav", "--out", "out", "--silence-threshold", "2"],
                   "threshold must be in (0, 1), got 2.0",

@@ -1881,8 +1881,9 @@ class TestSharedKernel:
 
     def test_a_transposed_spectrogram_reads_as_its_values(self):
         # compute_melspec returns the transpose of its dB array, F-ordered;
-        # strided_model's first conv is unpadded, so no padded copy makes
-        # the input C-ordered before the window view reads it
+        # strided_model's first conv is unpadded, so only the C order of the
+        # centered buffer, not a zeroed border, puts the input in the layout
+        # the window view reads
         model = strided_model()
         assert model.layers[0].padding == 0
         for seed in range(3):
@@ -1896,30 +1897,31 @@ class TestSharedKernel:
                     == float_reference_infer(model, spec).tobytes())
 
 
-def copied_layers(model):
-    """(index, output rows, bytes of one output row of patches in the int8
-    walk) of every weighted layer whose patches are copied, so tiled: all
-    but stride-1 1x1 convs and linear layers."""
+def copied_layers(model, step=_int8_step):
+    """(index, output rows, bytes of one output row of patches in step's
+    walk) of every weighted layer whose tiles are copies: all but stride-1
+    1x1 convs and linear layers, whose tiles are views."""
     zero_point = model.input_zero_point
     for i, layer in enumerate(model.layers):
         if layer.kind in WEIGHTED_KINDS and (*layer.kernel, layer.stride) != (1, 1, 1):
-            size = 4 if _worst_accumulator(layer, zero_point) < 2**24 else 8
+            size = 4 if step is _int8_step and _worst_accumulator(
+                layer, zero_point) < 2**24 else 8
             _, ho, wo = model.shapes[i + 1]
             yield i, ho, model.shapes[i][0] * math.prod(layer.kernel) * wo * size
         zero_point = layer.out_zero_point
 
 
-def int8_layers_under_cap(model, x, cap):
-    """The bytes of every int8 layer output on input codes x, walked with
+def layers_under_cap(model, x, cap, step=_int8_step):
+    """The bytes of every layer output of step's walk on input x, with
     tiles of at most cap bytes. Plans are cached per model, so the walk
     runs on a freshly built copy of model."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(birdedge.nnrt.engine, "MAX_TILE_BYTES", cap)
-        return [out.tobytes() for out in _walk(dataclasses.replace(model), x, _int8_step)]
+        return [out.tobytes() for out in _walk(dataclasses.replace(model), x, step)]
 
 
 class TestRowTiles:
-    """Each weighted layer copies its patches in tiles of whole output rows
+    """Each weighted layer takes its patches in tiles of whole output rows
     under MAX_TILE_BYTES, and the tiling never shows in an output."""
 
     @given(height=st.integers(1, 300), row_bytes=st.integers(1, 5000),
@@ -1938,14 +1940,16 @@ class TestRowTiles:
     @settings(deadline=None)
     @given(model=small_graphs(), seed=st.integers(0, 2**32 - 1))
     def test_random_graphs_are_byte_identical_under_any_cap(self, model, seed):
-        # one row per tile; the tallest copied layer split into ho - 1 rows
-        # and 1; every layer whole
-        tall = [(ho, row) for _, ho, row in copied_layers(model) if ho >= 3]
-        uneven = (max(tall)[0] - 1) * max(tall)[1] if tall else 1
-        x = _quantize_input(model, code_spanning_spec(model, seed).values)
-        whole = int8_layers_under_cap(model, x, 2**62)
-        assert int8_layers_under_cap(model, x, 1) == whole
-        assert int8_layers_under_cap(model, x, uneven) == whole
+        # in both numerics: one row per tile; the tallest copied layer split
+        # into ho - 1 rows and 1; every layer whole
+        values = code_spanning_spec(model, seed).values
+        for step, x in ((_int8_step, _quantize_input(model, values)),
+                        (_float_step, values.reshape(model.input_shape))):
+            tall = [(ho, row) for _, ho, row in copied_layers(model, step) if ho >= 3]
+            uneven = (max(tall)[0] - 1) * max(tall)[1] if tall else 1
+            whole = layers_under_cap(model, x, 2**62, step)
+            assert layers_under_cap(model, x, 1, step) == whole, step
+            assert layers_under_cap(model, x, uneven, step) == whole, step
 
     def test_a_row_over_the_cap_is_a_tile_of_its_own(self):
         # the second conv's row of patches, 16 * 3 * 3 * 460 float32
@@ -1961,7 +1965,7 @@ class TestRowTiles:
         x = _quantize_input(model, code_spanning_spec(model, 5).values)
         outputs = [out.tobytes() for out in _walk(model, x, _int8_step)]
         assert len(set(outputs[1])) > 10  # not saturated
-        assert outputs == int8_layers_under_cap(model, x, 2**62)
+        assert outputs == layers_under_cap(model, x, 2**62)
 
     # bytes of small Python and numpy objects a step allocates besides its
     # buffers: views, slices, shape tuples

@@ -684,6 +684,11 @@ class TestPipeline:
         specs, noise = preprocess_recording(clip_of(np.full(int(RATE * 1.5), 0.5)))
         assert specs == [] and noise == []
 
+    def test_silent_recording_comes_back_empty(self):
+        # long enough to pass the length gate; silence removal leaves nothing
+        specs, noise = preprocess_recording(clip_of(np.zeros(RATE * 4)))
+        assert specs == [] and noise == []
+
     @pytest.mark.parametrize("setting, value", [
         ("silence_threshold", 2.0), ("silence_threshold", math.nan),
         ("peak_ratio", math.nan), ("max_chunks", 0),
