@@ -30,6 +30,7 @@ from .exceptions import (
     FormatError,
     ShapeError,
     UnsupportedError,
+    check_integer,
 )
 from .melspec import MelSpectrogram
 
@@ -47,7 +48,8 @@ _RESAMPLE_BLOCK = 1 << 16
 class AudioClip:
     """Mono waveform with its sample rate.
 
-    samples: 1-D float32, every value in [-1.0, 1.0].
+    samples: 1-D float32, every value in [-1.0, 1.0]; held as
+        np.asarray(samples), and a ShapeError unless 1-D when built.
     sample_rate: at least 1 Hz, else a ConfigError when the clip is built.
     """
 
@@ -55,6 +57,9 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
+        self.samples = np.asarray(self.samples)
+        if self.samples.ndim != 1:
+            raise ShapeError(f"samples must be 1-D, got shape {self.samples.shape}")
         if not self.sample_rate >= 1:  # NaN too
             raise ConfigError(f"sample_rate must be >= 1, got {self.sample_rate}")
 
@@ -163,7 +168,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     Output length is round(n * target / source), so duration is preserved
     within one sample period. Equal rates return the clip unchanged. A
     constant signal stays exactly constant. Positions past the last sample
-    take the last sample's value.
+    take the last sample's value. A target_rate that is not an integer
+    >= 1 is a ConfigError.
 
     The float32 output is filled in blocks of _RESAMPLE_BLOCK samples, each
     interpolated over only the source samples it spans, so the float64
@@ -171,6 +177,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     downsampling) rather than several copies of the whole clip. Every
     value is the one a single whole-clip np.interp gives, bit for bit.
     """
+    check_integer(target_rate, "target_rate")
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if len(clip.samples) == 0:
@@ -201,18 +208,14 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 def write_spectrogram(spec: MelSpectrogram, sink) -> None:
     """Serialise a spectrogram to a path or binary file object.
 
-    Raises ShapeError if the matrix is not 2-D and DegenerateInputError if
-    it contains non-finite values, or values beyond the float32 range,
-    which the file would hold as inf.
+    Raises DegenerateInputError if the matrix contains non-finite values,
+    or values beyond the float32 range, which the file would hold as inf.
     """
-    values = np.asarray(spec.values)
-    if values.ndim != 2:
-        raise ShapeError(f"spectrogram must be 2-D, got shape {values.shape}")
     with np.errstate(over="ignore"):
-        cells = np.ascontiguousarray(values, dtype="<f4")
+        cells = np.ascontiguousarray(spec.values, dtype="<f4")
     if not np.isfinite(cells).all():
         raise DegenerateInputError("spectrogram contains non-finite values")
-    n_mels, n_frames = values.shape
+    n_mels, n_frames = cells.shape
     payload = SPECTROGRAM_MAGIC + struct.pack("<II", n_mels, n_frames) + cells.tobytes()
     if hasattr(sink, "write"):
         sink.write(payload)

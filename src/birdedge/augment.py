@@ -57,8 +57,14 @@ class AppliedAugmentation:
     skipped: bool = False
 
 
-def _rolled(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """Shift along axis, vacated entries set to the dB floor."""
+def _rolled(values: np.ndarray, u: float, axis: int) -> np.ndarray:
+    """Shift along axis by round(u * its length), vacated entries set to the
+    dB floor; a ConfigError unless that product is finite."""
+    with np.errstate(over="ignore"):
+        shift = np.rint(u * values.shape[axis])
+    if not np.isfinite(shift):  # NaN too
+        raise ConfigError(f"u * {values.shape[axis]} must be finite, got u = {u}")
+    shift = int(shift)
     out = np.roll(values, shift, axis=axis)
     vacated = [slice(None), slice(None)]
     vacated[axis] = slice(0, shift) if shift >= 0 else slice(shift, None)
@@ -71,14 +77,12 @@ def freq_roll(spec: MelSpectrogram, u: float) -> MelSpectrogram:
 
     Vacated bands are set to the floor; u == 0 is an exact identity.
     """
-    shift = int(np.rint(u * spec.n_mels))
-    return MelSpectrogram(_rolled(spec.values, shift, axis=0))
+    return MelSpectrogram(_rolled(spec.values, u, axis=0))
 
 
 def time_roll(spec: MelSpectrogram, u: float) -> MelSpectrogram:
     """Shift all energy later (u > 0) or earlier by round(u * n_frames) frames."""
-    shift = int(np.rint(u * spec.n_frames))
-    return MelSpectrogram(_rolled(spec.values, shift, axis=1))
+    return MelSpectrogram(_rolled(spec.values, u, axis=1))
 
 
 def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
@@ -88,10 +92,12 @@ def time_warp(spec: MelSpectrogram, w: int, center: int) -> MelSpectrogram:
     w == 0 is an exact identity (the input is copied verbatim). A
     column-constant spectrogram is unchanged for any legal w. Requires
     0 < center and center + w <= n_frames - 2 so both segments keep at
-    least one column of room.
+    least one column of room; w and center are integers.
     """
     values = spec.values
     n_frames = spec.n_frames
+    check_integer(w, "w")
+    check_integer(center, "center")
     if w < 0:
         raise ConfigError(f"displacement must be >= 0, got {w}")
     if not 0 < center < n_frames - 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .exceptions import ConfigError
@@ -66,7 +66,7 @@ class DeploymentProfile:
             _check(field.name, getattr(self, field.name), field.name)
 
 
-_MEASURED = ("e_infer_j", "t_infer_s", "e_dsp_j", "t_dsp_s", "p_sleep_w")
+_MEASURED = tuple(f.name for f in fields(DeploymentProfile) if f.default is MISSING)
 
 
 def _check(name: str, value: float, field: str, per_si: float = 1.0) -> None:
@@ -187,7 +187,7 @@ _PROFILE_KEYS = {
     "eta_solar_percent": ("eta_solar", 100.0),
     "eta_bat_percent": ("eta_bat", 100.0),
 }
-_REQUIRED_KEYS = tuple(_PROFILE_KEYS)[:5]
+_REQUIRED_KEYS = tuple(key for key, (field, _) in _PROFILE_KEYS.items() if field in _MEASURED)
 
 
 def parse_profile(text: str) -> DeploymentProfile:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateInputError
+from .exceptions import DegenerateInputError, ShapeError
 
 # Hard lower bound of the dB scale. Cells at or below this value carry no
 # usable energy and augmentations treat it as "empty".
@@ -22,10 +22,16 @@ FLOOR_DB = -80.0
 class MelSpectrogram:
     """A log-mel matrix.
 
-    values: float32 array of shape (n_mels, n_frames), dB in [FLOOR_DB, 0].
+    values: float32 array of shape (n_mels, n_frames), dB in [FLOOR_DB, 0];
+    held as np.asarray(values), and a ShapeError unless 2-D when built.
     """
 
     values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values)
+        if self.values.ndim != 2:
+            raise ShapeError(f"spectrogram must be 2-D, got shape {self.values.shape}")
 
     @property
     def n_mels(self) -> int:

@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..exceptions import ConfigError, check_integer
+from ..melspec import FLOOR_DB
 from .engine import _float_step, _walk
 from .graph import LayerSpec, ModelGraph, _weight_count
 from .serialize import _MAX_DIM
@@ -142,7 +143,7 @@ def _calibrated(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
     probes drawn from rng, and with each weighted layer's bias, drawn next
     from rng in layer order and quantized in units of input_scale *
     weight_scale."""
-    probes = rng.uniform(-80.0, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))
+    probes = rng.uniform(FLOOR_DB, 0.0, size=(_PROBE_COUNT, *model.input_shape[1:]))
     lows = np.full(len(model.layers), np.inf)
     highs = np.full(len(model.layers), -np.inf)
     for probe in probes:  # the float path draws nothing: the biases come next

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import GraphError
+from ..melspec import FLOOR_DB
 
 LAYER_KINDS = (
     "conv2d",
@@ -117,15 +118,15 @@ class ModelGraph:
     """An ordered layer tuple plus input quantization and class count, checked
     once, when built; edit one by building another with dataclasses.replace.
 
-    The default input affine maps -80..0 dB onto the int8 codes; its scale
-    is the float32 value the .enm container stores, so a graph built on it
-    classifies the same after save_model and load_model.
+    The default input affine maps FLOOR_DB..0 dB onto the int8 codes; its
+    scale is the float32 value the .enm container stores, so a graph built
+    on it classifies the same after save_model and load_model.
     """
 
     layers: tuple[LayerSpec, ...] = ()
     class_count: int = 2
     input_shape: tuple[int, int, int] = (1, 64, 249)  # a list is stored as the tuple
-    input_scale: float = float(np.float32(80.0 / 255.0))
+    input_scale: float = float(np.float32(-FLOOR_DB / 255.0))
     input_zero_point: int = 127
     shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 

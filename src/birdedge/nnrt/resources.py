@@ -4,7 +4,7 @@ Conventions:
   * one multiply-accumulate counts as 2 FLOPs;
   * relu6, residual_add, and global_avg_pool count 1 op per output element;
   * activations are int8, so RAM charges 1 byte per live element;
-  * ROM is the serialized model size (serialize._container_size): weight
+  * ROM is the serialized model size, len(save_model(model)): weight
     bytes, bias bytes, per-layer scales and zero points, and the metadata.
 """
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import INPUT_BUFFER, WEIGHTED_KINDS, LayerSpec, ModelGraph
-from .serialize import _container_size
+from .serialize import save_model
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,10 @@ def _peak_ram(model: ModelGraph) -> int:
 
 
 def resource_report(model: ModelGraph) -> ResourceReport:
-    """FLOPs of one inference, peak activation RAM and ROM, from the graph's shapes."""
+    """FLOPs of one inference, peak activation RAM and ROM, from the graph's
+    shapes; a graph beyond the .enm limits raises save_model's FormatError."""
     return ResourceReport(
         flops=sum(map(_flops_of, model.layers, model.shapes[1:])),
         ram_bytes=_peak_ram(model),
-        rom_bytes=_container_size(model),
+        rom_bytes=len(save_model(model)),
     )

@@ -346,8 +346,7 @@ def preprocess_recording(
     voiced = remove_silence(clip, threshold=silence_threshold)
     if len(voiced.samples) == 0:
         return [], []
-    if voiced.sample_rate != SAMPLE_RATE:
-        voiced = resample(voiced, SAMPLE_RATE)
+    voiced = resample(voiced, SAMPLE_RATE)
     chunks, noise = split_chunks(
         voiced, peak_ratio=peak_ratio, max_chunks=max_chunks
     )

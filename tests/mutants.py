@@ -287,10 +287,10 @@ MUTANTS = (
     Mutant(
         "resource_report: ROM bias counted one byte per channel",
         "src/birdedge/nnrt/serialize.py",
-        "size += 4 * layer.out_ch",
-        "size += layer.out_ch",
-        ("tests/test_nnrt.py::TestResources::"
-         "test_rom_is_serialized_size_on_every_record_and_fixture",),
+        'np.ascontiguousarray(layer.bias, dtype="<i4")',
+        "np.ascontiguousarray(layer.bias, dtype=np.int8)",
+        ("tests/test_nnrt.py::TestResources::test_zero_bias_costs_rom_only",
+         "tests/test_nnrt.py::TestFixtureModel::test_frozen_resource_numbers"),
     ),
     Mutant(
         "resource_report: shapes taken without validation",
@@ -694,8 +694,8 @@ MUTANTS = (
     Mutant(
         "ModelGraph: default input scale left unrounded",
         "src/birdedge/nnrt/graph.py",
-        "input_scale: float = float(np.float32(80.0 / 255.0))",
-        "input_scale: float = 80.0 / 255.0",
+        "input_scale: float = float(np.float32(-FLOOR_DB / 255.0))",
+        "input_scale: float = -FLOOR_DB / 255.0",
         ("tests/test_nnrt.py::TestSerialization::"
          "test_default_input_scale_classifies_the_same_after_load",),
     ),
@@ -840,10 +840,10 @@ MUTANTS = (
          "tests/test_trials.py::TestParetoFront::test_front_is_scanned_newest_first"),
     ),
     Mutant(
-        "_check_measures: flops left out of the fast path",
+        "_check_measures: flops left out of the loop over _COSTS",
         "src/birdedge/trials.py",
-        "\n            and 0.0 < record.rom < math.inf and 0.0 < record.flops < math.inf):",
-        "\n            and 0.0 < record.rom < math.inf):",
+        "    for name in _COSTS:\n",
+        "    for name in _COSTS[:2]:\n",
         ("tests/test_trials.py::TestScores::test_nonfinite_costs_rejected[nan-flops]",),
     ),
     Mutant(
@@ -889,6 +889,47 @@ MUTANTS = (
         ("tests/test_audio_io.py::TestAudioClip::test_sample_rate_below_1_rejected[0]",),
     ),
     Mutant(
+        "AudioClip: samples that are not 1-D accepted",
+        "src/birdedge/audio_io.py",
+        "        if self.samples.ndim != 1:\n",
+        "        if False:\n",
+        ("tests/test_audio_io.py::TestAudioClip::test_samples_must_be_1d",),
+    ),
+    Mutant(
+        "AudioClip: samples not held as an array",
+        "src/birdedge/audio_io.py",
+        "        self.samples = np.asarray(self.samples)\n"
+        "        if self.samples.ndim != 1:\n",
+        "        if np.ndim(self.samples) != 1:\n",
+        ("tests/test_audio_io.py::TestAudioClip::test_list_samples_are_held_as_an_array",),
+    ),
+    Mutant(
+        "MelSpectrogram: values that are not 2-D accepted",
+        "src/birdedge/melspec.py",
+        "        if self.values.ndim != 2:\n",
+        "        if False:\n",
+        ("tests/test_audio_io.py::TestSpectrogramContainer::test_a_spectrogram_is_2d_when_built",
+         "tests/test_audio_io.py::TestSpectrogramContainer::"
+         "test_write_rejects_values_that_are_not_2d"),
+    ),
+    Mutant(
+        "MelSpectrogram: values not held as an array",
+        "src/birdedge/melspec.py",
+        "        self.values = np.asarray(self.values)\n"
+        "        if self.values.ndim != 2:\n",
+        "        if np.ndim(self.values) != 2:\n",
+        ("tests/test_audio_io.py::TestSpectrogramContainer::test_list_values_are_held_as_an_array",
+         "tests/test_nnrt.py::TestInference::test_list_values_classify_as_the_array"),
+    ),
+    Mutant(
+        "resample: a target rate that is not an integer accepted",
+        "src/birdedge/audio_io.py",
+        '    check_integer(target_rate, "target_rate")\n',
+        "",
+        ("tests/test_audio_io.py::TestResample::test_nan_target_is_a_config_error",
+         "tests/test_audio_io.py::TestResample::test_fractional_target_is_a_config_error"),
+    ),
+    Mutant(
         "preprocess_recording: a clip below 8 kHz resampled",
         "src/birdedge/preprocess.py",
         "    if clip.sample_rate < MIN_SAMPLE_RATE:\n",
@@ -924,6 +965,38 @@ MUTANTS = (
         "    out[tuple(vacated)] = FLOOR_DB\n",
         "",
         ("tests/test_augment.py::TestRolls",),
+    ),
+    Mutant(
+        "_rolled: a shift that is not finite passed to int()",
+        "src/birdedge/augment.py",
+        "    if not np.isfinite(shift):  # NaN too\n",
+        "    if False:\n",
+        ("tests/test_augment.py::TestRolls::test_a_shift_that_is_not_finite_is_a_config_error",),
+    ),
+    Mutant(
+        "_rolled: the overflow of a numpy u * length warns",
+        "src/birdedge/augment.py",
+        "    with np.errstate(over=\"ignore\"):\n"
+        "        shift = np.rint(u * values.shape[axis])\n",
+        "    shift = np.rint(u * values.shape[axis])\n",
+        ("tests/test_augment.py::TestRolls::"
+         "test_a_shift_that_is_not_finite_is_a_config_error[freq_roll-numpy-1e308]",),
+    ),
+    Mutant(
+        "time_warp: a float w accepted",
+        "src/birdedge/augment.py",
+        '    check_integer(w, "w")\n',
+        "",
+        ("tests/test_augment.py::TestTimeWarp::"
+         "test_non_integer_w_or_center_is_a_config_error[float-w]",),
+    ),
+    Mutant(
+        "time_warp: a float center accepted",
+        "src/birdedge/augment.py",
+        '    check_integer(center, "center")\n',
+        "",
+        ("tests/test_augment.py::TestTimeWarp::"
+         "test_non_integer_w_or_center_is_a_config_error[fractional-center]",),
     ),
     Mutant(
         "_rolled: vacated band taken from the wrong end",

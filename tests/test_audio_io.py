@@ -7,6 +7,7 @@ place, never from this package's own writer.
 """
 
 import io
+import re
 import struct
 
 import numpy as np
@@ -334,6 +335,19 @@ class TestAudioClip:
         with pytest.raises(ConfigError, match=f"sample_rate must be >= 1, got {rate}"):
             AudioClip(np.zeros(10, dtype=np.float32), rate)
 
+    @pytest.mark.parametrize("shape", [(2, 144000), (), (144000, 1)])
+    def test_samples_must_be_1d(self, shape):
+        # len() of a (2, n) array is 2, so preprocess_recording's length gate
+        # would drop the whole clip without an error
+        message = re.escape(f"samples must be 1-D, got shape {shape}")
+        with pytest.raises(ShapeError, match=message):
+            AudioClip(np.zeros(shape, dtype=np.float32), 48000)
+
+    def test_list_samples_are_held_as_an_array(self):
+        clip = AudioClip([0.0, 0.5, -0.25], 48000)
+        assert isinstance(clip.samples, np.ndarray)
+        assert clip.samples.tolist() == [0.0, 0.5, -0.25]
+
 
 class TestResample:
     def test_441_to_48k_length(self):
@@ -365,6 +379,20 @@ class TestResample:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             resample(AudioClip(np.zeros(10, dtype=np.float32), 48000), 0)
+
+    def test_nan_target_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="target_rate must be an integer, got nan"):
+            resample(AudioClip(np.zeros(10, dtype=np.float32), 48000), float("nan"))
+
+    def test_fractional_target_is_a_config_error(self):
+        # 44100.5 would interpolate at 48000 / 44100.5 and be labelled
+        # 44100 Hz; a numpy integer resamples as the same int
+        clip = AudioClip(np.linspace(-1, 1, 480, dtype=np.float32), 48000)
+        with pytest.raises(ConfigError, match="target_rate must be an integer, got 44100.5"):
+            resample(clip, 44100.5)
+        out = resample(clip, np.int64(44100))
+        assert out.sample_rate == 44100 and type(out.sample_rate) is int
+        assert out.samples.tobytes() == resample(clip, 44100).samples.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -487,6 +515,18 @@ class TestSpectrogramContainer:
         values = np.zeros(shape, dtype=np.float32)
         with pytest.raises(ShapeError, match="spectrogram must be 2-D"):
             write_spectrogram(MelSpectrogram(values), io.BytesIO())
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_a_spectrogram_is_2d_when_built(self, shape):
+        # augment_chunk, freq_roll and time_warp index two axes
+        message = re.escape(f"spectrogram must be 2-D, got shape {shape}")
+        with pytest.raises(ShapeError, match=message):
+            MelSpectrogram(np.zeros(shape, dtype=np.float32))
+
+    def test_list_values_are_held_as_an_array(self):
+        spec = MelSpectrogram([[0.0, -1.0], [-2.0, -3.0]])
+        assert isinstance(spec.values, np.ndarray)
+        assert (spec.n_mels, spec.n_frames) == (2, 2)
 
     def test_nonfinite_write_rejected(self):
         # float64 1e300 is finite, but the float32 file would hold it as inf

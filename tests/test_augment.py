@@ -101,6 +101,15 @@ class TestRolls:
         assert freq_roll(spec, 0.03).values.shape == (64, 249)
         assert time_roll(spec, -0.2).values.shape == (64, 249)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, 1e308, np.float64(1e308)],
+                             ids=["nan", "inf", "-inf", "1e308", "numpy-1e308"])
+    @pytest.mark.parametrize("roll", [freq_roll, time_roll])
+    def test_a_shift_that_is_not_finite_is_a_config_error(self, roll, u):
+        # 1e308 is finite, but u * the axis length is not, and a numpy
+        # float must say so without an overflow warning
+        with pytest.raises(ConfigError, match="must be finite"):
+            roll(random_spec(9), u)
+
 
 class TestTimeWarp:
     def test_zero_displacement_identity(self):
@@ -151,6 +160,17 @@ class TestTimeWarp:
     def test_domain_errors(self, w, center):
         with pytest.raises(ValueError):
             time_warp(random_spec(12), w, center)
+
+    @pytest.mark.parametrize("w,center,name", [(5.0, 100, "w"), (5, 100.5, "center"),
+                                               (5, np.float64(100), "center")],
+                             ids=["float-w", "fractional-center", "numpy-float-center"])
+    def test_non_integer_w_or_center_is_a_config_error(self, w, center, name):
+        # w and center are slice bounds; numpy integers warp as ints
+        spec = random_spec(12)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            time_warp(spec, w, center)
+        out = time_warp(spec, np.int64(7), np.int32(60))
+        assert out.values.tobytes() == time_warp(spec, 7, 60).values.tobytes()
 
     def test_max_legal_displacement(self):
         spec = random_spec(13)

@@ -1012,6 +1012,13 @@ class TestInference:
         with pytest.raises(ShapeError):
             infer(model, MelSpectrogram(np.zeros((5, 5), dtype=np.float32)))
 
+    def test_list_values_classify_as_the_array(self):
+        model = chain_model()
+        values = spec_for(model, seed=5).values
+        listed = MelSpectrogram(values.tolist())
+        for fn in (infer, float_reference_infer):
+            assert fn(model, listed).tobytes() == fn(model, MelSpectrogram(values)).tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
     def test_nonfinite_input_rejected(self, bad):
         model = chain_model()
@@ -1177,6 +1184,11 @@ class TestResources:
         assert small.rom_bytes == large.rom_bytes
         assert small.flops < large.flops
         assert small.ram_bytes < large.ram_bytes
+
+    def test_rom_of_a_graph_beyond_the_container_raises(self):
+        # the ROM of a graph is the size of its .enm file, and there is none
+        with pytest.raises(FormatError, match="implausible layer dimension 1048577"):
+            resource_report(wide_head_model((1 << 20) + 1))
 
     def test_report_of_an_invalid_graph_raises(self):
         weight = chain_model().layers[0].weight[:-1]
