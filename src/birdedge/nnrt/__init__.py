@@ -9,7 +9,9 @@ _worst_accumulator is below 2**24, else in float64). One requantize
 step (float32 multiplier, round, zero point, clamp to int8) quantizes the
 input, requantizes each weighted or pool output but the logits, and fills
 the byte tables of relu6 (256 bytes, for bytes.translate) and residual adds
-(65536 entries, indexed by the pair of input and skip codes).
+(65536 entries, indexed by the pair of input and skip codes). Inference
+walks the layers once and holds each output only until its last reader,
+the liveness resource_report's ram_bytes counts.
 """
 
 from .engine import float_reference_infer, infer

@@ -1,13 +1,17 @@
 """Layer execution: one graph walk, two numerics, one set of conv kernels.
 
-_walk owns the dataflow: the buffer of layer outputs, the residual skip
+_walk owns the dataflow: the buffers of layer outputs, the residual skip
 lookup and the terminal-linear rule (the last layer yields logits, not an
-activation). It runs a plan per model and numerics, built on first use by
-threading each layer's input and skip affines through the layers once, and
-kept, weakly keyed by the model, while the model lives: a built graph is
-immutable and hashes by identity, so its plan cannot go stale. A numerics
-is a step builder, (layer, shape, scale, zero_point, skip_affine, last) ->
-run(x, skip), that casts weights and makes multipliers and tables once.
+activation). It yields each layer's output as it is made and holds each
+buffer, the graph input included, only until the layer model.last_reads
+names has read it, so a walk holds the live set that resource_report's
+ram_bytes counts; a caller keeps whatever else it needs. It runs a plan
+per model and numerics, built on first use by threading each layer's input
+and skip affines through the layers once, and kept, weakly keyed by the
+model, while the model lives: a built graph is immutable and hashes by
+identity, so its plan cannot go stale. A numerics is a step builder,
+(layer, shape, scale, zero_point, skip_affine, last) -> run(x, skip),
+that casts weights and makes multipliers and tables once.
 Every weighted layer of both runs one sequence, _correlation, whose
 geometry is fixed from the layer's input shape in model.shapes: the input
 centered into a fresh C-ordered buffer, whatever the layout of x, zeroed
@@ -57,6 +61,8 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -135,26 +141,33 @@ def _correlation(layer: LayerSpec, shape, zero_point: int, weight: np.ndarray):
     return correlate
 
 
-def _walk(model: ModelGraph, x: np.ndarray, step) -> list[np.ndarray]:
-    """Run the graph on input x; returns every layer's output, logits last.
-    Each model's plan for step is built on its first walk with step."""
+def _walk(model: ModelGraph, x: np.ndarray, step) -> Iterator[np.ndarray]:
+    """Run the graph on input x, yielding each layer's output as it is made,
+    logits last. The walk holds each buffer, x included, until the layer
+    model.last_reads names has read it, so it holds only the live set; a
+    caller that wants more keeps what it needs. Each model's plan for step
+    is built on its first walk with step."""
     plans = _PLANS.setdefault(model, {})
     if (plan := plans.get(step)) is None:
         plan, affines = [], [(model.input_scale, model.input_zero_point)]
         for i, layer in enumerate(model.layers):
             # a residual's skip source; other kinds ignore theirs, their input
-            skip = layer.skip_from - INPUT_BUFFER if layer.kind == "residual_add" else -1
+            skip = layer.skip_from - INPUT_BUFFER if layer.kind == "residual_add" else i
             last = i == len(model.layers) - 1
             run = step(layer, model.shapes[i], *affines[-1], affines[skip], last)
             plan.append((run, skip))
             affines.append((layer.out_scale, layer.out_zero_point))
         plans[step] = plan
-    # outputs[k - INPUT_BUFFER] holds the output of layer k; the graph
-    # input comes first, as layer INPUT_BUFFER (-1).
-    outputs = [x]
-    for run, skip in plan:
-        outputs.append(run(outputs[-1], outputs[skip]))
-    return outputs[1:]
+    # buffers[k - INPUT_BUFFER] holds the output of layer k, None once dead;
+    # the graph input comes first, as layer INPUT_BUFFER (-1).
+    buffers, last_reads = [x], model.last_reads
+    del x
+    for i, (run, skip) in enumerate(plan):
+        buffers.append(run(buffers[i], buffers[skip]))
+        for b in (i, skip):  # the buffers step i read
+            if last_reads[b] == i:
+                buffers[b] = None
+        yield buffers[-1]
 
 
 def _requantize(acc: np.ndarray, multiplier: float, zero_point: int) -> np.ndarray:
@@ -327,11 +340,14 @@ def infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     float_reference_infer.
     """
     _check_input(model, spec)
-    return _softmax(_walk(model, _quantize_input(model, spec.values), _int8_step)[-1])
+    walk = _walk(model, _quantize_input(model, spec.values), _int8_step)
+    return _softmax(deque(walk, maxlen=1).pop())
 
 
 def float_reference_infer(model: ModelGraph, spec: MelSpectrogram) -> np.ndarray:
     """Run the dequantized float path; returns class probabilities."""
     _check_input(model, spec)
     x = np.asarray(spec.values, dtype=np.float32).reshape(model.input_shape)
-    return _softmax(_walk(model, x, _float_step)[-1])
+    walk = _walk(model, x, _float_step)
+    del x  # the walk holds the input until its last reader
+    return _softmax(deque(walk, maxlen=1).pop())

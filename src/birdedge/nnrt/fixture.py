@@ -148,8 +148,10 @@ def _calibrated(model: ModelGraph, rng: np.random.Generator) -> ModelGraph:
     highs = np.full(len(model.layers), -np.inf)
     for probe in probes:  # the float path draws nothing: the biases come next
         x = probe.astype(np.float32).reshape(model.input_shape)
+        walk = _walk(model, x, _float_step)
+        del x  # the walk holds the probe until its last reader
         # the float64 logits are ranged as float32; rounding keeps their order
-        for i, out in enumerate(_walk(model, x, _float_step)):
+        for i, out in enumerate(walk):
             lows[i] = min(lows[i], float(np.float32(out.min())))
             highs[i] = max(highs[i], float(np.float32(out.max())))
 

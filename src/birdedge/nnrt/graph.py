@@ -129,6 +129,7 @@ class ModelGraph:
     input_scale: float = float(np.float32(-FLOOR_DB / 255.0))
     input_zero_point: int = 127
     shapes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    last_reads: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers or ()))  # None: no layers
@@ -137,6 +138,13 @@ class ModelGraph:
         shapes = tuple(validate_graph(self))  # every buffer's (C, H, W)
         object.__setattr__(self, "input_shape", shapes[0])
         object.__setattr__(self, "shapes", shapes)
+        # last_reads[b]: the layer that last reads buffer b (indexed as shapes),
+        # the one it feeds or the latest residual_add taking it as skip source;
+        # the logits' entry, len(layers), names no layer, so nothing frees them
+        skips = {layer.skip_from - INPUT_BUFFER: i for i, layer in enumerate(self.layers)
+                 if layer.kind == "residual_add"}
+        object.__setattr__(self, "last_reads",
+                           tuple(skips.get(b, b) for b in range(len(shapes))))
 
 
 def _check_scale(value: float, what: str, i: int | None = None) -> None:

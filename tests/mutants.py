@@ -104,6 +104,29 @@ MUTANTS = (
         ("tests/test_preprocess.py::TestSplitChunks::test_noise_windows_separated",),
     ),
     Mutant(
+        "decode_wav: PCM16 scaled by 1/32767, so a float32 WAV of x / 32768 differs",
+        "src/birdedge/audio_io.py",
+        "samples /= np.float32(32768)",
+        "samples /= np.float32(32767)",
+        ("tests/test_relations.py::"
+         "test_a_float32_wav_of_the_pcm16_values_is_the_same_recording[48000Hz-seed1]",),
+    ),
+    Mutant(
+        "decode_wav: stereo folded as the channels' difference",
+        "src/birdedge/audio_io.py",
+        "np.add(raw[0::2], raw[1::2], dtype=np.float32)",
+        "np.subtract(raw[0::2], raw[1::2], dtype=np.float32)",
+        ("tests/test_relations.py::test_two_equal_channels_are_the_mono_recording[48000Hz-seed1]",),
+    ),
+    Mutant(
+        "remove_silence: an absolute threshold, not one relative to the clip's peak",
+        "src/birdedge/preprocess.py",
+        "np.float32(threshold * peak)",
+        "np.float32(threshold)",
+        ("tests/test_relations.py::"
+         "test_a_power_of_two_gain_scales_only_the_noise_windows[48000Hz-seed1-2**-6]",),
+    ),
+    Mutant(
         "write_spectrogram: finiteness checked before the float32 cast",
         "src/birdedge/audio_io.py",
         "if not np.isfinite(cells).all()",
@@ -231,6 +254,37 @@ MUTANTS = (
          "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference"),
     ),
     Mutant(
+        "_walk: no buffer is ever dropped",
+        "src/birdedge/nnrt/engine.py",
+        "                buffers[b] = None\n",
+        "                pass\n",
+        ("tests/test_nnrt.py::TestLiveSet::test_the_walk_holds_the_buffers_ram_bytes_counts",
+         "tests/test_nnrt.py::TestLiveSet::"
+         "test_a_hot_infer_peaks_within_the_live_set_and_one_layers_scratch"),
+    ),
+    Mutant(
+        "_walk: each buffer dropped one step early, before its last reader runs",
+        "src/birdedge/nnrt/engine.py",
+        "        buffers.append(run(buffers[i], buffers[skip]))\n"
+        "        for b in (i, skip):  # the buffers step i read\n"
+        "            if last_reads[b] == i:\n"
+        "                buffers[b] = None\n",
+        "        for b in (i, skip):\n"
+        "            if last_reads[b] == i:\n"
+        "                buffers[b] = None\n"
+        "        buffers.append(run(buffers[i], buffers[skip]))\n",
+        ("tests/test_nnrt.py::TestInt8Oracle::test_random_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestInt8Oracle::test_hand_built_graphs_match_the_reference",
+         "tests/test_nnrt.py::TestPinnedOutputs::test_fixture_outputs_bitwise"),
+    ),
+    Mutant(
+        "_walk: skip sources never freed, so the walk holds more than _peak_ram counts",
+        "src/birdedge/nnrt/engine.py",
+        "        for b in (i, skip):  # the buffers step i read\n",
+        "        for b in (i,):  # the buffers step i read\n",
+        ("tests/test_nnrt.py::TestLiveSet::test_the_walk_holds_the_buffers_ram_bytes_counts",),
+    ),
+    Mutant(
         "_walk: the plan rebuilt on every call",
         "src/birdedge/nnrt/engine.py",
         "    if (plan := plans.get(step)) is None:\n",
@@ -333,10 +387,10 @@ MUTANTS = (
          "tests/test_nnrt.py::TestBuiltOnce::test_layers_given_as_a_list_are_not_shared"),
     ),
     Mutant(
-        "resource_report: RAM residual source freed a step early",
-        "src/birdedge/nnrt/resources.py",
-        "last_read[layer.skip_from - INPUT_BUFFER] = i\n",
-        "last_read[layer.skip_from - INPUT_BUFFER] = i - 1\n",
+        "last_reads: a residual's skip source freed a step early",
+        "src/birdedge/nnrt/graph.py",
+        "skips = {layer.skip_from - INPUT_BUFFER: i for",
+        "skips = {layer.skip_from - INPUT_BUFFER: i - 1 for",
         ("tests/test_nnrt.py::TestResources::test_ram_residual_span",
          "tests/test_nnrt.py::TestRandomGraphs::test_ram_matches_the_quadratic_scan"),
     ),

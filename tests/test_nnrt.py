@@ -12,9 +12,12 @@ import hashlib
 import math
 import re
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -2021,6 +2024,89 @@ class TestRowTiles:
         assert {i: p for i, p in peaks.items() if p[0] > p[1]} == {}
 
 
+class TestLiveSet:
+    """The walk holds each buffer until its last reader, the liveness that
+    resource_report's ram_bytes counts, and no longer."""
+
+    @pytest.mark.parametrize("step", [_int8_step, _float_step])
+    def test_the_walk_holds_the_buffers_ram_bytes_counts(self, fixture_model, step):
+        # every buffer is watched through a weak reference, so only the walk
+        # keeps it: after step i it holds exactly the buffers a later step
+        # reads, and the elements live while a step runs peak at ram_bytes
+        model, values = fixture_model, random_spec(4).values
+        x = (_quantize_input(model, values) if step is _int8_step
+             else values.reshape(model.input_shape))
+        sizes = [math.prod(shape) for shape in model.shapes]
+        refs, held, peak, i = [weakref.ref(x)], [0], 0, 0
+        walk = _walk(model, x, step)
+        del x
+        for out in walk:
+            refs.append(weakref.ref(out))
+            del out
+            peak = max(peak, sum(sizes[b] for b in held) + sizes[i + 1])
+            held = [b for b, ref in enumerate(refs) if ref() is not None]
+            assert held == [b for b in range(i + 2) if model.last_reads[b] > i], i
+            i += 1
+        assert i == len(model.layers)
+        assert peak == resource_report(model).ram_bytes
+
+    # bytes of small Python and numpy objects besides the buffers: views,
+    # slices, shape tuples, the walk's frame and its list of buffers
+    ALLOWANCE = 16 << 10
+
+    def test_a_hot_infer_peaks_within_the_live_set_and_one_layers_scratch(
+            self, fixture_model):
+        # the int8 buffers ram_bytes counts, one tile of patches under the
+        # cap, and the largest centered input plus accumulator of any
+        # weighted layer, in the dtype its int8 step sums in
+        model, scratch = fixture_model, 0
+        zero_point = model.input_zero_point
+        for i, layer in enumerate(model.layers):
+            if layer.kind in WEIGHTED_KINDS:
+                size = 4 if _worst_accumulator(layer, zero_point) < 2**24 else 8
+                (c, h, w), (out_ch, ho, wo) = model.shapes[i : i + 2]
+                pad = 2 * layer.padding
+                scratch = max(scratch, (c * (h + pad) * (w + pad) + out_ch * ho * wo) * size)
+            zero_point = layer.out_zero_point
+        bound = resource_report(model).ram_bytes + MAX_TILE_BYTES + scratch
+        assert bound == 624320
+        spec = random_spec(5)
+        want = infer(model, spec)  # hot: the plan is built
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = infer(model, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= bound + self.ALLOWANCE
+
+    def test_threads_sharing_a_model_get_single_thread_outputs(self, fixture_model):
+        # a model with no plan yet: both threads make its first walk with
+        # each numerics at once, then walk it hot, switching often
+        entries = (infer, float_reference_infer)
+        specs = [random_spec(seed) for seed in (10, 11)]
+        want = [[entry(fixture_model, spec).tobytes() for entry in entries]
+                for spec in specs]
+        model = dataclasses.replace(fixture_model)
+        start = threading.Barrier(2, timeout=60)
+
+        def rounds(spec):
+            start.wait()
+            return [[entry(model, spec).tobytes() for entry in entries]
+                    for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(rounds, specs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[outputs] * 3 for outputs in want]
+
+
 def _clamp(value):
     return min(127, max(-128, int(value)))
 
@@ -2179,7 +2265,7 @@ class TestInt8Oracle:
             warnings.simplefilter("error")
             got = infer(model, spec)
             x = _quantize_input(model, spec.values)
-            got_layers = _walk(model, x, _int8_step)
+            got_layers = list(_walk(model, x, _int8_step))
         for index, (out, expect) in enumerate(zip(got_layers, want_layers)):
             assert out.dtype == np.int8, index
             np.testing.assert_array_equal(out, expect, err_msg=f"layer {index}")
